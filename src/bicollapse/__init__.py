@@ -8,7 +8,6 @@ from .build import (
     kde_bandwidth,
     kde_density,
     kde_density_from_matrix,
-    load_densities,
     load_lower_distance_matrix,
     load_points,
     pairwise_distances,
@@ -20,106 +19,44 @@ from .collapse import (
     GradeMode,
     apply_grade_mode,
     collapse_iterated,
-    collapse_once,
-    count_free_at_birth,
 )
-from .core import (
-    NEVER,
-    BifilteredGraph,
-    Edge,
-    EdgeNeighbor,
-    Grade,
-    edge_neighborhood,
-    graph_from_edges,
-    join,
-    leq,
-    read_edge_list,
-    subgraph_at,
-    write_edge_list,
-)
-from .domination import (
-    DeltaRegion,
-    StripeSet,
-    critical_query_set,
-    is_filtration_dominated,
-    is_strongly_dominated,
-    non_domination_region,
-    region_query,
-)
-from .expand import (
-    GradedTriangle,
-    SccComplex,
-    count_triangles,
-    enumerate_triangles,
-    export_scc2020,
-    parse_scc2020,
-)
-from .oracle import (
-    BettiTable,
-    CriticalGrid,
-    SimplexBudgetExceeded,
-    VerifyReport,
-    betti_table,
-    brute_force_filtration_dominated,
-    verify_collapse,
-)
-from .orders import ORDER_KINDS, EdgeOrder, sort_edges
+from .core import BifilteredGraph, read_edge_list, write_edge_list
+from .domination import is_filtration_dominated, is_strongly_dominated
+from .expand import count_triangles, enumerate_triangles, export_scc2020, parse_scc2020
+from .oracle import SimplexBudgetExceeded, brute_force_filtration_dominated, verify_collapse
+from .orders import ORDER_KINDS, EdgeOrder
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiTable",
     "BifilteredGraph",
     "CollapseReport",
-    "CriticalGrid",
     "DATASET_KINDS",
-    "DeltaRegion",
-    "Edge",
-    "EdgeNeighbor",
     "EdgeOrder",
     "GRADE_MODES",
-    "Grade",
     "GradeMode",
-    "GradedTriangle",
     "MODES",
-    "NEVER",
     "ORDER_KINDS",
-    "SccComplex",
     "SimplexBudgetExceeded",
-    "StripeSet",
-    "VerifyReport",
     "apply_grade_mode",
-    "betti_table",
     "brute_force_filtration_dominated",
     "collapse_iterated",
-    "collapse_once",
-    "count_free_at_birth",
     "count_triangles",
-    "critical_query_set",
     "density_rips_from_distances",
     "density_rips_graph",
-    "edge_neighborhood",
     "enumerate_triangles",
     "export_scc2020",
     "generate_dataset",
-    "graph_from_edges",
     "is_filtration_dominated",
     "is_strongly_dominated",
-    "join",
     "kde_bandwidth",
     "kde_density",
     "kde_density_from_matrix",
-    "leq",
-    "load_densities",
     "load_lower_distance_matrix",
     "load_points",
-    "non_domination_region",
     "pairwise_distances",
     "parse_scc2020",
     "read_edge_list",
-    "region_query",
-    "sort_edges",
-    "subgraph_at",
     "verify_collapse",
     "write_edge_list",
     "__version__",

@@ -196,18 +196,3 @@ def load_lower_distance_matrix(source: str | Path | IO[str]) -> np.ndarray:
                 raise ValueError(f"invalid distance {value} at row {i}")
             dist[i, j] = dist[j, i] = value
     return dist
-
-
-def load_densities(source: str | Path | IO[str]) -> np.ndarray:
-    """Density override: one non-negative value per line."""
-    values = []
-    for fields in _data_lines(source):
-        if len(fields) != 1:
-            raise ValueError("density file must have one value per line")
-        values.append(float(fields[0]))
-    if not values:
-        raise ValueError("empty density file")
-    out = np.array(values, dtype=float)
-    if (out < 0).any() or not np.isfinite(out).all():
-        raise ValueError("densities must be finite and non-negative")
-    return out

@@ -19,15 +19,14 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from . import __version__
 from .build import (
     DATASET_KINDS,
     density_rips_from_distances,
-    density_rips_graph,
     generate_dataset,
     kde_bandwidth,
-    kde_density,
     kde_density_from_matrix,
     load_lower_distance_matrix,
     load_points,
@@ -41,7 +40,7 @@ from .collapse import (
     collapse_iterated,
 )
 from .core import BifilteredGraph, read_edge_list, write_edge_list
-from .domination import is_filtration_dominated, is_strongly_dominated
+from .domination import _DenseStrongEngine, is_filtration_dominated, is_strongly_dominated
 from .expand import count_triangles, enumerate_triangles, export_scc2020
 from .oracle import (
     SimplexBudgetExceeded,
@@ -96,9 +95,13 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _graph_from_distances(dist: np.ndarray) -> BifilteredGraph:
+    h = kde_bandwidth(dist[np.triu_indices(dist.shape[0], k=1)])
+    return density_rips_from_distances(dist, kde_density_from_matrix(dist, h))
+
+
 def _graph_from_points(points: np.ndarray) -> BifilteredGraph:
-    h = kde_bandwidth(pairwise_distances(points))
-    return density_rips_graph(points, kde_density(points, h))
+    return _graph_from_distances(squareform(pairwise_distances(points)))
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:
@@ -111,10 +114,7 @@ def _load_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:
             return _graph_from_points(load_points(args.points)), f"points:{args.points}"
         if getattr(args, "distances", None):
             dist = load_lower_distance_matrix(args.distances)
-            condensed = dist[np.triu_indices(dist.shape[0], k=1)]
-            h = kde_bandwidth(condensed)
-            dens = kde_density_from_matrix(dist, h)
-            return density_rips_from_distances(dist, dens), f"distances:{args.distances}"
+            return _graph_from_distances(dist), f"distances:{args.distances}"
         points = generate_dataset(args.dataset, args.n, seed=args.seed)
         return _graph_from_points(points), f"{args.dataset}:n={args.n}"
     except (OSError, ValueError) as exc:
@@ -284,16 +284,19 @@ def _verify_domination(args: argparse.Namespace) -> int:
     checked = 0
     for i in range(args.instances):
         graph = random_grid_graph(4 + i % 7, densities[i % 3], rng)
+        engine = _DenseStrongEngine(graph)
         for e in graph.edge_list():
             fast = is_filtration_dominated(graph, e)
             slow = brute_force_filtration_dominated(graph, e)
             strong = is_strongly_dominated(graph, e)
-            if fast != slow or (strong is not None and not fast):
+            dense = engine.strong_dominator(e)
+            if fast != slow or (strong is not None and not fast) or dense != strong:
                 path = _counterexample_path(args)
                 _atomic_write_text(path, _edge_list_text(graph))
                 print(
                     f"domination mismatch on edge ({e.u}, {e.v}) of instance {i}: "
-                    f"fast={fast} oracle={slow} strong={strong}; graph written to {path}",
+                    f"fast={fast} oracle={slow} strong={strong} dense={dense}; "
+                    f"graph written to {path}",
                     file=sys.stderr,
                 )
                 return 1

@@ -2,23 +2,23 @@
 
 One pass visits each edge exactly once in a chosen order and removes it when
 the mode's predicate holds on the current reduced graph; iterations repeat
-the pass on the survivors.  For graphs up to a few thousand vertices the
-strong predicate runs on a dense matrix mirror (one vectorized row pass per
-edge), which keeps complete-graph inputs in the hundreds of vertices within
-interactive budgets; the adjacency-list path is authoritative and the two are
-interchangeable.
+the pass on the survivors.  The predicates live in domination.py; this
+module only picks the storage form of the strong check: the dense grade
+mirror for graphs up to DENSE_LIMIT vertices (complete density-Rips graphs
+in the hundreds of vertices), the adjacency lists above it, where n x n
+mirrors cost more memory than they save time.  Both forms remove the same
+edges.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BifilteredGraph, Edge, graph_from_edges, leq
-from .domination import is_filtration_dominated, is_strongly_dominated
+from .core import BifilteredGraph, Edge, graph_from_edges
+from .domination import _DenseStrongEngine, is_filtration_dominated, is_strongly_dominated
 from .orders import EdgeOrder, sort_edges
 
 MODES = ("strong", "full")
@@ -51,15 +51,15 @@ class CollapseReport:
         return self.removed_total / self.edges_before if self.edges_before else 0.0
 
 
-GRADE_MODES = ("original", "zeroed", "random", "drop")
+GRADE_MODES = ("original", "zeroed", "random")
 
 
 @dataclass(frozen=True)
 class GradeMode:
     """Transformation of the first grade coordinate before a run.
 
-    zeroed (and drop, its single-parameter reading) set every first
-    coordinate to 0; random replaces each edge's first coordinate by an
+    zeroed sets every first coordinate to 0 (a single-parameter
+    filtration); random replaces each edge's first coordinate by an
     independent uniform draw.  Per-vertex draws would be vacuous here: on a
     complete graph the first coordinate of every candidate's edges is then
     dominated by the entry grades automatically, leaving the distance axis
@@ -83,7 +83,7 @@ def apply_grade_mode(
     """
     if mode.kind == "original":
         return graph.copy()
-    if mode.kind in ("zeroed", "drop"):
+    if mode.kind == "zeroed":
         edges = [Edge(u, v, (0.0, g[1])) for u, v, g in graph.edges()]
         return graph_from_edges(graph.n, edges)
     if seed is None:
@@ -96,63 +96,6 @@ def apply_grade_mode(
     ]
     return graph_from_edges(graph.n, edges)
 
-
-# -- dense strong-check engine ------------------------------------------------
-
-
-class _DenseStrongEngine:
-    """Matrix mirror of a graph answering the strong check with row vector ops.
-
-    S and T hold the grade coordinates with +inf marking absent edges (and the
-    diagonal), so presence tests are plain comparisons.  Semantics match
-    is_strongly_dominated exactly, smallest-id tie-break included.
-    """
-
-    def __init__(self, graph: BifilteredGraph):
-        n = graph.n
-        self.S = np.full((n, n), math.inf)
-        self.T = np.full((n, n), math.inf)
-        for u, v, (s, t) in graph.edges():
-            self.S[u, v] = self.S[v, u] = s
-            self.T[u, v] = self.T[v, u] = t
-
-    def remove(self, u: int, v: int) -> None:
-        self.S[u, v] = self.S[v, u] = math.inf
-        self.T[u, v] = self.T[v, u] = math.inf
-
-    # Serial candidate tries beyond this count switch to one batched check:
-    # the serial path wins when an early candidate succeeds (the common case
-    # on structured grades), the batch caps the cost when most or all fail.
-    _SERIAL_TRIES = 6
-
-    def strong_dominator(self, e: Edge) -> int | None:
-        es, et = e.grade
-        sa, ta = self.S[e.u], self.T[e.u]
-        sb, tb = self.S[e.v], self.T[e.v]
-        present = np.isfinite(sa) & np.isfinite(sb)
-        if not present.any():
-            return None
-        cand = present & (sa <= es) & (ta <= et) & (sb <= es) & (tb <= et)
-        ids = np.flatnonzero(cand)
-        if ids.size == 0:
-            return None
-        entry_s = np.maximum(np.maximum(sa, sb), es)
-        entry_t = np.maximum(np.maximum(ta, tb), et)
-        absent = ~present
-        for v in ids[: self._SERIAL_TRIES]:
-            ok = absent | ((self.S[v] <= entry_s) & (self.T[v] <= entry_t))
-            ok[v] = True
-            if ok.all():
-                return int(v)
-        rest = ids[self._SERIAL_TRIES :]
-        if rest.size == 0:
-            return None
-        ok = absent[None, :] | (
-            (self.S[rest] <= entry_s[None, :]) & (self.T[rest] <= entry_t[None, :])
-        )
-        ok[np.arange(rest.size), rest] = True
-        hits = np.flatnonzero(ok.all(axis=1))
-        return int(rest[hits[0]]) if hits.size else None
 
 # -- greedy passes -------------------------------------------------------------
 
@@ -186,13 +129,6 @@ def _run_pass(
             removed.append(e)
     elapsed = time.perf_counter() - start
     return removed, elapsed
-
-
-def collapse_once(
-    graph: BifilteredGraph, order: EdgeOrder, mode: str = "strong"
-) -> tuple[BifilteredGraph, CollapseReport]:
-    """Single greedy pass; each edge is examined exactly once, in order."""
-    return collapse_iterated(graph, order, mode, iterations=1)
 
 
 def collapse_iterated(
@@ -229,29 +165,3 @@ def collapse_iterated(
             break
     report.edges_after = out.edge_count()
     return out, report
-
-
-# -- free-at-birth census ------------------------------------------------------
-
-
-def count_free_at_birth(graph: BifilteredGraph) -> int:
-    """Edges not dominated in the subgraph at their own critical grade.
-
-    A vertex participates at crit(e) iff both its connecting edges are
-    critical at or before crit(e); domination there needs one participant
-    adjacent to all others by crit(e) as well.
-    """
-    free = 0
-    for u, v, grade in graph.edges():
-        present = [
-            w
-            for w, g_uw in graph.adj[u]
-            if w != v and leq(g_uw, grade) and leq(graph.grade_of(w, v), grade)
-        ]
-        dominated = any(
-            all(x == w or leq(graph.grade_of(w, x), grade) for x in present)
-            for w in present
-        )
-        if not dominated:
-            free += 1
-    return free

@@ -1,12 +1,16 @@
 """Strong and full filtration-domination checks for 1-critical edges.
 
 Two decision procedures.  The strong check looks for a single vertex that
-dominates the edge at every grade, via one simultaneous in-order scan of the
-relevant adjacency lists.  The full check decides domination grade-by-grade,
-but only at the finitely many query grades where the answer can change (the
-pairwise joins of neighbor entry grades); per candidate vertex the grades
-where it fails to dominate form a union of axis-aligned stripes that supports
-O(log r) membership tests after an O(r log r) sweep-line merge.
+dominates the edge at every grade by serial trial: candidates in ascending
+id, the first that passes wins.  It has two storage forms, a merged scan of
+the sorted adjacency lists (is_strongly_dominated) and the same trial on a
+dense n x n grade mirror (_DenseStrongEngine) that switches to one batched
+check after a few failed candidates; both return the same vertex.  The full
+check decides domination grade-by-grade, but only at the finitely many
+query grades where the answer can change (the pairwise joins of neighbor
+entry grades); per candidate vertex the grades where it fails to dominate
+form a union of axis-aligned stripes that supports O(log r) membership tests
+after an O(r log r) sweep-line merge.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import (
     NEVER,
@@ -159,48 +165,98 @@ class StripeSet:
         return not self.vertical and not self.horizontal
 
 
-def region_query(region: StripeSet, g: Grade) -> bool:
-    """Is grade g inside the stripe union?  O(log r)."""
-    return region.contains(g)
-
-
 # -- strong filtration-domination --------------------------------------------
+
+
+def _reaches_all(lst: Sequence[tuple[int, Grade]], v: int, nbhd: Sequence[EdgeNeighbor]) -> bool:
+    """Does v's adjacency list lst hold an edge to every other edge neighbor w
+    critical no later than w's entry grade?  One merged scan of two sorted
+    lists."""
+    i = 0
+    for w, w_entry in nbhd:
+        if w == v:
+            continue
+        while i < len(lst) and lst[i][0] < w:
+            i += 1
+        if i == len(lst) or lst[i][0] != w or not leq(lst[i][1], w_entry):
+            return False
+    return True
 
 
 def is_strongly_dominated(graph: BifilteredGraph, e: Edge) -> int | None:
     """Smallest vertex that alone dominates e at every grade, if any.
 
-    A candidate must be a potential strong dominator (both its edges to the
-    endpoints critical at or before crit(e)) and must reach every other edge
-    neighbor w no later than w's entry grade.  One merged pass finds the
-    candidates; one simultaneous in-order scan of the candidates' adjacency
-    lists checks them all, so total work is O(deg(a) + deg(b) + sum of
-    candidate degrees).
+    Serial trial (Boissonnat-Pritam): candidates are tried in ascending id
+    and the first that passes wins.  A candidate must be a potential strong
+    dominator (both its edges to the endpoints critical at or before
+    crit(e)) and must reach every other edge neighbor w no later than w's
+    entry grade.  Each trial is one merged scan, so a hit on an early
+    candidate costs O(deg(a) + deg(b) + deg(v)).
     """
     nbhd = edge_neighborhood(graph, e)
-    if not nbhd:
-        return None
-    # entry(v) always dominates crit(e), with equality iff both edge grades
-    # are <= crit(e): exactly the potential-strong-dominator test.
-    candidates = [v for v, entry in nbhd if entry == e.grade]
-    if not candidates:
-        return None
-    alive = dict.fromkeys(candidates, 0)  # candidate -> adjacency cursor
-    for w, w_entry in nbhd:
-        if not alive:
+    for v, entry in nbhd:
+        # entry(v) always dominates crit(e), with equality iff both edge
+        # grades are <= crit(e): exactly the potential-strong-dominator test.
+        if entry == e.grade and _reaches_all(graph.adj[v], v, nbhd):
+            return v
+    return None
+
+
+class _DenseStrongEngine:
+    """Matrix mirror of a graph answering the strong check with row vector ops.
+
+    The vectorized form of is_strongly_dominated's serial trial, for graphs
+    small enough to hold n x n grade matrices.  S and T hold the grade
+    coordinates with +inf marking absent edges (and the diagonal), so
+    presence tests are plain comparisons.  Semantics match
+    is_strongly_dominated exactly, smallest-id tie-break included.
+    """
+
+    def __init__(self, graph: BifilteredGraph):
+        n = graph.n
+        self.S = np.full((n, n), math.inf)
+        self.T = np.full((n, n), math.inf)
+        for u, v, (s, t) in graph.edges():
+            self.S[u, v] = self.S[v, u] = s
+            self.T[u, v] = self.T[v, u] = t
+
+    def remove(self, u: int, v: int) -> None:
+        self.S[u, v] = self.S[v, u] = math.inf
+        self.T[u, v] = self.T[v, u] = math.inf
+
+    # Serial candidate tries beyond this count switch to one batched check:
+    # the serial path wins when an early candidate succeeds (the common case
+    # on structured grades), the batch caps the cost when most or all fail.
+    _SERIAL_TRIES = 6
+
+    def strong_dominator(self, e: Edge) -> int | None:
+        es, et = e.grade
+        sa, ta = self.S[e.u], self.T[e.u]
+        sb, tb = self.S[e.v], self.T[e.v]
+        present = np.isfinite(sa) & np.isfinite(sb)
+        if not present.any():
             return None
-        for v in list(alive):
-            if v == w:
-                continue
-            lst = graph.adj[v]
-            i = alive[v]
-            while i < len(lst) and lst[i][0] < w:
-                i += 1
-            alive[v] = i
-            grade_vw = lst[i][1] if i < len(lst) and lst[i][0] == w else NEVER
-            if not leq(grade_vw, w_entry):
-                del alive[v]
-    return min(alive) if alive else None
+        cand = present & (sa <= es) & (ta <= et) & (sb <= es) & (tb <= et)
+        ids = np.flatnonzero(cand)
+        if ids.size == 0:
+            return None
+        entry_s = np.maximum(np.maximum(sa, sb), es)
+        entry_t = np.maximum(np.maximum(ta, tb), et)
+        absent = ~present
+        for v in ids[: self._SERIAL_TRIES]:
+            ok = absent | ((self.S[v] <= entry_s) & (self.T[v] <= entry_t))
+            ok[v] = True
+            if ok.all():
+                return int(v)
+        rest = ids[self._SERIAL_TRIES :]
+        if rest.size == 0:
+            return None
+        ok = absent[None, :] | (
+            (self.S[rest] <= entry_s[None, :]) & (self.T[rest] <= entry_t[None, :])
+        )
+        ok[np.arange(rest.size), rest] = True
+        hits = np.flatnonzero(ok.all(axis=1))
+        return int(rest[hits[0]]) if hits.size else None
 
 
 # -- full filtration-domination ----------------------------------------------

@@ -14,7 +14,6 @@ from bicollapse.build import (
     kde_bandwidth,
     kde_density,
     kde_density_from_matrix,
-    load_densities,
     load_lower_distance_matrix,
     load_points,
     pairwise_distances,
@@ -232,15 +231,6 @@ def test_load_lower_distance_matrix_row_mismatch():
 def test_load_lower_distance_matrix_negative():
     with pytest.raises(ValueError, match="invalid distance"):
         load_lower_distance_matrix(io.StringIO("1.0\n-2.0 3.0\n"))
-
-
-def test_load_densities():
-    got = load_densities(io.StringIO("# densities\n1.5\n2.0\n0.0\n"))
-    assert got.tolist() == [1.5, 2.0, 0.0]
-    with pytest.raises(ValueError, match="one value"):
-        load_densities(io.StringIO("1 2\n"))
-    with pytest.raises(ValueError, match="non-negative"):
-        load_densities(io.StringIO("-1\n"))
 
 
 def test_loaders_accept_paths(tmp_path):

@@ -3,7 +3,9 @@ from __future__ import annotations
 import io
 
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
+from bicollapse.build import load_points
 from bicollapse.cli import main
 from bicollapse.core import graph_from_edges, read_edge_list, write_edge_list
 from bicollapse.expand import parse_scc2020
@@ -115,6 +117,7 @@ def test_usage_errors_exit_64(capsys, gap6_file):
         ["collapse"],  # no input source
         ["collapse", "--dataset", "uniform"],  # missing --n
         ["collapse", "--edges", gap6_file, "--order", "sideways"],
+        ["collapse", "--edges", gap6_file, "--grade-mode", "drop"],
         ["expand", "--edges", gap6_file],  # missing --output
         ["generate", "--dataset", "circle", "--n", "5"],  # missing --output
         ["nonsense"],
@@ -247,9 +250,26 @@ def test_generate_deterministic_and_loadable(capsys, tmp_path):
                     "--output", str(b))
     assert rc1 == rc2 == 0
     assert a.read_bytes() == b.read_bytes()
-    from bicollapse.build import load_points
-
     assert load_points(a).shape == (30, 3)
+
+
+def test_points_and_distances_collapse_identically(capsys, tmp_path):
+    points = tmp_path / "pts.csv"
+    run(capsys, "generate", "--dataset", "torus", "--n", "40", "--seed", "3",
+        "--output", str(points))
+    dist = squareform(pdist(load_points(points)))
+    lower = tmp_path / "dist.txt"
+    rows = (" ".join(repr(float(x)) for x in row[:i]) for i, row in enumerate(dist))
+    lower.write_text("\n".join(rows) + "\n")
+    reduced = {}
+    for flag, path in (("--points", points), ("--distances", lower)):
+        reduced[flag] = tmp_path / f"reduced{flag}.txt"
+        rc, _, _ = run(capsys, "collapse", flag, str(path), "--mode", "full", "--order", "lex",
+                       "--output", str(reduced[flag]))
+        assert rc == 0
+    text = reduced["--points"].read_text()
+    assert text == reduced["--distances"].read_text()
+    assert text.startswith("40 ") and len(text.splitlines()) > 1
 
 
 def test_generate_feeds_collapse(capsys, tmp_path):

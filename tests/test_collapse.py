@@ -5,25 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bicollapse.collapse import (
-    GradeMode,
-    _DenseStrongEngine,
-    apply_grade_mode,
-    collapse_iterated,
-    collapse_once,
-    count_free_at_birth,
+from bicollapse import collapse
+from bicollapse.build import (
+    density_rips_graph,
+    generate_dataset,
+    kde_bandwidth,
+    kde_density,
+    pairwise_distances,
 )
-from bicollapse.core import graph_from_edges, subgraph_at
-from bicollapse.domination import is_filtration_dominated, is_strongly_dominated
+from bicollapse.collapse import GradeMode, apply_grade_mode, collapse_iterated
+from bicollapse.core import graph_from_edges
+from bicollapse.domination import _DenseStrongEngine, is_strongly_dominated
 from bicollapse.oracle import (
     brute_force_filtration_dominated,
-    dominated_in_plain,
     random_grid_graph,
     verify_collapse,
 )
 from bicollapse.orders import ORDER_KINDS, EdgeOrder
 
-from conftest import A, B, make_gap6, make_k3, make_path3
+from conftest import A, B, make_gap6, make_k3
 
 
 def _order(kind: str) -> EdgeOrder:
@@ -35,7 +35,7 @@ def _order(kind: str) -> EdgeOrder:
 
 def test_k3_any_order_removes_one():
     for kind in ORDER_KINDS:
-        out, report = collapse_once(make_k3(), _order(kind), "strong")
+        out, report = collapse_iterated(make_k3(), _order(kind), "strong", 1)
         assert report.removed_per_iteration == [1]
         assert out.edge_count() == 2
         for e in out.edge_list():
@@ -44,13 +44,13 @@ def test_k3_any_order_removes_one():
 
 def test_single_edge_untouched():
     g = graph_from_edges(2, [(0, 1, (0.0, 0.0))])
-    out, report = collapse_once(g, EdgeOrder("revlex"), "full")
+    out, report = collapse_iterated(g, EdgeOrder("revlex"), "full", 1)
     assert report.removed_total == 0
     assert out == g
 
 
 def test_full_lex_removes_gap6_target_first():
-    out, report = collapse_once(make_gap6(), EdgeOrder("lex"), "full")
+    out, report = collapse_iterated(make_gap6(), EdgeOrder("lex"), "full", 1)
     first = report.removal_log[0][0]
     assert (first.u, first.v) == (A, B)
     assert verify_collapse(make_gap6(), out).ok
@@ -61,7 +61,7 @@ def test_pass_visits_each_edge_once():
     # turn came before their dominator situation settled; iteration 2 of the
     # same order then removes nothing extra on this instance only if stable.
     g = make_gap6()
-    out1, rep1 = collapse_once(g, EdgeOrder("revlex"), "strong")
+    out1, rep1 = collapse_iterated(g, EdgeOrder("revlex"), "strong", 1)
     out2, rep2 = collapse_iterated(g, EdgeOrder("revlex"), "strong", 4)
     assert rep2.removed_per_iteration[0] == rep1.removed_per_iteration[0]
     assert sum(rep2.removed_per_iteration) >= rep1.removed_total
@@ -84,17 +84,21 @@ def test_early_stop_on_empty_iteration():
 
 
 def test_iterated_k1_equals_once():
+    # One iteration is exactly the first pass of a longer run.
     g = random_grid_graph(8, 0.5, np.random.default_rng(5))
-    out_a, rep_a = collapse_once(g, EdgeOrder("revlex"), "strong")
-    out_b, rep_b = collapse_iterated(g, EdgeOrder("revlex"), "strong", 1)
-    assert out_a == out_b
-    assert rep_a.removed_per_iteration == rep_b.removed_per_iteration
+    out_a, rep_a = collapse_iterated(g, EdgeOrder("revlex"), "strong", 1)
+    _, rep_b = collapse_iterated(g, EdgeOrder("revlex"), "strong", 3)
+    assert rep_a.removal_log == rep_b.removal_log[:1]
+    replay = g.copy()
+    for e in rep_b.removal_log[0]:
+        replay.remove_edge(e.u, e.v)
+    assert out_a == replay
 
 
 def test_mode_and_iteration_validation():
     g = make_k3()
     with pytest.raises(ValueError, match="unknown mode"):
-        collapse_once(g, EdgeOrder("lex"), "both")
+        collapse_iterated(g, EdgeOrder("lex"), "both", 1)
     with pytest.raises(ValueError, match=">= 1"):
         collapse_iterated(g, EdgeOrder("lex"), "strong", 0)
 
@@ -140,12 +144,46 @@ def test_full_removes_at_least_strong():
     rng = np.random.default_rng(17)
     for _ in range(10):
         g = random_grid_graph(9, 0.6, rng)
-        _, rep_s = collapse_once(g, EdgeOrder("revlex"), "strong")
-        _, rep_f = collapse_once(g, EdgeOrder("revlex"), "full")
+        _, rep_s = collapse_iterated(g, EdgeOrder("revlex"), "strong", 1)
+        _, rep_f = collapse_iterated(g, EdgeOrder("revlex"), "full", 1)
         assert rep_f.removed_total >= rep_s.removed_total
 
 
 # -- dense mirror equivalence ----------------------------------------------------
+
+
+def _both_forms(monkeypatch, graph, iterations):
+    """Removal logs of the dense and the list form for every order and mode."""
+
+    def logs():
+        return [
+            collapse_iterated(graph, _order(kind), mode, iterations)[1].removal_log
+            for mode in ("strong", "full")
+            for kind in ORDER_KINDS
+        ]
+
+    assert graph.n <= collapse.DENSE_LIMIT
+    dense = logs()
+    with monkeypatch.context() as m:
+        m.setattr(collapse, "DENSE_LIMIT", 0)
+        return dense, logs()
+
+
+def test_storage_forms_agree_on_grid_graphs(monkeypatch):
+    rng = np.random.default_rng(47)
+    for i in range(24):
+        g = random_grid_graph(int(rng.integers(6, 13)), (0.3, 0.5, 0.8)[i % 3], rng)
+        dense, listed = _both_forms(monkeypatch, g, 2)
+        assert dense == listed
+
+
+def test_storage_forms_agree_on_density_rips(monkeypatch):
+    points = generate_dataset("torus", 40, seed=2)
+    g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
+    dense, listed = _both_forms(monkeypatch, g, 1)
+    assert dense == listed
+    # Over half the edges go on average, so the compared logs are long.
+    assert sum(len(log[0]) for log in dense) > 5 * g.edge_count()
 
 
 def test_dense_engine_matches_list_semantics():
@@ -200,12 +238,9 @@ def test_grade_mode_original_identity():
 
 
 def test_grade_mode_zeroed():
-    for kind in ("zeroed", "drop"):
-        out = apply_grade_mode(make_gap6(), GradeMode(kind))
-        assert all(g[0] == 0.0 for _, _, g in out.edges())
-        assert [g[1] for _, _, g in out.edges()] == [
-            g[1] for _, _, g in make_gap6().edges()
-        ]
+    out = apply_grade_mode(make_gap6(), GradeMode("zeroed"))
+    assert all(g[0] == 0.0 for _, _, g in out.edges())
+    assert [g[1] for _, _, g in out.edges()] == [g[1] for _, _, g in make_gap6().edges()]
 
 
 def test_grade_mode_random_deterministic():
@@ -228,23 +263,3 @@ def test_grade_mode_random_needs_seed():
 def test_grade_mode_unknown_kind():
     with pytest.raises(ValueError, match="unknown grade mode"):
         GradeMode("shuffled")
-
-
-# -- free at birth ----------------------------------------------------------------
-
-
-def test_free_at_birth_small_shapes():
-    assert count_free_at_birth(make_k3()) == 0
-    assert count_free_at_birth(make_path3()) == 2
-    assert count_free_at_birth(make_gap6()) == 0
-
-
-def test_free_at_birth_matches_plain_slices():
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        g = random_grid_graph(9, 0.5, rng)
-        expected = sum(
-            not dominated_in_plain(subgraph_at(g, grade), u, v)
-            for u, v, grade in g.edges()
-        )
-        assert count_free_at_birth(g) == expected

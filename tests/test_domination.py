@@ -15,7 +15,6 @@ from bicollapse.domination import (
     is_filtration_dominated,
     is_strongly_dominated,
     non_domination_region,
-    region_query,
 )
 from bicollapse.oracle import (
     CriticalGrid,
@@ -24,6 +23,7 @@ from bicollapse.oracle import (
 )
 
 from conftest import A, B, V, W, X, Y, edge_of, make_gap6, make_k3, make_path3
+from test_oracle import brute_force_strong_dominators
 
 
 # -- Delta regions ------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_stripe_merge_preserves_union():
 
 def test_empty_stripe_set_query():
     empty = StripeSet.from_regions([])
-    assert not region_query(empty, (0.0, 0.0))
+    assert not empty.contains((0.0, 0.0))
     assert empty.is_empty()
 
 
@@ -110,19 +110,19 @@ def test_region_gap6_candidate_v(gap6):
     region = non_domination_region(gap6, edge_of(gap6, A, B), V)
     # Sole contribution is the full quadrant at (0, 2), from missing edge vy.
     for g in [(0.0, 2.0), (2.0, 2.0), (5.0, 3.0)]:
-        assert region_query(region, g)
+        assert region.contains(g)
     for g in [(0.0, 0.0), (2.0, 0.0), (9.0, 1.0)]:
-        assert not region_query(region, g)
+        assert not region.contains(g)
 
 
 def test_region_gap6_candidate_w(gap6):
     region = non_domination_region(gap6, edge_of(gap6, A, B), W)
     assert region.vertical == []
     assert region.horizontal == [(0.0, 2.0, 2.0)]
-    assert region_query(region, (2.0, 0.0))
-    assert region_query(region, (3.0, 1.5))
-    assert not region_query(region, (2.0, 2.0))
-    assert not region_query(region, (0.0, 0.0))
+    assert region.contains((2.0, 0.0))
+    assert region.contains((3.0, 1.5))
+    assert not region.contains((2.0, 2.0))
+    assert not region.contains((0.0, 0.0))
 
 
 def test_region_k3_empty(k3):
@@ -227,6 +227,19 @@ def test_strong_returns_smallest_dominator():
     assert is_strongly_dominated(g, edge_of(g, 1, 3)) == 0
 
 
+def test_strong_is_smallest_brute_force_dominator():
+    # Integer grades on a small grid make ties between candidates common.
+    rng = np.random.default_rng(43)
+    hits = 0
+    for _ in range(20):
+        g = random_grid_graph(int(rng.integers(4, 9)), 0.7, rng)
+        for e in g.edge_list():
+            winners = brute_force_strong_dominators(g, e)
+            assert is_strongly_dominated(g, e) == (winners[0] if winners else None)
+            hits += bool(winners)
+    assert hits > 20
+
+
 def test_region_query_matches_plain_domination():
     # For every neighbor v and grid grade c >= crit(e): c outside v's
     # non-domination region iff v dominates e in the plain graph at c.
@@ -247,4 +260,4 @@ def test_region_query_matches_plain_domination():
                     dominates = v in nbrs and all(
                         w == v or w in adj[v] for w in nbrs
                     )
-                    assert dominates == (not region_query(region, c))
+                    assert dominates == (not region.contains(c))

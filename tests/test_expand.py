@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_count_triangles_complete():
     pairs = [(u, v) for u in range(9) for v in range(u + 1, 9)]
     g = graph_from_edges(9, [(u, v, (0.0, 0.0)) for u, v in pairs])
     assert count_triangles(g) == 9 * 8 * 7 // 6
+
+
+def test_count_triangles_memory_linear_in_edges():
+    # A dense n x n matrix of 3000 vertices alone would take 72 MB.
+    g = graph_from_edges(
+        3000, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0)), (1, 2, (0.0, 0.0)), (5, 2999, (0.0, 0.0))]
+    )
+    tracemalloc.start()
+    try:
+        assert count_triangles(g) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_triangle_vertex_order_enforced():
