@@ -3,11 +3,10 @@
 One pass visits each edge exactly once in a chosen order and removes it when
 the mode's predicate holds on the current reduced graph; iterations repeat
 the pass on the survivors.  The predicates live in domination.py; this
-module only picks the storage form of the strong check: the dense grade
-mirror for graphs up to DENSE_LIMIT vertices (complete density-Rips graphs
-in the hundreds of vertices), the adjacency lists above it, where n x n
-mirrors cost more memory than they save time.  Both forms remove the same
-edges.
+module only picks their storage form: the dense grade mirror for graphs up
+to DENSE_LIMIT vertices (complete density-Rips graphs in the hundreds of
+vertices), the adjacency lists above it, where n x n mirrors cost more
+memory than they save time.  Both forms remove the same edges.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ def _run_pass(
         else:
             hit = is_strongly_dominated(graph, e) is not None
         if not hit and mode == "full":
-            hit = is_filtration_dominated(graph, e)
+            hit = is_filtration_dominated(graph, e, engine)
         if hit:
             graph.remove_edge(e.u, e.v)
             if engine is not None:

@@ -6,164 +6,22 @@ id, the first that passes wins.  It has two storage forms, a merged scan of
 the sorted adjacency lists (is_strongly_dominated) and the same trial on a
 dense n x n grade mirror (_DenseStrongEngine) that switches to one batched
 check after a few failed candidates; both return the same vertex.  The full
-check decides domination grade-by-grade, but only at the finitely many
-query grades where the answer can change (the pairwise joins of neighbor
-entry grades); per candidate vertex the grades where it fails to dominate
-form a union of axis-aligned stripes that supports O(log r) membership tests
-after an O(r log r) sweep-line merge.
+check lets the dominating vertex change with the grade.  It counts, for
+every edge neighbor at once, where that neighbor dominates on a grid of
+grades built from the neighbors' entry coordinates (_DominationGrid): a
+2-D prefix sum per neighbor, done with searchsorted, bincount and cumsum.
+The edge is dominated iff every grid grade is covered.  It gathers its
+inputs from the dense mirror when there is one, else from the lists.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    NEVER,
-    BifilteredGraph,
-    Edge,
-    EdgeNeighbor,
-    Grade,
-    edge_neighborhood,
-    join,
-    leq,
-)
-
-# A stripe is (lo, hi, bound): a half-open interval [lo, hi) on one axis and
-# a closed lower bound on the other.
-Stripe = tuple[float, float, float]
-
-
-# -- Delta regions -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeltaRegion:
-    """The set Delta(p, q) = {r : p <= r and not q <= r}.
-
-    Empty iff q <= p; otherwise the union of at most one vertical stripe
-    (s in [p.s, q.s), t >= p.t) and one horizontal stripe (t in [p.t, q.t),
-    s >= p.s).  q = NEVER yields the full closed upper quadrant at p.
-    """
-
-    p: Grade
-    q: Grade
-
-    @property
-    def is_empty(self) -> bool:
-        return leq(self.q, self.p)
-
-    def vertical(self) -> list[Stripe]:
-        if self.is_empty or self.q[0] <= self.p[0]:
-            return []
-        return [(self.p[0], self.q[0], self.p[1])]
-
-    def horizontal(self) -> list[Stripe]:
-        if self.is_empty or self.q[1] <= self.p[1]:
-            return []
-        return [(self.p[1], self.q[1], self.p[0])]
-
-    def contains(self, g: Grade) -> bool:
-        return leq(self.p, g) and not leq(self.q, g)
-
-
-def _merge_stripes(raw: Iterable[Stripe]) -> list[Stripe]:
-    """Interior-disjoint stripes with the same union as the input.
-
-    A point at axis coordinate x is covered iff x lies in some interval and
-    the cross-axis coordinate reaches that stripe's bound, so the union is
-    described by the pointwise-minimum bound over the intervals covering x.
-    Sweep the interval endpoints left to right keeping a min-heap of active
-    bounds (lazy deletion); emit a stripe whenever the minimum changes.
-    """
-    events: list[tuple[float, bool, float]] = []
-    for lo, hi, bound in raw:
-        events.append((lo, False, bound))
-        if hi != math.inf:
-            events.append((hi, True, bound))
-    if not events:
-        return []
-    events.sort(key=lambda ev: ev[0])
-
-    out: list[Stripe] = []
-
-    def emit(lo: float, hi: float, bound: float) -> None:
-        if out and out[-1][1] == lo and out[-1][2] == bound:
-            out[-1] = (out[-1][0], hi, bound)
-        else:
-            out.append((lo, hi, bound))
-
-    heap: list[float] = []
-    dead: Counter[float] = Counter()
-    prev = events[0][0]
-    i = 0
-    while i < len(events):
-        x = events[i][0]
-        if heap and x > prev:
-            emit(prev, x, heap[0])
-        while i < len(events) and events[i][0] == x:
-            _, is_end, bound = events[i]
-            if is_end:
-                dead[bound] += 1
-            else:
-                heapq.heappush(heap, bound)
-            i += 1
-        while heap and dead[heap[0]] > 0:
-            dead[heapq.heappop(heap)] -= 1
-        prev = x
-    if heap:
-        emit(prev, math.inf, heap[0])
-    return out
-
-
-@dataclass
-class StripeSet:
-    """A merged union of Delta regions with binary-searchable membership.
-
-    vertical stripes constrain (s in [lo, hi), t >= bound); horizontal ones
-    constrain (t in [lo, hi), s >= bound).  Each family is sorted by lo and
-    interior-disjoint.
-    """
-
-    vertical: list[Stripe]
-    horizontal: list[Stripe]
-
-    def __post_init__(self):
-        self._vlo = [s[0] for s in self.vertical]
-        self._hlo = [s[0] for s in self.horizontal]
-
-    @classmethod
-    def from_regions(cls, regions: Iterable[DeltaRegion]) -> "StripeSet":
-        vert: list[Stripe] = []
-        horiz: list[Stripe] = []
-        for r in regions:
-            vert.extend(r.vertical())
-            horiz.extend(r.horizontal())
-        return cls(_merge_stripes(vert), _merge_stripes(horiz))
-
-    def contains(self, g: Grade) -> bool:
-        s, t = g
-        i = bisect_right(self._vlo, s) - 1
-        if i >= 0:
-            lo, hi, bound = self.vertical[i]
-            if s < hi and t >= bound:
-                return True
-        j = bisect_right(self._hlo, t) - 1
-        if j >= 0:
-            lo, hi, bound = self.horizontal[j]
-            if t < hi and s >= bound:
-                return True
-        return False
-
-    def is_empty(self) -> bool:
-        return not self.vertical and not self.horizontal
-
+from .core import BifilteredGraph, Edge, EdgeNeighbor, Grade, edge_neighborhood, leq
 
 # -- strong filtration-domination --------------------------------------------
 
@@ -209,7 +67,8 @@ class _DenseStrongEngine:
     small enough to hold n x n grade matrices.  S and T hold the grade
     coordinates with +inf marking absent edges (and the diagonal), so
     presence tests are plain comparisons.  Semantics match
-    is_strongly_dominated exactly, smallest-id tie-break included.
+    is_strongly_dominated exactly, smallest-id tie-break included.  The
+    full check gathers its neighbor grades from the same mirror.
     """
 
     def __init__(self, graph: BifilteredGraph):
@@ -261,73 +120,116 @@ class _DenseStrongEngine:
 
 # -- full filtration-domination ----------------------------------------------
 
+# Cells counted per chunk of candidates: int64 work arrays of about 2 MB, so
+# the check's memory stays flat however large the neighborhood.
+_CHUNK_CELLS = 1 << 18
 
-def _non_domination_regions(
-    graph: BifilteredGraph, e: Edge, v: int, nbhd: Sequence[EdgeNeighbor]
-) -> list[DeltaRegion]:
-    """Raw Delta regions where v fails to dominate e.
 
-    One region for v not yet being a common neighbor, one per other neighbor
-    w for w being present while the edge vw is not.
+def _neighbor_grades(
+    graph: BifilteredGraph, e: Edge, engine: _DenseStrongEngine | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entry grades of e's edge neighbors and the grades of the edges among them.
+
+    Returns entry_s, entry_t (length k, neighbors in ascending id) and
+    block_s, block_t (k x k, +inf where the edge is absent and on the
+    diagonal).  The dense form slices the engine's mirror; the list form
+    scans each neighbor's adjacency list once.
     """
-    arrival = join(graph.grade_of(e.u, v), graph.grade_of(e.v, v))
-    regions = [DeltaRegion(e.grade, arrival)]
-    lst = graph.adj[v]
-    i = 0
-    for w, w_entry in nbhd:
-        if w == v:
-            continue
-        while i < len(lst) and lst[i][0] < w:
-            i += 1
-        grade_vw = lst[i][1] if i < len(lst) and lst[i][0] == w else NEVER
-        regions.append(DeltaRegion(w_entry, grade_vw))
-    return regions
-
-
-def non_domination_region(graph: BifilteredGraph, e: Edge, v: int) -> StripeSet:
-    """Merged stripe set of all grades >= crit(e) where v does not dominate e."""
+    if engine is not None:
+        S, T = engine.S, engine.T
+        ids = np.flatnonzero(np.isfinite(S[e.u]) & np.isfinite(S[e.v]))
+        entry_s = np.maximum(np.maximum(S[e.u, ids], S[e.v, ids]), e.grade[0])
+        entry_t = np.maximum(np.maximum(T[e.u, ids], T[e.v, ids]), e.grade[1])
+        mesh = np.ix_(ids, ids)
+        return entry_s, entry_t, S[mesh], T[mesh]
     nbhd = edge_neighborhood(graph, e)
-    if all(w != v for w, _ in nbhd):
-        raise ValueError(f"vertex {v} is not an edge neighbor of ({e.u}, {e.v})")
-    return StripeSet.from_regions(_non_domination_regions(graph, e, v, nbhd))
+    k = len(nbhd)
+    pos = {w: i for i, (w, _) in enumerate(nbhd)}
+    rows, cols, grades = [], [], []
+    for i, (v, _) in enumerate(nbhd):
+        for w, g in graph.adj[v]:
+            j = pos.get(w)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+                grades.append(g)
+    block = np.full((k, k, 2), math.inf)
+    block[rows, cols] = np.reshape(grades, (-1, 2))
+    entries = np.reshape([entry for _, entry in nbhd], (k, 2))
+    return entries[:, 0], entries[:, 1], block[..., 0], block[..., 1]
 
 
-def critical_query_set(graph: BifilteredGraph, e: Edge) -> set[Grade]:
-    """Grades where domination must be tested: crit(e) and all pairwise joins
-    of neighbor entry grades (a pair may repeat a neighbor)."""
-    nbhd = edge_neighborhood(graph, e)
-    entries = [entry for _, entry in nbhd]
-    out = {e.grade}
-    for i, g1 in enumerate(entries):
-        for g2 in entries[i:]:
-            out.add(join(g1, g2))
-    return out
+class _DominationGrid:
+    """Where each edge neighbor dominates e, on the grid xs x ys.
+
+    xs and ys are the distinct entry coordinates together with crit(e), so
+    every grid grade is >= crit(e), and the grid holds crit(e) joined with
+    any set of entry grades.  Only those grades need a test: the neighbors
+    present at a grade c are already present at the join d <= c of their
+    entries with crit(e), and domination at d implies domination at c.
+
+    Neighbor v dominates e at c iff entry(v) <= c and
+    N_v(c) = #{w != v : entry(w) <= c} - #{w != v : join(entry(w), crit(vw)) <= c}
+    is 0, where crit(vw) is +inf when vw is absent.  Every term is the
+    indicator of a quadrant, so N_v on the grid is a 2-D prefix sum of unit
+    masses, each placed at the rank of its corner: the index of the first
+    grid coordinate at or above it, one past the grid when there is none.
+    """
+
+    def __init__(self, crit: Grade, entry_s, entry_t, block_s, block_t):
+        self.xs = np.unique(np.append(entry_s, crit[0]))
+        self.ys = np.unique(np.append(entry_t, crit[1]))
+        self.shape = (len(self.xs) + 1, len(self.ys) + 1)
+        rank_s = np.searchsorted(self.xs, entry_s)
+        rank_t = np.searchsorted(self.ys, entry_t)
+        self._entry = rank_s * self.shape[1] + rank_t
+        # Ranking is monotone, so the rank of a join is the max of the ranks.
+        self._join = np.maximum(rank_s, np.searchsorted(self.xs, block_s)) * self.shape[1]
+        self._join += np.maximum(rank_t, np.searchsorted(self.ys, block_t))
+        np.fill_diagonal(self._join, self._entry)
+
+    def dominates(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, len(xs), len(ys)) booleans: neighbor lo + i dominates e
+        at grade (xs[a], ys[b])."""
+        m = hi - lo
+        size = self.shape[0] * self.shape[1]
+        offsets = np.arange(m + 1) * size
+        # Slot m counts the present neighbors.  Slot i counts the joins, where
+        # the diagonal holds candidate i's own entry, and that entry once
+        # more: so it exceeds slot m, by 1, exactly where the candidate is
+        # present and N_v = 0.
+        masses = np.concatenate(
+            (
+                (self._join[lo:hi] + offsets[:m, None]).ravel(),
+                self._entry[lo:hi] + offsets[:m],
+                self._entry + offsets[m],
+            )
+        )
+        counts = np.bincount(masses, minlength=(m + 1) * size)
+        counts = counts.reshape(m + 1, *self.shape)
+        np.cumsum(counts, axis=1, out=counts)
+        np.cumsum(counts, axis=2, out=counts)
+        return counts[:m, :-1, :-1] > counts[m, :-1, :-1]
 
 
-def is_filtration_dominated(graph: BifilteredGraph, e: Edge) -> bool:
+def is_filtration_dominated(
+    graph: BifilteredGraph, e: Edge, engine: _DenseStrongEngine | None = None
+) -> bool:
     """Is e dominated at every grade at which it is present?
 
-    Queries only the critical grades: between them the set of present
-    neighbors (and hence the domination status) cannot change.  Candidates
-    are tried in ascending id with their non-domination regions built lazily
-    and memoized across queries.
+    True iff every point of the _DominationGrid is covered by some dominating
+    neighbor.  Candidates are counted in chunks of ascending id, sized so
+    one chunk's work arrays stay within _CHUNK_CELLS cells, stopping as soon
+    as the grid is covered.  engine, when given, is the dense mirror of
+    graph to gather the grades from.
     """
-    nbhd = edge_neighborhood(graph, e)
-    if not nbhd:
-        return False
-    regions: dict[int, StripeSet] = {}
-    for c in sorted(critical_query_set(graph, e)):
-        for v, entry in nbhd:
-            if not leq(entry, c):
-                continue
-            region = regions.get(v)
-            if region is None:
-                region = StripeSet.from_regions(
-                    _non_domination_regions(graph, e, v, nbhd)
-                )
-                regions[v] = region
-            if not region.contains(c):
-                break
-        else:
-            return False
-    return True
+    entry_s, entry_t, block_s, block_t = _neighbor_grades(graph, e, engine)
+    grid = _DominationGrid(e.grade, entry_s, entry_t, block_s, block_t)
+    k = len(entry_s)
+    step = max(1, _CHUNK_CELLS // (grid.shape[0] * grid.shape[1]))
+    covered = np.zeros((len(grid.xs), len(grid.ys)), dtype=bool)
+    for lo in range(0, k, step):
+        covered |= grid.dominates(lo, min(lo + step, k)).any(axis=0)
+        if covered.all():
+            return True
+    return False

@@ -89,6 +89,38 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
+def _append_triangle_lines(
+    lines: list[str],
+    triangles: Sequence[GradedTriangle],
+    edge_index: dict[tuple[int, int], int],
+    shift_s: float,
+    shift_t: float,
+) -> bool:
+    """Append the generator lines of the triangles in their given order.
+
+    Stops, takes back what it appended and returns False as soon as that
+    order is not sorted by (u, v, w, grade).  Edges are indexed in (u, v)
+    order, so the pair of the first two facet indices increases exactly when
+    (u, v, w) does.
+    """
+    start = len(lines)
+    prev, prev_grade, width = -1, None, len(edge_index)
+    for tri in triangles:
+        facets = []
+        for pair in ((tri.u, tri.v), (tri.u, tri.w), (tri.v, tri.w)):
+            if pair not in edge_index:
+                raise ValueError(f"triangle {(tri.u, tri.v, tri.w)} references missing edge {pair}")
+            facets.append(edge_index[pair])
+        key = facets[0] * width + facets[1]
+        if key < prev or (key == prev and tri.grade < prev_grade):
+            del lines[start:]
+            return False
+        prev, prev_grade = key, tri.grade
+        s, t = tri.grade[0] - shift_s, tri.grade[1] - shift_t
+        lines.append(f"{_fmt(s)} {_fmt(t)} ; {facets[0]} {facets[1]} {facets[2]}")
+    return True
+
+
 def export_scc2020(
     graph: BifilteredGraph,
     triangles: Sequence[GradedTriangle],
@@ -99,8 +131,9 @@ def export_scc2020(
     Grades are shifted so the coordinate-wise minimum over edge grades
     lands at (0, 0); vertices sit at that global minimum.  Edges are
     sorted by (u, v) and triangles by (u, v, w), so output is byte-stable
-    for a fixed input.  A triangle whose facet edge is absent from the
-    graph is rejected.
+    for a fixed input; triangles already in that order, as
+    enumerate_triangles returns them, are not sorted again.  A triangle
+    whose facet edge is absent from the graph is rejected.
     """
     edges = graph.edge_list()
     for e in edges:
@@ -111,14 +144,8 @@ def export_scc2020(
     edge_index = {(e.u, e.v): i for i, e in enumerate(edges)}
 
     lines = [FORMAT_TAG, "2", f"{len(triangles)} {len(edges)} {graph.n}"]
-    for tri in sorted(triangles):
-        facets = []
-        for pair in ((tri.u, tri.v), (tri.u, tri.w), (tri.v, tri.w)):
-            if pair not in edge_index:
-                raise ValueError(f"triangle {(tri.u, tri.v, tri.w)} references missing edge {pair}")
-            facets.append(edge_index[pair])
-        s, t = tri.grade[0] - shift_s, tri.grade[1] - shift_t
-        lines.append(f"{_fmt(s)} {_fmt(t)} ; {facets[0]} {facets[1]} {facets[2]}")
+    if not _append_triangle_lines(lines, triangles, edge_index, shift_s, shift_t):
+        _append_triangle_lines(lines, sorted(triangles), edge_index, shift_s, shift_t)
     for e in edges:
         s, t = e.grade[0] - shift_s, e.grade[1] - shift_t
         lines.append(f"{_fmt(s)} {_fmt(t)} ; {e.u} {e.v}")

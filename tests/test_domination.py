@@ -2,91 +2,62 @@
 
 from __future__ import annotations
 
-import math
+import tracemalloc
 
 import numpy as np
-import pytest
 
-from bicollapse.core import NEVER, edge_neighborhood, graph_from_edges, leq, subgraph_at
+from bicollapse.build import (
+    DATASET_KINDS,
+    density_rips_graph,
+    generate_dataset,
+    kde_bandwidth,
+    kde_density,
+    pairwise_distances,
+)
+from bicollapse.collapse import collapse_iterated
+from bicollapse.core import edge_neighborhood, graph_from_edges, join, leq, subgraph_at
 from bicollapse.domination import (
-    DeltaRegion,
-    StripeSet,
-    critical_query_set,
+    _DenseStrongEngine,
+    _DominationGrid,
+    _neighbor_grades,
     is_filtration_dominated,
     is_strongly_dominated,
-    non_domination_region,
 )
 from bicollapse.oracle import (
     CriticalGrid,
     brute_force_filtration_dominated,
     random_grid_graph,
 )
+from bicollapse.orders import EdgeOrder, sort_edges
 
-from conftest import A, B, V, W, X, Y, edge_of, make_gap6, make_k3, make_path3
+from conftest import A, B, V, W, edge_of, make_k3, make_path3
 from test_oracle import brute_force_strong_dominators
 
 
-# -- Delta regions ------------------------------------------------------------
+def grid_of(graph, e, engine=None) -> _DominationGrid:
+    return _DominationGrid(e.grade, *_neighbor_grades(graph, e, engine))
 
 
-def test_delta_empty_iff_q_leq_p():
-    assert DeltaRegion((1.0, 1.0), (1.0, 1.0)).is_empty
-    assert DeltaRegion((2.0, 2.0), (1.0, 1.0)).is_empty
-    assert not DeltaRegion((1.0, 1.0), (2.0, 1.0)).is_empty
-    assert not DeltaRegion((1.0, 1.0), NEVER).is_empty
+def grid_grades(grid: _DominationGrid) -> set:
+    return {(float(x), float(y)) for x in grid.xs for y in grid.ys}
 
 
-def test_delta_stripe_decomposition():
-    r = DeltaRegion((0.0, 0.0), (2.0, 3.0))
-    assert r.vertical() == [(0.0, 2.0, 0.0)]
-    assert r.horizontal() == [(0.0, 3.0, 0.0)]
-    # Degenerate in s: only the horizontal stripe survives.
-    r = DeltaRegion((2.0, 0.0), (2.0, 2.0))
-    assert r.vertical() == []
-    assert r.horizontal() == [(0.0, 2.0, 2.0)]
+def dominated_cells(graph, e, v) -> dict:
+    """Grid grade -> does neighbor v dominate e there."""
+    ids = [w for w, _ in edge_neighborhood(graph, e)]
+    grid = grid_of(graph, e)
+    i = ids.index(v)
+    dom = grid.dominates(i, i + 1)[0]
+    return {
+        (float(x), float(y)): bool(dom[a, b])
+        for a, x in enumerate(grid.xs)
+        for b, y in enumerate(grid.ys)
+    }
 
 
-def test_delta_membership_matches_definition():
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        p = tuple(rng.integers(0, 4, 2).astype(float))
-        q = tuple(rng.integers(0, 4, 2).astype(float))
-        if rng.random() < 0.2:
-            q = NEVER
-        region = DeltaRegion(p, q)
-        stripes = StripeSet.from_regions([region])
-        for _ in range(20):
-            g = tuple(rng.integers(-1, 5, 2).astype(float))
-            expected = leq(p, g) and not leq(q, g)
-            assert region.contains(g) == expected
-            assert stripes.contains(g) == expected
-
-
-def test_stripe_merge_preserves_union():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        regions = []
-        for _ in range(rng.integers(1, 8)):
-            p = tuple(rng.integers(0, 5, 2).astype(float))
-            q = tuple(rng.integers(0, 7, 2).astype(float))
-            if rng.random() < 0.25:
-                q = NEVER
-            regions.append(DeltaRegion(p, q))
-        merged = StripeSet.from_regions(regions)
-        for lo, hi, _ in merged.vertical + merged.horizontal:
-            assert lo < hi
-        for fam in (merged.vertical, merged.horizontal):
-            for (l1, h1, _), (l2, _, _) in zip(fam, fam[1:]):
-                assert h1 <= l2
-        for _ in range(20):
-            g = tuple((rng.integers(-2, 14, 2) / 2).astype(float))
-            assert merged.contains(g) == any(r.contains(g) for r in regions)
-
-
-def test_empty_stripe_set_query():
-    empty = StripeSet.from_regions([])
-    assert not empty.contains((0.0, 0.0))
-    assert empty.is_empty()
+def density_rips(kind: str, n: int, seed: int):
+    points = generate_dataset(kind, n, seed=seed)
+    return density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
 
 
 # -- fixture-level checks ------------------------------------------------------
@@ -107,46 +78,42 @@ def test_strong_path_none():
 
 
 def test_region_gap6_candidate_v(gap6):
-    region = non_domination_region(gap6, edge_of(gap6, A, B), V)
-    # Sole contribution is the full quadrant at (0, 2), from missing edge vy.
-    for g in [(0.0, 2.0), (2.0, 2.0), (5.0, 3.0)]:
-        assert region.contains(g)
-    for g in [(0.0, 0.0), (2.0, 0.0), (9.0, 1.0)]:
-        assert not region.contains(g)
+    # v fails only where y is present (t >= 2): the edge vy is missing.
+    assert dominated_cells(gap6, edge_of(gap6, A, B), V) == {
+        (0.0, 0.0): True,
+        (2.0, 0.0): True,
+        (0.0, 2.0): False,
+        (2.0, 2.0): False,
+    }
 
 
 def test_region_gap6_candidate_w(gap6):
-    region = non_domination_region(gap6, edge_of(gap6, A, B), W)
-    assert region.vertical == []
-    assert region.horizontal == [(0.0, 2.0, 2.0)]
-    assert region.contains((2.0, 0.0))
-    assert region.contains((3.0, 1.5))
-    assert not region.contains((2.0, 2.0))
-    assert not region.contains((0.0, 0.0))
+    # w fails where x is present (s >= 2) but the edge wx, critical at (2, 2),
+    # is not yet.
+    assert dominated_cells(gap6, edge_of(gap6, A, B), W) == {
+        (0.0, 0.0): True,
+        (2.0, 0.0): False,
+        (0.0, 2.0): True,
+        (2.0, 2.0): True,
+    }
 
 
 def test_region_k3_empty(k3):
-    region = non_domination_region(k3, edge_of(k3, 0, 1), 2)
-    assert region.is_empty()
-
-
-def test_region_rejects_non_neighbor(k3):
-    with pytest.raises(ValueError, match="not an edge neighbor"):
-        non_domination_region(k3, edge_of(k3, 0, 1), 1)
+    assert dominated_cells(k3, edge_of(k3, 0, 1), 2) == {(0.0, 0.0): True}
 
 
 def test_critical_query_set_gap6(gap6):
-    got = critical_query_set(gap6, edge_of(gap6, A, B))
+    got = grid_grades(grid_of(gap6, edge_of(gap6, A, B)))
     assert got == {(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0)}
 
 
 def test_critical_query_set_k3(k3):
-    assert critical_query_set(k3, edge_of(k3, 0, 1)) == {(0.0, 0.0)}
+    assert grid_grades(grid_of(k3, edge_of(k3, 0, 1))) == {(0.0, 0.0)}
 
 
 def test_critical_query_set_isolated_edge():
     g = graph_from_edges(2, [(0, 1, (1.0, 2.0))])
-    assert critical_query_set(g, edge_of(g, 0, 1)) == {(1.0, 2.0)}
+    assert grid_grades(grid_of(g, edge_of(g, 0, 1))) == {(1.0, 2.0)}
 
 
 def test_full_gap6_dominated_but_not_strongly(gap6):
@@ -241,23 +208,61 @@ def test_strong_is_smallest_brute_force_dominator():
 
 
 def test_region_query_matches_plain_domination():
-    # For every neighbor v and grid grade c >= crit(e): c outside v's
-    # non-domination region iff v dominates e in the plain graph at c.
+    # For every neighbor v and every grade c of the grid: the grid says v
+    # dominates e at c iff v dominates e in the plain graph at c.  The grid
+    # holds every join of two entry grades, in both storage forms.
     rng = np.random.default_rng(41)
     for _ in range(25):
         g = random_grid_graph(8, 0.55, rng)
-        if g.edge_count() == 0:
-            continue
-        grid = CriticalGrid.of_graph(g)
+        engine = _DenseStrongEngine(g)
         for e in g.edge_list():
-            for v, _ in edge_neighborhood(g, e):
-                region = non_domination_region(g, e, v)
-                for c in grid.points():
-                    if not leq(e.grade, c):
-                        continue
+            nbhd = edge_neighborhood(g, e)
+            grid = grid_of(g, e)
+            dense = grid_of(g, e, engine)
+            assert np.array_equal(grid.xs, dense.xs) and np.array_equal(grid.ys, dense.ys)
+            dom = grid.dominates(0, len(nbhd))
+            assert np.array_equal(dom, dense.dominates(0, len(nbhd)))
+            assert {join(p, q) for _, p in nbhd for _, q in nbhd} <= grid_grades(grid)
+            for a, x in enumerate(grid.xs):
+                for b, y in enumerate(grid.ys):
+                    c = (float(x), float(y))
+                    assert leq(e.grade, c)
                     adj = subgraph_at(g, c)
                     nbrs = adj[e.u] & adj[e.v]
-                    dominates = v in nbrs and all(
-                        w == v or w in adj[v] for w in nbrs
-                    )
-                    assert dominates == (not region.contains(c))
+                    for i, (v, _) in enumerate(nbhd):
+                        dominates = v in nbrs and all(w == v or w in adj[v] for w in nbrs)
+                        assert dominates == dom[i, a, b]
+
+
+def test_full_check_matches_oracle_on_density_rips():
+    # Distinct real grades, unlike the integer grid graphs: every edge of an
+    # 8-point cloud of each dataset, before and after a strong revlex pass.
+    verdicts = []
+    for seed, kind in enumerate(DATASET_KINDS):
+        g = density_rips(kind, 8, seed)
+        thinned, _ = collapse_iterated(g, EdgeOrder("revlex"), "strong", 1)
+        for graph in (g, thinned):
+            engine = _DenseStrongEngine(graph)
+            for e in graph.edge_list():
+                expected = brute_force_filtration_dominated(graph, e)
+                assert is_filtration_dominated(graph, e) == expected, (kind, e)
+                assert is_filtration_dominated(graph, e, engine) == expected, (kind, e)
+                verdicts.append(expected)
+    assert sum(verdicts) > 50 and verdicts.count(False) > 20
+
+
+def test_full_check_memory_flat_on_large_neighborhood():
+    # The earliest lex edge of a complete 200-point graph has 198 edge
+    # neighbors; counting all of them at once would take about 180 MB.
+    g = density_rips("uniform", 200, 1)
+    engine = _DenseStrongEngine(g)
+    e = sort_edges(g.edge_list(), EdgeOrder("lex"))[0]
+    assert len(edge_neighborhood(g, e)) == 198
+    for form in (None, engine):
+        tracemalloc.start()
+        try:
+            is_filtration_dominated(g, e, form)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -161,6 +161,12 @@ def test_export_byte_stable(gap6):
     assert first == second
 
 
+def test_export_orders_repeated_triangles(k3):
+    # Equal vertex triples are ordered by grade, whatever order they come in.
+    hi, lo = GradedTriangle(0, 1, 2, (1.0, 1.0)), GradedTriangle(0, 1, 2, (0.0, 0.0))
+    assert export_text(k3, [hi, lo]) == export_text(k3, [lo, hi])
+
+
 def test_export_to_path(tmp_path, k3):
     out = tmp_path / "k3.scc"
     export_scc2020(k3, enumerate_triangles(k3), out)
