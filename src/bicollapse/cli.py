@@ -68,6 +68,16 @@ class _Parser(argparse.ArgumentParser):
 # -- small helpers ----------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file in the target directory, then rename into place."""
     path = Path(path)
@@ -371,7 +381,7 @@ def build_parser() -> _Parser:
 
     run = _Parser(add_help=False)
     run.add_argument("--mode", choices=MODES, default="strong")
-    run.add_argument("--iterations", type=int, default=1)
+    run.add_argument("--iterations", type=_positive_int, default=1)
     run.add_argument("--grade-mode", choices=GRADE_MODES, default="original")
 
     inputs = _Parser(add_help=False)
@@ -401,7 +411,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="run a brute-force oracle suite")
     p.add_argument("--oracle", choices=("domination", "homology"), required=True)
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--instances", type=_positive_int, default=100)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", parents=[common], help="write a synthetic point cloud")

@@ -5,7 +5,7 @@ the mode's predicate holds on the current reduced graph; iterations repeat
 the pass on the survivors.  The predicates live in domination.py; this
 module only picks their storage form: the dense grade mirror for graphs up
 to DENSE_LIMIT vertices (complete density-Rips graphs in the hundreds of
-vertices), the adjacency lists above it, where n x n mirrors cost more
+vertices), the adjacency rows above it, where n x n mirrors cost more
 memory than they save time.  Both forms remove the same edges.
 """
 

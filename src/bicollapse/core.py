@@ -3,16 +3,15 @@
 A grade is a point (s, t) in the plane, partially ordered coordinate-wise.
 Every edge of a bifiltered graph carries a unique critical grade at which it
 enters the filtration; vertices are present at all grades.  The graph is
-stored as symmetric adjacency lists of (neighbor, grade) pairs, each list
-sorted strictly increasing by neighbor id, so that neighborhood computations
-reduce to merged scans of sorted lists.
+stored as symmetric adjacency rows, one dict per vertex from neighbor id to
+edge grade with keys in ascending id: looking up, testing or deleting an
+edge takes constant time, and walking a row visits neighbors in id order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 Grade = tuple[float, float]
 
@@ -52,9 +51,11 @@ class EdgeNeighbor(NamedTuple):
 class BifilteredGraph:
     """1-critical bifiltered graph over vertices 0..n-1.
 
-    Adjacency lists hold (neighbor, grade) pairs sorted by neighbor id and
-    stay sorted across in-place edge removals.  Instances are safe to share
-    read-only; mutation (edge removal) must be exclusive.
+    adj[u] maps each neighbor of u to the grade of their edge, with keys in
+    ascending id.  graph_from_edges sorts every row once; deleting a key
+    keeps the others in order, so rows stay sorted across in-place edge
+    removals.  Instances are safe to share read-only; mutation (edge
+    removal) must be exclusive.
     """
 
     __slots__ = ("n", "adj")
@@ -63,31 +64,27 @@ class BifilteredGraph:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self.n = n
-        self.adj: list[list[tuple[int, Grade]]] = [[] for _ in range(n)]
+        self.adj: list[dict[int, Grade]] = [{} for _ in range(n)]
 
     # -- queries ---------------------------------------------------------
 
     def edge_count(self) -> int:
-        return sum(len(lst) for lst in self.adj) // 2
+        return sum(len(row) for row in self.adj) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def grade_of(self, u: int, v: int) -> Grade:
         """Critical grade of edge {u, v}, or NEVER if the edge is absent."""
-        lst = self.adj[u]
-        i = bisect_left(lst, (v,))
-        if i < len(lst) and lst[i][0] == v:
-            return lst[i][1]
-        return NEVER
+        return self.adj[u].get(v, NEVER)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self.grade_of(u, v) != NEVER
+        return v in self.adj[u]
 
     def edges(self) -> Iterator[Edge]:
         """All edges as Edge(u, v, grade) with u < v, sorted by (u, v)."""
-        for u, lst in enumerate(self.adj):
-            for v, g in lst:
+        for u, row in enumerate(self.adj):
+            for v, g in row.items():
                 if v > u:
                     yield Edge(u, v, g)
 
@@ -96,38 +93,17 @@ class BifilteredGraph:
 
     # -- mutation --------------------------------------------------------
 
-    def add_edge(self, u: int, v: int, grade: Grade) -> None:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-        if not is_finite(grade):
-            raise ValueError(f"edge ({u}, {v}) has non-finite grade {grade}")
-        self._insert_half(u, v, grade)
-        self._insert_half(v, u, grade)
-
-    def _insert_half(self, u: int, v: int, grade: Grade) -> None:
-        lst = self.adj[u]
-        i = bisect_left(lst, (v,))
-        if i < len(lst) and lst[i][0] == v:
-            raise ValueError(f"duplicate edge pair ({min(u, v)}, {max(u, v)})")
-        lst.insert(i, (v, grade))
-
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete edge {u, v} in place, preserving adjacency sortedness."""
-        self._remove_half(u, v)
-        self._remove_half(v, u)
-
-    def _remove_half(self, u: int, v: int) -> None:
-        lst = self.adj[u]
-        i = bisect_left(lst, (v,))
-        if i >= len(lst) or lst[i][0] != v:
-            raise ValueError(f"edge ({u}, {v}) not in graph")
-        del lst[i]
+        """Delete edge {u, v} in place; the rows keep their order."""
+        try:
+            del self.adj[u][v]
+            del self.adj[v][u]
+        except KeyError:
+            raise ValueError(f"edge ({u}, {v}) not in graph") from None
 
     def copy(self) -> "BifilteredGraph":
         g = BifilteredGraph(self.n)
-        g.adj = [list(lst) for lst in self.adj]
+        g.adj = [dict(row) for row in self.adj]
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -139,43 +115,47 @@ class BifilteredGraph:
         return f"BifilteredGraph(n={self.n}, m={self.edge_count()})"
 
 
-def graph_from_edges(n: int, edges: Sequence[Edge | tuple]) -> BifilteredGraph:
-    """Build a bifiltered graph from (u, v, grade) triples.
+def graph_from_edges(n: int, edges: Iterable[Edge | tuple]) -> BifilteredGraph:
+    """Build a bifiltered graph from (u, v, grade) triples, in any order.
 
-    Rejects ids outside 0..n-1 and duplicate unordered pairs.
+    Rejects self-loops, ids outside 0..n-1, non-finite grades and duplicate
+    unordered pairs.
     """
     g = BifilteredGraph(n)
-    for e in edges:
-        u, v, grade = e
-        g.add_edge(u, v, (float(grade[0]), float(grade[1])))
+    adj = g.adj
+    for u, v, grade in edges:
+        grade = (float(grade[0]), float(grade[1]))
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if not is_finite(grade):
+            raise ValueError(f"edge ({u}, {v}) has non-finite grade {grade}")
+        if v in adj[u]:
+            raise ValueError(f"duplicate edge pair ({min(u, v)}, {max(u, v)})")
+        adj[u][v] = adj[v][u] = grade
+    g.adj = [dict(sorted(row.items())) for row in adj]
     return g
 
 
 def edge_neighborhood(graph: BifilteredGraph, e: Edge) -> list[EdgeNeighbor]:
     """Common neighbors of e's endpoints with their entry grades.
 
-    A single merged scan of the two sorted adjacency lists; output sorted by
-    vertex id.  entry(w) = join(crit({a,w}), crit({b,w}), crit(e)).
+    Walks the shorter of the two rows and looks each neighbor up in the
+    other; output sorted by vertex id.
+    entry(w) = join(crit({a,w}), crit({b,w}), crit(e)).
     """
     a, b, (es, et) = e.u, e.v, e.grade
     if graph.grade_of(a, b) != e.grade:
         raise ValueError(f"edge ({a}, {b}) with grade {e.grade} not in graph")
-    la, lb = graph.adj[a], graph.adj[b]
+    short, other = graph.adj[a], graph.adj[b]
+    if len(other) < len(short):
+        short, other = other, short
     out: list[EdgeNeighbor] = []
-    i = j = 0
-    na, nb = len(la), len(lb)
-    while i < na and j < nb:
-        wa, ga = la[i]
-        wb, gb = lb[j]
-        if wa < wb:
-            i += 1
-        elif wb < wa:
-            j += 1
-        else:
-            entry = (max(ga[0], gb[0], es), max(ga[1], gb[1], et))
-            out.append(EdgeNeighbor(wa, entry))
-            i += 1
-            j += 1
+    for w, (s1, t1) in short.items():
+        g2 = other.get(w)
+        if g2 is not None:
+            out.append(EdgeNeighbor(w, (max(s1, g2[0], es), max(t1, g2[1], et))))
     return out
 
 
@@ -183,13 +163,7 @@ def subgraph_at(graph: BifilteredGraph, g: Grade) -> list[set[int]]:
     """Plain graph at grade g: adjacency sets containing exactly the edges
     with crit(e) <= g.  Vertices are present at all grades."""
     gs, gt = g
-    out: list[set[int]] = [set() for _ in range(graph.n)]
-    for u, lst in enumerate(graph.adj):
-        row = out[u]
-        for v, (s, t) in lst:
-            if s <= gs and t <= gt:
-                row.add(v)
-    return out
+    return [{v for v, (s, t) in row.items() if s <= gs and t <= gt} for row in graph.adj]
 
 
 # -- edge-list text format ------------------------------------------------
@@ -215,11 +189,10 @@ def read_edge_list(source: TextIO) -> BifilteredGraph:
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-    g = BifilteredGraph(n)
+    edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4:
             raise ValueError(f"malformed edge line {ln!r}, expected 'u v s t'")
-        u, v = int(parts[0]), int(parts[1])
-        g.add_edge(u, v, (float(parts[2]), float(parts[3])))
-    return g
+        edges.append((int(parts[0]), int(parts[1]), (float(parts[2]), float(parts[3]))))
+    return graph_from_edges(n, edges)

@@ -2,43 +2,36 @@
 
 Two decision procedures.  The strong check looks for a single vertex that
 dominates the edge at every grade by serial trial: candidates in ascending
-id, the first that passes wins.  It has two storage forms, a merged scan of
-the sorted adjacency lists (is_strongly_dominated) and the same trial on a
-dense n x n grade mirror (_DenseStrongEngine) that switches to one batched
-check after a few failed candidates; both return the same vertex.  The full
-check lets the dominating vertex change with the grade.  It counts, for
-every edge neighbor at once, where that neighbor dominates on a grid of
-grades built from the neighbors' entry coordinates (_DominationGrid): a
-2-D prefix sum per neighbor, done with searchsorted, bincount and cumsum.
-The edge is dominated iff every grid grade is covered.  It gathers its
-inputs from the dense mirror when there is one, else from the lists.
+id, the first that passes wins.  It has two storage forms, one lookup per
+edge neighbor in the candidate's adjacency row (is_strongly_dominated) and
+the same trial on a dense n x n grade mirror (_DenseStrongEngine) that
+switches to one batched check after a few failed candidates; both return
+the same vertex.  The full check lets the dominating vertex change with the
+grade.  It counts, for every edge neighbor at once, where that neighbor
+dominates on a grid of grades built from the neighbors' entry coordinates
+(_DominationGrid): a 2-D prefix sum per neighbor, done with searchsorted,
+bincount and cumsum.  The edge is dominated iff every grid grade is
+covered.  It gathers its inputs from the dense mirror when there is one,
+else from the adjacency rows.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .core import BifilteredGraph, Edge, EdgeNeighbor, Grade, edge_neighborhood, leq
+from .core import NEVER, BifilteredGraph, Edge, EdgeNeighbor, Grade, edge_neighborhood, leq
 
 # -- strong filtration-domination --------------------------------------------
 
 
-def _reaches_all(lst: Sequence[tuple[int, Grade]], v: int, nbhd: Sequence[EdgeNeighbor]) -> bool:
-    """Does v's adjacency list lst hold an edge to every other edge neighbor w
-    critical no later than w's entry grade?  One merged scan of two sorted
-    lists."""
-    i = 0
-    for w, w_entry in nbhd:
-        if w == v:
-            continue
-        while i < len(lst) and lst[i][0] < w:
-            i += 1
-        if i == len(lst) or lst[i][0] != w or not leq(lst[i][1], w_entry):
-            return False
-    return True
+def _reaches_all(row: dict[int, Grade], v: int, nbhd: Sequence[EdgeNeighbor]) -> bool:
+    """Does v's adjacency row hold an edge to every other edge neighbor w
+    critical no later than w's entry grade?  One lookup per neighbor."""
+    return all(w == v or leq(row.get(w, NEVER), entry) for w, entry in nbhd)
 
 
 def is_strongly_dominated(graph: BifilteredGraph, e: Edge) -> int | None:
@@ -48,8 +41,8 @@ def is_strongly_dominated(graph: BifilteredGraph, e: Edge) -> int | None:
     and the first that passes wins.  A candidate must be a potential strong
     dominator (both its edges to the endpoints critical at or before
     crit(e)) and must reach every other edge neighbor w no later than w's
-    entry grade.  Each trial is one merged scan, so a hit on an early
-    candidate costs O(deg(a) + deg(b) + deg(v)).
+    entry grade.  Each trial is one row lookup per edge neighbor, so a hit
+    on an early candidate costs O(min(deg(a), deg(b))).
     """
     nbhd = edge_neighborhood(graph, e)
     for v, entry in nbhd:
@@ -132,8 +125,8 @@ def _neighbor_grades(
 
     Returns entry_s, entry_t (length k, neighbors in ascending id) and
     block_s, block_t (k x k, +inf where the edge is absent and on the
-    diagonal).  The dense form slices the engine's mirror; the list form
-    scans each neighbor's adjacency list once.
+    diagonal).  The dense form slices the engine's mirror; the row form
+    looks each pair of neighbors up in the adjacency rows.
     """
     if engine is not None:
         S, T = engine.S, engine.T
@@ -144,17 +137,9 @@ def _neighbor_grades(
         return entry_s, entry_t, S[mesh], T[mesh]
     nbhd = edge_neighborhood(graph, e)
     k = len(nbhd)
-    pos = {w: i for i, (w, _) in enumerate(nbhd)}
-    rows, cols, grades = [], [], []
-    for i, (v, _) in enumerate(nbhd):
-        for w, g in graph.adj[v]:
-            j = pos.get(w)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                grades.append(g)
-    block = np.full((k, k, 2), math.inf)
-    block[rows, cols] = np.reshape(grades, (-1, 2))
+    ids = [w for w, _ in nbhd]
+    grades = chain.from_iterable(graph.adj[v].get(w, NEVER) for v in ids for w in ids)
+    block = np.fromiter(grades, float, 2 * k * k).reshape(k, k, 2)
     entries = np.reshape([entry for _, entry in nbhd], (k, 2))
     return entries[:, 0], entries[:, 1], block[..., 0], block[..., 1]
 

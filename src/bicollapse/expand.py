@@ -41,26 +41,19 @@ class GradedTriangle:
 def enumerate_triangles(graph: BifilteredGraph) -> list[GradedTriangle]:
     """Every 3-clique exactly once, sorted by (u, v, w).
 
-    Walks each edge (u, v) and intersects the two sorted adjacency lists,
-    keeping only common neighbors w > v so each triangle is reported from
-    its lexicographically smallest edge.
+    For each vertex u, pairs its higher neighbors v < w in id order and
+    looks w up in v's adjacency row, so each triangle is reported once,
+    from its smallest vertex.
     """
     out: list[GradedTriangle] = []
-    for u, v, guv in graph.edges():
-        lu, lv = graph.adj[u], graph.adj[v]
-        i, j = 0, 0
-        while i < len(lu) and j < len(lv):
-            a, b = lu[i][0], lv[j][0]
-            if a < b:
-                i += 1
-            elif b < a:
-                j += 1
-            else:
-                if a > v:
-                    grade = join(guv, join(lu[i][1], lv[j][1]))
-                    out.append(GradedTriangle(u, v, a, grade))
-                i += 1
-                j += 1
+    for u, row in enumerate(graph.adj):
+        up = [(v, g) for v, g in row.items() if v > u]
+        for i, (v, guv) in enumerate(up):
+            row_v = graph.adj[v]
+            for w, guw in up[i + 1 :]:
+                gvw = row_v.get(w)
+                if gvw is not None:
+                    out.append(GradedTriangle(u, v, w, join(guv, join(guw, gvw))))
     return out
 
 
@@ -72,7 +65,7 @@ def count_triangles(graph: BifilteredGraph) -> int:
     storage keeps memory linear in the edge and triangle counts and avoids
     materializing the triangle list.
     """
-    upper = [[v for v, _ in lst if v > u] for u, lst in enumerate(graph.adj)]
+    upper = [[v for v in row if v > u] for u, row in enumerate(graph.adj)]
     indptr = np.cumsum([0] + [len(row) for row in upper])
     indices = np.fromiter(chain.from_iterable(upper), dtype=np.int64, count=indptr[-1])
     mat = sparse.csr_matrix(

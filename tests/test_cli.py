@@ -118,6 +118,12 @@ def test_usage_errors_exit_64(capsys, gap6_file):
         ["collapse", "--dataset", "uniform"],  # missing --n
         ["collapse", "--edges", gap6_file, "--order", "sideways"],
         ["collapse", "--edges", gap6_file, "--grade-mode", "drop"],
+        ["collapse", "--edges", gap6_file, "--iterations", "0"],
+        ["collapse", "--edges", gap6_file, "--iterations", "-1"],
+        ["bench-orders", "--edges", gap6_file, "--iterations", "0"],
+        ["expand", "--edges", gap6_file, "--iterations", "0", "--output", "x.scc"],
+        ["verify", "--oracle", "domination", "--instances", "0"],
+        ["verify", "--oracle", "homology", "--instances", "-1"],
         ["expand", "--edges", gap6_file],  # missing --output
         ["generate", "--dataset", "circle", "--n", "5"],  # missing --output
         ["nonsense"],
@@ -134,9 +140,33 @@ def test_unreadable_input_exits_2(capsys, tmp_path):
     assert rc == 2
     assert "input error" in err
     bad = tmp_path / "bad.txt"
-    bad.write_text("3 2\n0 1 0\n")
-    rc, _, err = run(capsys, "collapse", "--edges", str(bad))
-    assert rc == 2
+    bodies = [
+        "0 1 0\n",  # short line, and one line fewer than promised
+        "0 1 0 0\n1 1 0 0\n",  # self-loop
+        "0 1 nan 0\n1 2 0 0\n",
+        "0 1 0 inf\n1 2 0 0\n",
+        "-1 1 0 0\n1 2 0 0\n",
+        "0 1 0 0\n0 1 1 1\n",  # duplicate pair, same orientation
+        "0 1 0 0\n1 0 1 1\n",  # duplicate pair, both orientations
+    ]
+    for body in bodies:
+        bad.write_text("3 2\n" + body)
+        rc, _, err = run(capsys, "collapse", "--edges", str(bad))
+        assert rc == 2, body
+        assert "input error" in err
+
+
+@pytest.mark.parametrize("copies, sites, rc_expected", [(2, 3, 2), (20, 5, 0)])
+def test_kde_bandwidth_rule_on_repeated_sites(capsys, tmp_path, copies, sites, rc_expected):
+    # Exit 2 exactly when 0 is among at most 5 distinct distances: 3 sites give
+    # 4 distinct values, 5 sites give 11 (19 % of the 4950 distances zero).
+    path = tmp_path / "sites.csv"
+    coords = [(float(i), float(i * i)) for i in range(sites)]
+    path.write_text("".join(f"{x},{y}\n" for x, y in coords * copies))
+    rc, _, err = run(capsys, "collapse", "--points", str(path))
+    assert rc == rc_expected
+    if rc_expected == 2:
+        assert "zero bandwidth" in err
 
 
 def test_simplex_budget_exits_3(capsys, tmp_path, gap6_file):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from bicollapse.core import (
     subgraph_at,
     write_edge_list,
 )
+from bicollapse.collapse import collapse_iterated
 from bicollapse.oracle import random_grid_graph
+from bicollapse.orders import EdgeOrder
 
 from conftest import A, B, V, W, X, Y, edge_of, make_gap6, make_k3, make_path3
 
@@ -132,12 +135,14 @@ def test_subgraph_at_monotone():
 
 
 def _assert_sorted_symmetric(g: BifilteredGraph):
-    for u, lst in enumerate(g.adj):
-        ids = [w for w, _ in lst]
+    for u, row in enumerate(g.adj):
+        ids = list(row)
         assert ids == sorted(ids)
-        assert len(ids) == len(set(ids))
-        for w, grade in lst:
+        for w, grade in row.items():
             assert g.grade_of(w, u) == grade
+    pairs = [(e.u, e.v) for e in g.edges()]
+    assert pairs == sorted(pairs)
+    assert all(u < v for u, v in pairs)
 
 
 def test_adjacency_invariants_after_removals():
@@ -150,6 +155,51 @@ def test_adjacency_invariants_after_removals():
         g.remove_edge(e.u, e.v)
         _assert_sorted_symmetric(g)
     assert g.edge_count() == len(edges) - len(edges) // 2
+
+
+def test_build_order_does_not_matter():
+    rng = np.random.default_rng(5)
+    sorted_build = random_grid_graph(12, 0.6, rng)
+    edges = sorted_build.edge_list()
+    shuffled = list(edges)
+    random.Random(4).shuffle(shuffled)
+    reversed_flipped = [Edge(e.v, e.u, e.grade) for e in reversed(edges)]
+    builds = [sorted_build] + [
+        graph_from_edges(sorted_build.n, seq) for seq in (shuffled, reversed_flipped)
+    ]
+    for g in builds:
+        assert g == sorted_build
+        assert g.edge_list() == edges
+        _assert_sorted_symmetric(g)
+    # The random order permutes edges(), so replay depends on the row order.
+    for mode in ("strong", "full"):
+        logs = [
+            collapse_iterated(g, EdgeOrder("random", seed=3), mode, 2)[1].removal_log
+            for g in builds
+        ]
+        assert logs[0] == logs[1] == logs[2]
+        assert logs[0][0]
+    drop = [edges[i] for i in rng.permutation(len(edges))[: len(edges) // 3]]
+    for g in builds:
+        for e in drop:
+            g.remove_edge(e.u, e.v)
+            _assert_sorted_symmetric(g)
+    assert builds[0] == builds[1] == builds[2]
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(1, 1, (0.0, 0.0))], "self-loop"),
+        ([(0, 1, (math.nan, 0.0))], "non-finite"),
+        ([(0, 1, (0.0, math.inf))], "non-finite"),
+        ([(-1, 1, (0.0, 0.0))], "out of range"),
+        ([(0, 1, (0.0, 0.0)), (0, 1, (1.0, 1.0))], r"duplicate edge pair \(0, 1\)"),
+    ],
+)
+def test_graph_from_edges_rejects(edges, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_edges(3, edges)
 
 
 def test_remove_missing_edge_rejected():
