@@ -300,7 +300,7 @@ def _verify_domination(args: argparse.Namespace) -> int:
             fast_dense = is_filtration_dominated(graph, e, engine)
             slow = brute_force_filtration_dominated(graph, e)
             strong = is_strongly_dominated(graph, e)
-            dense = engine.strong_dominator(e)
+            dense = is_strongly_dominated(graph, e, engine)
             agree = fast == slow == fast_dense and dense == strong
             if not agree or (strong is not None and not fast):
                 path = _counterexample_path(args)
@@ -406,7 +406,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--order", choices=ORDER_KINDS, default="revlex")
     p.add_argument("--no-collapse", action="store_true", help="export without preprocessing")
-    p.add_argument("--max-simplices", type=int, default=DEFAULT_MAX_SIMPLICES)
+    p.add_argument("--max-simplices", type=_positive_int, default=DEFAULT_MAX_SIMPLICES)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", parents=[common], help="run a brute-force oracle suite")

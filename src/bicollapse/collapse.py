@@ -2,11 +2,12 @@
 
 One pass visits each edge exactly once in a chosen order and removes it when
 the mode's predicate holds on the current reduced graph; iterations repeat
-the pass on the survivors.  The predicates live in domination.py; this
-module only picks their storage form: the dense grade mirror for graphs up
-to DENSE_LIMIT vertices (complete density-Rips graphs in the hundreds of
-vertices), the adjacency rows above it, where n x n mirrors cost more
-memory than they save time.  Both forms remove the same edges.
+the pass on the survivors.  The predicates live in domination.py; the pass
+calls each once per edge and hands it the dense grade mirror when there is
+one.  This module only decides that: a mirror for graphs up to DENSE_LIMIT
+vertices (complete density-Rips graphs in the hundreds of vertices), none
+above it, where n x n mirrors cost more memory than they save time.  Both
+forms remove the same edges.
 """
 
 from __future__ import annotations
@@ -115,10 +116,7 @@ def _run_pass(
     removed: list[Edge] = []
     start = time.perf_counter()
     for e in ordered:
-        if engine is not None:
-            hit = engine.strong_dominator(e) is not None
-        else:
-            hit = is_strongly_dominated(graph, e) is not None
+        hit = is_strongly_dominated(graph, e, engine) is not None
         if not hit and mode == "full":
             hit = is_filtration_dominated(graph, e, engine)
         if hit:

@@ -71,9 +71,6 @@ class BifilteredGraph:
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def grade_of(self, u: int, v: int) -> Grade:
         """Critical grade of edge {u, v}, or NEVER if the edge is absent."""
         return self.adj[u].get(v, NEVER)

@@ -3,12 +3,13 @@
 Two decision procedures.  The strong check looks for a single vertex that
 dominates the edge at every grade by serial trial: candidates in ascending
 id, the first that passes wins.  It has two storage forms, one lookup per
-edge neighbor in the candidate's adjacency row (is_strongly_dominated) and
-the same trial on a dense n x n grade mirror (_DenseStrongEngine) that
-switches to one batched check after a few failed candidates; both return
-the same vertex.  The full check lets the dominating vertex change with the
-grade.  It counts, for every edge neighbor at once, where that neighbor
-dominates on a grid of grades built from the neighbors' entry coordinates
+edge neighbor in the candidate's adjacency row, and the same trial on a
+dense n x n grade mirror (_DenseStrongEngine) that switches to one batched
+check after a few failed candidates; both return the same vertex, and
+is_strongly_dominated runs the dense form when it is handed the mirror.
+The full check lets the dominating vertex change with the grade.  It
+counts, for every edge neighbor at once, where that neighbor dominates on a
+grid of grades built from the neighbors' entry coordinates
 (_DominationGrid): a 2-D prefix sum per neighbor, done with searchsorted,
 bincount and cumsum.  The edge is dominated iff every grid grade is
 covered.  It gathers its inputs from the dense mirror when there is one,
@@ -34,7 +35,9 @@ def _reaches_all(row: dict[int, Grade], v: int, nbhd: Sequence[EdgeNeighbor]) ->
     return all(w == v or leq(row.get(w, NEVER), entry) for w, entry in nbhd)
 
 
-def is_strongly_dominated(graph: BifilteredGraph, e: Edge) -> int | None:
+def is_strongly_dominated(
+    graph: BifilteredGraph, e: Edge, engine: _DenseStrongEngine | None = None
+) -> int | None:
     """Smallest vertex that alone dominates e at every grade, if any.
 
     Serial trial (Boissonnat-Pritam): candidates are tried in ascending id
@@ -42,8 +45,11 @@ def is_strongly_dominated(graph: BifilteredGraph, e: Edge) -> int | None:
     dominator (both its edges to the endpoints critical at or before
     crit(e)) and must reach every other edge neighbor w no later than w's
     entry grade.  Each trial is one row lookup per edge neighbor, so a hit
-    on an early candidate costs O(min(deg(a), deg(b))).
+    on an early candidate costs O(min(deg(a), deg(b))).  engine, when
+    given, is the dense mirror of graph, and runs the same trial on it.
     """
+    if engine is not None:
+        return engine.strong_dominator(e)
     nbhd = edge_neighborhood(graph, e)
     for v, entry in nbhd:
         # entry(v) always dominates crit(e), with equality iff both edge

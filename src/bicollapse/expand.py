@@ -1,11 +1,13 @@
 """Triangle enumeration and scc2020 export of the dimension <= 2 clique bifiltration.
 
 A (k+1)-clique of the graph enters the clique complex when its last edge
-does, so every triangle carries the join of its three edge grades.  The
-exporter emits the standard scc2020 text layout (format tag, parameter
-count, block sizes for dimensions 2, 1, 0, then one generator line per
-simplex with its grade and facet indices) so the file can feed external
-minimal-presentation tools.
+does, so every triangle carries the join of its three edge grades.  A
+triangle is a GradedTriangle named tuple (u, v, w, grade), like core.Edge:
+it sorts, compares and unpacks as a plain tuple.  The exporter emits the
+standard scc2020 text layout (format tag, parameter count, block sizes for
+dimensions 2, 1, 0, then one generator line per simplex with its grade and
+facet indices) so the file can feed external minimal-presentation tools.
+It sorts the triangles itself and checks each against the graph's edges.
 """
 
 from __future__ import annotations
@@ -14,28 +16,23 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .core import BifilteredGraph, Grade, join
+from .core import BifilteredGraph, Grade
 
 FORMAT_TAG = "scc2020"
 
 
-@dataclass(frozen=True, order=True)
-class GradedTriangle:
+class GradedTriangle(NamedTuple):
     """3-clique u < v < w graded at the join of its three edges."""
 
     u: int
     v: int
     w: int
     grade: Grade
-
-    def __post_init__(self) -> None:
-        if not self.u < self.v < self.w:
-            raise ValueError(f"triangle vertices must increase, got {(self.u, self.v, self.w)}")
 
 
 def enumerate_triangles(graph: BifilteredGraph) -> list[GradedTriangle]:
@@ -48,12 +45,13 @@ def enumerate_triangles(graph: BifilteredGraph) -> list[GradedTriangle]:
     out: list[GradedTriangle] = []
     for u, row in enumerate(graph.adj):
         up = [(v, g) for v, g in row.items() if v > u]
-        for i, (v, guv) in enumerate(up):
+        for i, (v, (s_uv, t_uv)) in enumerate(up):
             row_v = graph.adj[v]
-            for w, guw in up[i + 1 :]:
-                gvw = row_v.get(w)
-                if gvw is not None:
-                    out.append(GradedTriangle(u, v, w, join(guv, join(guw, gvw))))
+            for w, (s_uw, t_uw) in up[i + 1 :]:
+                g_vw = row_v.get(w)
+                if g_vw is not None:
+                    grade = (max(s_uv, s_uw, g_vw[0]), max(t_uv, t_uw, g_vw[1]))
+                    out.append(GradedTriangle(u, v, w, grade))
     return out
 
 
@@ -82,38 +80,6 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-def _append_triangle_lines(
-    lines: list[str],
-    triangles: Sequence[GradedTriangle],
-    edge_index: dict[tuple[int, int], int],
-    shift_s: float,
-    shift_t: float,
-) -> bool:
-    """Append the generator lines of the triangles in their given order.
-
-    Stops, takes back what it appended and returns False as soon as that
-    order is not sorted by (u, v, w, grade).  Edges are indexed in (u, v)
-    order, so the pair of the first two facet indices increases exactly when
-    (u, v, w) does.
-    """
-    start = len(lines)
-    prev, prev_grade, width = -1, None, len(edge_index)
-    for tri in triangles:
-        facets = []
-        for pair in ((tri.u, tri.v), (tri.u, tri.w), (tri.v, tri.w)):
-            if pair not in edge_index:
-                raise ValueError(f"triangle {(tri.u, tri.v, tri.w)} references missing edge {pair}")
-            facets.append(edge_index[pair])
-        key = facets[0] * width + facets[1]
-        if key < prev or (key == prev and tri.grade < prev_grade):
-            del lines[start:]
-            return False
-        prev, prev_grade = key, tri.grade
-        s, t = tri.grade[0] - shift_s, tri.grade[1] - shift_t
-        lines.append(f"{_fmt(s)} {_fmt(t)} ; {facets[0]} {facets[1]} {facets[2]}")
-    return True
-
-
 def export_scc2020(
     graph: BifilteredGraph,
     triangles: Sequence[GradedTriangle],
@@ -123,10 +89,11 @@ def export_scc2020(
 
     Grades are shifted so the coordinate-wise minimum over edge grades
     lands at (0, 0); vertices sit at that global minimum.  Edges are
-    sorted by (u, v) and triangles by (u, v, w), so output is byte-stable
-    for a fixed input; triangles already in that order, as
-    enumerate_triangles returns them, are not sorted again.  A triangle
-    whose facet edge is absent from the graph is rejected.
+    sorted by (u, v) and triangles by (u, v, w, grade), so output is
+    byte-stable for a fixed input.  A triangle whose facet edge is absent
+    from the graph is rejected; facets are looked up as (u, v), (u, w) and
+    (v, w) with the edges' u < v, so this also rejects any triangle whose
+    vertices do not increase.
     """
     edges = graph.edge_list()
     for e in edges:
@@ -137,8 +104,13 @@ def export_scc2020(
     edge_index = {(e.u, e.v): i for i, e in enumerate(edges)}
 
     lines = [FORMAT_TAG, "2", f"{len(triangles)} {len(edges)} {graph.n}"]
-    if not _append_triangle_lines(lines, triangles, edge_index, shift_s, shift_t):
-        _append_triangle_lines(lines, sorted(triangles), edge_index, shift_s, shift_t)
+    for u, v, w, (s, t) in sorted(triangles):
+        try:
+            facets = f"{edge_index[u, v]} {edge_index[u, w]} {edge_index[v, w]}"
+        except KeyError as missing:
+            pair = missing.args[0]
+            raise ValueError(f"triangle {(u, v, w)} references missing edge {pair}") from None
+        lines.append(f"{_fmt(s - shift_s)} {_fmt(t - shift_t)} ; {facets}")
     for e in edges:
         s, t = e.grade[0] - shift_s, e.grade[1] - shift_t
         lines.append(f"{_fmt(s)} {_fmt(t)} ; {e.u} {e.v}")

@@ -17,9 +17,6 @@ from .core import Edge
 
 ORDER_KINDS = ("lex", "colex", "revlex", "revcolex", "random")
 
-# Recorded in reports so random-order runs can be replayed exactly.
-RANDOM_ALGORITHM = "numpy-PCG64"
-
 
 @dataclass(frozen=True)
 class EdgeOrder:
@@ -37,11 +34,6 @@ class EdgeOrder:
             raise ValueError(f"unknown order kind {self.kind!r}, expected one of {ORDER_KINDS}")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random order requires a seed")
-
-    def describe(self) -> str:
-        if self.kind == "random":
-            return f"random({RANDOM_ALGORITHM}, seed={self.seed})"
-        return self.kind
 
 
 def _lex_key(e: Edge):

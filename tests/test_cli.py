@@ -122,6 +122,8 @@ def test_usage_errors_exit_64(capsys, gap6_file):
         ["collapse", "--edges", gap6_file, "--iterations", "-1"],
         ["bench-orders", "--edges", gap6_file, "--iterations", "0"],
         ["expand", "--edges", gap6_file, "--iterations", "0", "--output", "x.scc"],
+        ["expand", "--edges", gap6_file, "--max-simplices", "0", "--output", "x.scc"],
+        ["expand", "--edges", gap6_file, "--max-simplices", "-1", "--output", "x.scc"],
         ["verify", "--oracle", "domination", "--instances", "0"],
         ["verify", "--oracle", "homology", "--instances", "-1"],
         ["expand", "--edges", gap6_file],  # missing --output

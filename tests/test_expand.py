@@ -27,16 +27,12 @@ def make_k4():
     return graph_from_edges(4, [(u, v, (0.0, 0.0)) for u, v in pairs])
 
 
-def as_tuples(triangles):
-    return [(t.u, t.v, t.w, t.grade) for t in triangles]
-
-
 # -- enumeration -----------------------------------------------------------------
 
 
 def test_k3_join_grade():
     g = graph_from_edges(3, [(0, 1, (0.0, 0.0)), (0, 2, (1.0, 0.0)), (1, 2, (0.0, 1.0))])
-    assert as_tuples(enumerate_triangles(g)) == [(0, 1, 2, (1.0, 1.0))]
+    assert enumerate_triangles(g) == [(0, 1, 2, (1.0, 1.0))]
 
 
 def test_k4_count():
@@ -46,7 +42,7 @@ def test_k4_count():
 
 
 def test_gap6_matches_brute_force(gap6):
-    tris = as_tuples(enumerate_triangles(gap6))
+    tris = enumerate_triangles(gap6)
     assert tris == brute_force_triangles(gap6)
     assert (0, 1, 4, (2.0, 0.0)) in tris  # {a, b, x} enters with its late edges
     assert (0, 1, 2, (0.0, 0.0)) in tris  # {a, b, v} present from the start
@@ -57,7 +53,7 @@ def test_random_graphs_match_brute_force():
     for trial in range(25):
         g = random_grid_graph(4 + int(rng.integers(27)), float(rng.choice([0.3, 0.5, 0.8])), rng)
         tris = enumerate_triangles(g)
-        assert as_tuples(tris) == brute_force_triangles(g)
+        assert tris == brute_force_triangles(g)
         assert len(tris) == count_triangles(g)
         assert all(
             leq(g.grade_of(a, b), t.grade)
@@ -95,11 +91,6 @@ def test_count_triangles_memory_linear_in_edges():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
-
-
-def test_triangle_vertex_order_enforced():
-    with pytest.raises(ValueError, match="increase"):
-        GradedTriangle(2, 1, 3, (0.0, 0.0))
 
 
 def test_collapse_never_adds_triangles():
@@ -152,6 +143,15 @@ def test_export_rejects_missing_facet():
     g = graph_from_edges(3, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0))])
     with pytest.raises(ValueError, match="missing edge"):
         export_text(g, [GradedTriangle(0, 1, 2, (0.0, 0.0))])
+
+
+def test_triangle_vertex_order_enforced():
+    # Facets are looked up as (u, v), (u, w), (v, w) among edges keyed u < v,
+    # so the export rejects any triangle whose vertices do not increase.
+    g = make_k4()
+    for u, v, w in ((2, 1, 3), (0, 0, 1)):
+        with pytest.raises(ValueError, match="missing edge"):
+            export_text(g, [GradedTriangle(u, v, w, (0.0, 0.0))])
 
 
 def test_export_byte_stable(gap6):

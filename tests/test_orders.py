@@ -71,8 +71,3 @@ def test_random_requires_seed():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown order kind"):
         EdgeOrder("sorted")
-
-
-def test_describe():
-    assert EdgeOrder("revlex").describe() == "revlex"
-    assert "seed=9" in EdgeOrder("random", seed=9).describe()
