@@ -7,6 +7,9 @@ Euclidean distance.  Densities default to an unnormalized Gaussian kernel sum
 whose bandwidth is the nearest-rank 20th percentile of the distinct pairwise
 distances; any strictly monotone rescaling of densities yields the same graph
 up to axis relabeling, so the normalization constant is omitted.
+Distances are computed with numpy in scipy's summation order, so they are
+bit-identical to scipy.spatial.distance.pdist, and the graph is built from
+the grade arrays in one graph_from_arrays call.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
-from .core import BifilteredGraph, Edge, graph_from_edges
+from .core import BifilteredGraph, graph_from_arrays
 
 DATASET_KINDS = ("sphere", "uniform", "circle", "torus", "swiss-roll")
 
@@ -27,11 +29,34 @@ DATASET_KINDS = ("sphere", "uniform", "circle", "torus", "swiss-roll")
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Condensed Euclidean distances over unordered pairs, in (i < j) order."""
+    """Condensed Euclidean distances over unordered pairs, in (i < j) order.
+
+    Squared coordinate differences are summed one coordinate at a time
+    before the square root, the order scipy's pdist uses, so the values are
+    bit-identical to it.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or len(points) < 2:
         raise ValueError("need at least 2 points of uniform dimension")
-    return pdist(points)
+    i, j = np.triu_indices(len(points), k=1)
+    total = np.zeros(len(i))
+    for column in points.T:
+        diff = column[i] - column[j]
+        total += diff * diff
+    return np.sqrt(total)
+
+
+def square_form(condensed: np.ndarray) -> np.ndarray:
+    """Symmetric square matrix, zero diagonal, from condensed distances
+    (the inverse of reading the strict upper triangle row by row)."""
+    condensed = np.asarray(condensed, dtype=float)
+    n = int(round((1 + math.sqrt(1 + 8 * len(condensed))) / 2))
+    if n * (n - 1) // 2 != len(condensed):
+        raise ValueError(f"{len(condensed)} distances are not n(n-1)/2 for any n")
+    i, j = np.triu_indices(n, k=1)
+    out = np.zeros((n, n))
+    out[i, j] = out[j, i] = condensed
+    return out
 
 
 def kde_bandwidth(distances: np.ndarray) -> float:
@@ -63,7 +88,7 @@ def kde_density(points: np.ndarray, h: float) -> np.ndarray:
         if h <= 0:
             raise ValueError("bandwidth must be positive")
         return np.ones(1)
-    return kde_density_from_matrix(squareform(pairwise_distances(points)), h)
+    return kde_density_from_matrix(square_form(pairwise_distances(points)), h)
 
 
 # -- density-Rips construction --------------------------------------------------
@@ -79,12 +104,8 @@ def density_rips_from_distances(
     if dist.shape != (n, n):
         raise ValueError(f"distance matrix shape {dist.shape} does not match {n} densities")
     neg = -densities
-    edges = [
-        Edge(u, v, (float(max(neg[u], neg[v])), float(dist[u, v])))
-        for u in range(n)
-        for v in range(u + 1, n)
-    ]
-    return graph_from_edges(n, edges)
+    u, v = np.triu_indices(n, k=1)
+    return graph_from_arrays(n, u, v, np.maximum(neg[u], neg[v]), dist[u, v])
 
 
 def density_rips_graph(points: np.ndarray, densities: np.ndarray) -> BifilteredGraph:
@@ -93,9 +114,7 @@ def density_rips_graph(points: np.ndarray, densities: np.ndarray) -> BifilteredG
     densities = np.asarray(densities, dtype=float)
     if len(points) != len(densities):
         raise ValueError("densities length does not match point count")
-    return density_rips_from_distances(
-        squareform(pairwise_distances(points)), densities
-    )
+    return density_rips_from_distances(square_form(pairwise_distances(points)), densities)
 
 
 # -- synthetic datasets ----------------------------------------------------------

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import squareform
 
 from . import __version__
 from .build import (
@@ -31,6 +30,7 @@ from .build import (
     load_lower_distance_matrix,
     load_points,
     pairwise_distances,
+    square_form,
 )
 from .collapse import (
     GRADE_MODES,
@@ -78,6 +78,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value <= 1.0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"expected a fraction in [0, 1], got {text!r}")
+    return value
+
+
 def _atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file in the target directory, then rename into place."""
     path = Path(path)
@@ -111,7 +121,7 @@ def _graph_from_distances(dist: np.ndarray) -> BifilteredGraph:
 
 
 def _graph_from_points(points: np.ndarray) -> BifilteredGraph:
-    return _graph_from_distances(squareform(pairwise_distances(points)))
+    return _graph_from_distances(square_form(pairwise_distances(points)))
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:
@@ -418,7 +428,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", choices=DATASET_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--noise", type=float, help="gaussian noise for circle")
-    p.add_argument("--outliers", type=float, help="outlier fraction for sphere")
+    p.add_argument("--outliers", type=_fraction, help="outlier fraction for sphere")
     p.set_defaults(func=cmd_generate)
 
     for cmd in ("collapse", "bench-orders", "expand"):

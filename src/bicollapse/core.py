@@ -6,12 +6,19 @@ enters the filtration; vertices are present at all grades.  The graph is
 stored as symmetric adjacency rows, one dict per vertex from neighbor id to
 edge grade with keys in ascending id: looking up, testing or deleting an
 edge takes constant time, and walking a row visits neighbors in id order.
+Graphs are built from numpy arrays: graph_from_arrays takes parallel edge
+arrays (u, v, s, t), checks them with vectorized tests and fills the rows
+from the sorted half-edges.  graph_from_edges and read_edge_list (one bulk
+np.loadtxt parse) both feed it, so the checks exist once.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, TextIO
+
+import numpy as np
 
 Grade = tuple[float, float]
 
@@ -28,10 +35,6 @@ def leq(g1: Grade, g2: Grade) -> bool:
 def join(g1: Grade, g2: Grade) -> Grade:
     """Least upper bound: the coordinate-wise maximum.  NEVER absorbs."""
     return (max(g1[0], g2[0]), max(g1[1], g2[1]))
-
-
-def is_finite(g: Grade) -> bool:
-    return math.isfinite(g[0]) and math.isfinite(g[1])
 
 
 class Edge(NamedTuple):
@@ -88,6 +91,19 @@ class BifilteredGraph:
     def edge_list(self) -> list[Edge]:
         return list(self.edges())
 
+    def half_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both orientations of every edge as id arrays u, v, row by row:
+        u ascending, and v ascending within each row."""
+        u = np.repeat(np.arange(self.n), [len(row) for row in self.adj])
+        v = np.fromiter(chain.from_iterable(self.adj), np.int64, len(u))
+        return u, v
+
+    def half_grades(self) -> np.ndarray:
+        """Grades of the half_edges, as a (len, 2) float array."""
+        flat = chain.from_iterable(chain.from_iterable(row.values() for row in self.adj))
+        count = 2 * sum(len(row) for row in self.adj)
+        return np.fromiter(flat, float, count).reshape(-1, 2)
+
     # -- mutation --------------------------------------------------------
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -112,27 +128,67 @@ class BifilteredGraph:
         return f"BifilteredGraph(n={self.n}, m={self.edge_count()})"
 
 
+def graph_from_arrays(n: int, u, v, s, t) -> BifilteredGraph:
+    """Build a bifiltered graph from parallel arrays, edge i being {u[i], v[i]}
+    with grade (s[i], t[i]); edges in any order.
+
+    Ids must have an integer dtype.  Rejects self-loops, ids outside
+    0..n-1, non-finite grades and duplicate unordered pairs, all checked
+    with numpy; the first offending edge in input order is reported.  Each
+    row is filled in ascending id from the sorted half-edges, and both
+    halves of an edge share one grade tuple.
+    """
+    g = BifilteredGraph(n)
+    u, v = np.asarray(u), np.asarray(v)
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    m = len(u)
+    if m == 0:
+        return g
+    if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got {u.dtype} and {v.dtype}")
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    loop = u == v
+    outside = (lo < 0) | (hi >= n)
+    nonfinite = ~(np.isfinite(s) & np.isfinite(t))
+    # Out-of-range pairs get distinct negative keys, so they never collide.
+    key = np.where(outside, -1 - np.arange(m), lo * n + hi)
+    order = np.argsort(key, kind="stable")
+    later = order[1:][key[order[1:]] == key[order[:-1]]]
+    duplicate = np.zeros(m, dtype=bool)
+    duplicate[later] = True
+    bad = loop | outside | nonfinite | duplicate
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b = u[i].item(), v[i].item()
+        if loop[i]:
+            raise ValueError(f"self-loop at vertex {a}")
+        if outside[i]:
+            raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+        if nonfinite[i]:
+            raise ValueError(f"edge ({a}, {b}) has non-finite grade {(float(s[i]), float(t[i]))}")
+        raise ValueError(f"duplicate edge pair ({min(a, b)}, {max(a, b)})")
+
+    grades = list(zip(s.tolist(), t.tolist()))
+    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+    half = np.argsort(rows * n + cols)
+    cells = zip(cols[half].tolist(), [grades[i] for i in (half % m).tolist()])
+    g.adj = [dict(islice(cells, k)) for k in np.bincount(rows, minlength=n).tolist()]
+    return g
+
+
 def graph_from_edges(n: int, edges: Iterable[Edge | tuple]) -> BifilteredGraph:
     """Build a bifiltered graph from (u, v, grade) triples, in any order.
 
-    Rejects self-loops, ids outside 0..n-1, non-finite grades and duplicate
-    unordered pairs.
+    The triples become the parallel arrays of graph_from_arrays, which runs
+    the checks.
     """
-    g = BifilteredGraph(n)
-    adj = g.adj
-    for u, v, grade in edges:
-        grade = (float(grade[0]), float(grade[1]))
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if not is_finite(grade):
-            raise ValueError(f"edge ({u}, {v}) has non-finite grade {grade}")
-        if v in adj[u]:
-            raise ValueError(f"duplicate edge pair ({min(u, v)}, {max(u, v)})")
-        adj[u][v] = adj[v][u] = grade
-    g.adj = [dict(sorted(row.items())) for row in adj]
-    return g
+    edges = list(edges)
+    if not edges:
+        return graph_from_arrays(n, [], [], [], [])
+    u, v, grades = zip(*edges)
+    s, t = zip(*grades)
+    return graph_from_arrays(n, u, v, s, t)
 
 
 def edge_neighborhood(graph: BifilteredGraph, e: Edge) -> list[EdgeNeighbor]:
@@ -177,6 +233,8 @@ def write_edge_list(graph: BifilteredGraph, sink: TextIO) -> None:
 
 
 def read_edge_list(source: TextIO) -> BifilteredGraph:
+    """Parse the edge-list text format; the body is parsed in one np.loadtxt
+    call, which reads the same floats as float() does."""
     lines = [ln for ln in (raw.strip() for raw in source) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty edge-list input")
@@ -184,12 +242,26 @@ def read_edge_list(source: TextIO) -> BifilteredGraph:
     if len(head) != 2:
         raise ValueError(f"malformed header {lines[0]!r}, expected 'n m'")
     n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValueError(f"malformed edge line {ln!r}, expected 'u v s t'")
-        edges.append((int(parts[0]), int(parts[1]), (float(parts[2]), float(parts[3]))))
-    return graph_from_edges(n, edges)
+    body = lines[1:]
+    if len(body) != m:
+        raise ValueError(f"header promises {m} edges, found {len(body)}")
+    if not body:
+        return graph_from_arrays(n, [], [], [], [])
+    columns = [("u", np.int64), ("v", np.int64), ("s", float), ("t", float)]
+    try:
+        table = np.loadtxt(body, dtype=columns, comments=None, ndmin=1)
+    except ValueError:
+        for ln in body:
+            if not _is_edge_line(ln):
+                raise ValueError(f"malformed edge line {ln!r}, expected 'u v s t'") from None
+        raise
+    return graph_from_arrays(n, table["u"], table["v"], table["s"], table["t"])
+
+
+def _is_edge_line(line: str) -> bool:
+    parts = line.split()
+    try:
+        int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
+    except (IndexError, ValueError):
+        return False
+    return len(parts) == 4

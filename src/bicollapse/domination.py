@@ -72,11 +72,12 @@ class _DenseStrongEngine:
 
     def __init__(self, graph: BifilteredGraph):
         n = graph.n
+        u, v = graph.half_edges()
+        grades = graph.half_grades()
         self.S = np.full((n, n), math.inf)
         self.T = np.full((n, n), math.inf)
-        for u, v, (s, t) in graph.edges():
-            self.S[u, v] = self.S[v, u] = s
-            self.T[u, v] = self.T[v, u] = t
+        self.S[u, v] = grades[:, 0]
+        self.T[u, v] = grades[:, 1]
 
     def remove(self, u: int, v: int) -> None:
         self.S[u, v] = self.S[v, u] = math.inf

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import io
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from bicollapse.build import (
     DATASET_KINDS,
@@ -17,6 +21,7 @@ from bicollapse.build import (
     load_lower_distance_matrix,
     load_points,
     pairwise_distances,
+    square_form,
 )
 
 
@@ -34,6 +39,46 @@ def test_pairwise_duplicates():
 def test_pairwise_collinear_order():
     pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
     assert pairwise_distances(pts).tolist() == [1.0, 2.0, 1.0]
+
+
+def _reference_clouds():
+    rng = np.random.default_rng(17)
+    for dim in (2, 3):
+        for scale in (1e-3, 1e-1, 1.0, 1e2, 1e4):
+            for n in (2, 3, 37):
+                yield rng.normal(size=(n, dim)) * scale + rng.uniform(-scale, scale, dim)
+    yield generate_dataset("torus", 200, seed=1)
+
+
+def test_pairwise_bit_identical_to_scipy():
+    # scipy is the test-only reference: same values, bit for bit.
+    for pts in _reference_clouds():
+        ours, ref = pairwise_distances(pts), pdist(pts)
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
+def test_square_form_matches_scipy():
+    for pts in _reference_clouds():
+        condensed = pdist(pts)
+        ours, ref = square_form(condensed), squareform(condensed)
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+    assert square_form(np.array([2.5])).tolist() == [[0.0, 2.5], [2.5, 0.0]]
+    with pytest.raises(ValueError, match="n\\(n-1\\)/2"):
+        square_form(np.zeros(4))
+
+
+def test_library_imports_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import bicollapse, bicollapse.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_pairwise_needs_two_points():
@@ -86,8 +131,6 @@ def test_density_permutation_equivariant():
 def test_density_from_matrix_matches_points():
     rng = np.random.default_rng(3)
     pts = rng.uniform(size=(8, 3))
-    from scipy.spatial.distance import pdist, squareform
-
     direct = kde_density(pts, 0.5)
     via_matrix = kde_density_from_matrix(squareform(pdist(pts)), 0.5)
     assert via_matrix == pytest.approx(direct)

@@ -128,6 +128,9 @@ def test_usage_errors_exit_64(capsys, gap6_file):
         ["verify", "--oracle", "homology", "--instances", "-1"],
         ["expand", "--edges", gap6_file],  # missing --output
         ["generate", "--dataset", "circle", "--n", "5"],  # missing --output
+        ["generate", "--dataset", "sphere", "--n", "5", "--outliers", "2", "--output", "x.csv"],
+        ["generate", "--dataset", "sphere", "--n", "5", "--outliers", "-0.5", "--output", "x.csv"],
+        ["generate", "--dataset", "sphere", "--n", "5", "--outliers", "nan", "--output", "x.csv"],
         ["nonsense"],
     ]
     for argv in cases:

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicollapse.core import (
     NEVER,
@@ -226,3 +228,76 @@ def test_read_edge_list_rejects_bad_header():
 def test_read_edge_list_rejects_count_mismatch():
     with pytest.raises(ValueError, match="promises"):
         read_edge_list(io.StringIO("3 2\n0 1 0 0\n"))
+
+
+# Few distinct values, so grades tie often; both signs of zero, subnormals,
+# values near the float range ends, and integral floats.
+_EXTREME_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1.0, -2.0, 3.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+     1e308, -1e308, 1.7976931348623157e308, 0.1, 1e16]
+)
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(2, 9))
+    pairs = draw(
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] < p[1]), max_size=20)
+    )
+    grade = st.tuples(_EXTREME_FLOATS, _EXTREME_FLOATS)
+    return n, [(u, v, draw(grade)) for u, v in sorted(pairs)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=_edge_lists(), data=st.data())
+def test_edge_list_round_trip_shuffled(drawn, data):
+    n, edges = drawn
+    # The text write_edge_list must give, from the drawn floats themselves.
+    text = f"{n} {len(edges)}\n" + "".join(f"{u} {v} {s!r} {t!r}\n" for u, v, (s, t) in edges)
+    lines = [
+        f"{v} {u} {s!r} {t!r}" if data.draw(st.booleans()) else f"{u} {v} {s!r} {t!r}"
+        for u, v, (s, t) in edges
+    ]
+    lines = data.draw(st.permutations(lines))
+    rebuilt = read_edge_list(io.StringIO("\n".join([f"{n} {len(edges)}", *lines]) + "\n"))
+    assert rebuilt == graph_from_edges(n, edges)
+    _assert_sorted_symmetric(rebuilt)
+    out = io.StringIO()
+    write_edge_list(rebuilt, out)
+    assert out.getvalue() == text  # same order, and every float bit for bit
+
+
+@pytest.mark.parametrize(
+    "body, edges, message",
+    [
+        ("0 1 0\n", None, r"malformed edge line '0 1 0', expected 'u v s t'"),
+        ("0 1 0 0 0\n", None, "malformed edge line '0 1 0 0 0'"),
+        ("0 1 x 0\n", None, "malformed edge line '0 1 x 0'"),
+        ("0.5 1 0 0\n", None, "malformed edge line '0.5 1 0 0'"),
+        ("0 1 0 0\n0 1 0\n0.5 1 0 0\n", None, "malformed edge line '0 1 0'"),
+        ("0 1 nan 0\n2 2 0 0\n", [(0, 1, (math.nan, 0.0)), (2, 2, (0.0, 0.0))],
+         r"edge \(0, 1\) has non-finite grade \(nan, 0.0\)"),
+        ("2 2 0 0\n0 1 nan 0\n", [(2, 2, (0.0, 0.0)), (0, 1, (math.nan, 0.0))],
+         "self-loop at vertex 2"),
+        ("0 1 0 0\n1 0 1 1\n0 7 0 0\n",
+         [(0, 1, (0.0, 0.0)), (1, 0, (1.0, 1.0)), (0, 7, (0.0, 0.0))],
+         r"duplicate edge pair \(0, 1\)"),
+        ("0 7 0 0\n0 1 0 0\n1 0 1 1\n",
+         [(0, 7, (0.0, 0.0)), (0, 1, (0.0, 0.0)), (1, 0, (1.0, 1.0))],
+         r"edge \(0, 7\) out of range for n=3"),
+    ],
+)
+def test_first_bad_edge_reported(body, edges, message):
+    lines = body.splitlines()
+    with pytest.raises(ValueError, match=message):
+        read_edge_list(io.StringIO(f"3 {len(lines)}\n{body}"))
+    if edges is not None:
+        with pytest.raises(ValueError, match=message):
+            graph_from_edges(3, edges)
+
+
+def test_graph_from_edges_rejects_fractional_id():
+    # The triple form of the "0.5 1 0 0" line.
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        graph_from_edges(3, [(0, 1, (0.0, 0.0)), (0.5, 1, (0.0, 0.0))])

@@ -79,6 +79,21 @@ def test_count_triangles_complete():
     assert count_triangles(g) == 9 * 8 * 7 // 6
 
 
+def test_count_triangles_across_row_groups():
+    # 130 vertices, complete: 357,760 wedges, more than one group holds.
+    n = 130
+    g = graph_from_edges(n, [(u, v, (0.0, 0.0)) for u in range(n) for v in range(u + 1, n)])
+    assert count_triangles(g) == n * (n - 1) * (n - 2) // 6
+    # 3000 vertices go in groups of 349 rows; the triangles span them.
+    rng = np.random.default_rng(8)
+    pairs = set()
+    for a, b, c in np.sort(rng.integers(0, 3000, (4000, 3)), axis=1).tolist():
+        if a < b < c:
+            pairs.update({(a, b), (a, c), (b, c)})
+    g = graph_from_edges(3000, [(u, v, (0.0, 0.0)) for u, v in sorted(pairs)])
+    assert count_triangles(g) == len(enumerate_triangles(g)) >= 3900
+
+
 def test_count_triangles_memory_linear_in_edges():
     # A dense n x n matrix of 3000 vertices alone would take 72 MB.
     g = graph_from_edges(
