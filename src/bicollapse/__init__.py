@@ -11,6 +11,7 @@ from .build import (
     load_lower_distance_matrix,
     load_points,
     pairwise_distances,
+    square_form,
 )
 from .collapse import (
     GRADE_MODES,
@@ -57,6 +58,7 @@ __all__ = [
     "pairwise_distances",
     "parse_scc2020",
     "read_edge_list",
+    "square_form",
     "verify_collapse",
     "write_edge_list",
     "__version__",

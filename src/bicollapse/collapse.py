@@ -2,12 +2,13 @@
 
 One pass visits each edge exactly once in a chosen order and removes it when
 the mode's predicate holds on the current reduced graph; iterations repeat
-the pass on the survivors.  The predicates live in domination.py; the pass
-calls each once per edge and hands it the dense grade mirror when there is
-one.  This module only decides that: a mirror for graphs up to DENSE_LIMIT
-vertices (complete density-Rips graphs in the hundreds of vertices), none
-above it, where n x n mirrors cost more memory than they save time.  Both
-forms remove the same edges.
+the pass on the survivors.  The order comes from orders.sort_edges, one
+array sort of the graph's edges per pass.  The predicates live in
+domination.py; the pass calls each once per edge and hands it the dense
+grade mirror when there is one.  This module only decides that: a mirror
+for graphs up to DENSE_LIMIT vertices (complete density-Rips graphs in the
+hundreds of vertices), none above it, where the (n, 2, n) mirror costs
+more memory than it saves time.  Both forms remove the same edges.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .orders import EdgeOrder, sort_edges
 
 MODES = ("strong", "full")
 
-# Above this vertex count the n x n mirrors are not worth their memory.
+# Above this vertex count the (n, 2, n) mirror is not worth its memory.
 DENSE_LIMIT = 2048
 
 
@@ -112,7 +113,7 @@ def _run_pass(
     particular a filtration dominator, so the expensive per-grade check only
     runs on strong failures.
     """
-    ordered = sort_edges(graph.edge_list(), order)
+    ordered = sort_edges(graph, order)
     removed: list[Edge] = []
     start = time.perf_counter()
     for e in ordered:

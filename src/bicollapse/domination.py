@@ -4,9 +4,12 @@ Two decision procedures.  The strong check looks for a single vertex that
 dominates the edge at every grade by serial trial: candidates in ascending
 id, the first that passes wins.  It has two storage forms, one lookup per
 edge neighbor in the candidate's adjacency row, and the same trial on a
-dense n x n grade mirror (_DenseStrongEngine) that switches to one batched
-check after a few failed candidates; both return the same vertex, and
-is_strongly_dominated runs the dense form when it is handed the mirror.
+dense grade mirror (_DenseStrongEngine), one (n, 2, n) array of both grade
+coordinates with +inf for absent edges and -inf on the diagonal.  There a
+trial is one comparison of the candidate's row with the edge's entry
+vector, and after a few failed candidates one batched comparison tests the
+rest.  Both forms return the same vertex, and is_strongly_dominated runs
+the dense form when it is handed the mirror.
 The full check lets the dominating vertex change with the grade.  It
 counts, for every edge neighbor at once, where that neighbor dominates on a
 grid of grades built from the neighbors' entry coordinates
@@ -60,12 +63,12 @@ def is_strongly_dominated(
 
 
 class _DenseStrongEngine:
-    """Matrix mirror of a graph answering the strong check with row vector ops.
+    """Array mirror of a graph answering the strong check with row vector ops.
 
     The vectorized form of is_strongly_dominated's serial trial, for graphs
-    small enough to hold n x n grade matrices.  S and T hold the grade
-    coordinates with +inf marking absent edges (and the diagonal), so
-    presence tests are plain comparisons.  Semantics match
+    small enough to hold an (n, 2, n) grade array.  M[u, :, v] is the grade
+    of edge uv, +inf where the edge is absent and -inf on the diagonal, so
+    every presence test is a plain comparison.  Semantics match
     is_strongly_dominated exactly, smallest-id tie-break included.  The
     full check gathers its neighbor grades from the same mirror.
     """
@@ -73,15 +76,13 @@ class _DenseStrongEngine:
     def __init__(self, graph: BifilteredGraph):
         n = graph.n
         u, v = graph.half_edges()
-        grades = graph.half_grades()
-        self.S = np.full((n, n), math.inf)
-        self.T = np.full((n, n), math.inf)
-        self.S[u, v] = grades[:, 0]
-        self.T[u, v] = grades[:, 1]
+        self.M = np.full((n, 2, n), math.inf)
+        self.M[u, :, v] = graph.half_grades()
+        ids = np.arange(n)
+        self.M[ids, :, ids] = -math.inf
 
     def remove(self, u: int, v: int) -> None:
-        self.S[u, v] = self.S[v, u] = math.inf
-        self.T[u, v] = self.T[v, u] = math.inf
+        self.M[u, :, v] = self.M[v, :, u] = math.inf
 
     # Serial candidate tries beyond this count switch to one batched check:
     # the serial path wins when an early candidate succeeds (the common case
@@ -89,32 +90,26 @@ class _DenseStrongEngine:
     _SERIAL_TRIES = 6
 
     def strong_dominator(self, e: Edge) -> int | None:
-        es, et = e.grade
-        sa, ta = self.S[e.u], self.T[e.u]
-        sb, tb = self.S[e.v], self.T[e.v]
-        present = np.isfinite(sa) & np.isfinite(sb)
-        if not present.any():
-            return None
-        cand = present & (sa <= es) & (ta <= et) & (sb <= es) & (tb <= et)
+        # entry[:, w] is entry(w) for an edge neighbor w, +inf for a vertex
+        # not adjacent to both endpoints, and crit(e) at the endpoints (the
+        # -inf diagonal), which must therefore be left out as candidates.
+        crit = np.array(e.grade).reshape(2, 1)
+        entry = np.maximum(self.M[e.u], self.M[e.v])
+        np.maximum(entry, crit, out=entry)
+        le = entry <= crit
+        cand = le[0] & le[1]
+        cand[e.u] = cand[e.v] = False
         ids = np.flatnonzero(cand)
-        if ids.size == 0:
-            return None
-        entry_s = np.maximum(np.maximum(sa, sb), es)
-        entry_t = np.maximum(np.maximum(ta, tb), et)
-        absent = ~present
+        # A candidate v passes iff M[v] <= entry everywhere: its own -inf
+        # diagonal, the +inf entries and its edges to the endpoints (both
+        # <= crit(e)) pass by construction, so only the edge neighbors test.
         for v in ids[: self._SERIAL_TRIES]:
-            ok = absent | ((self.S[v] <= entry_s) & (self.T[v] <= entry_t))
-            ok[v] = True
-            if ok.all():
+            if (self.M[v] <= entry).all():
                 return int(v)
         rest = ids[self._SERIAL_TRIES :]
         if rest.size == 0:
             return None
-        ok = absent[None, :] | (
-            (self.S[rest] <= entry_s[None, :]) & (self.T[rest] <= entry_t[None, :])
-        )
-        ok[np.arange(rest.size), rest] = True
-        hits = np.flatnonzero(ok.all(axis=1))
+        hits = np.flatnonzero((self.M[rest] <= entry).all(axis=(1, 2)))
         return int(rest[hits[0]]) if hits.size else None
 
 
@@ -131,17 +126,19 @@ def _neighbor_grades(
     """Entry grades of e's edge neighbors and the grades of the edges among them.
 
     Returns entry_s, entry_t (length k, neighbors in ascending id) and
-    block_s, block_t (k x k, +inf where the edge is absent and on the
-    diagonal).  The dense form slices the engine's mirror; the row form
-    looks each pair of neighbors up in the adjacency rows.
+    block_s, block_t (k x k, +inf where the edge is absent; the diagonal is
+    +inf in the row form and -inf in the dense form, and _DominationGrid
+    overwrites it).  The dense form slices the engine's mirror; the row
+    form looks each pair of neighbors up in the adjacency rows.
     """
     if engine is not None:
-        S, T = engine.S, engine.T
-        ids = np.flatnonzero(np.isfinite(S[e.u]) & np.isfinite(S[e.v]))
-        entry_s = np.maximum(np.maximum(S[e.u, ids], S[e.v, ids]), e.grade[0])
-        entry_t = np.maximum(np.maximum(T[e.u, ids], T[e.v, ids]), e.grade[1])
-        mesh = np.ix_(ids, ids)
-        return entry_s, entry_t, S[mesh], T[mesh]
+        M = engine.M
+        # The -inf diagonal is not finite either, so the endpoints drop out.
+        ids = np.flatnonzero(np.isfinite(M[e.u, 0]) & np.isfinite(M[e.v, 0]))
+        crit = np.array(e.grade).reshape(2, 1)
+        entry = np.maximum(np.maximum(M[e.u][:, ids], M[e.v][:, ids]), crit)
+        block = M[ids[:, None], :, ids]
+        return entry[0], entry[1], block[..., 0], block[..., 1]
     nbhd = edge_neighborhood(graph, e)
     k = len(nbhd)
     ids = [w for w, _ in nbhd]

@@ -99,6 +99,22 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
+class _Formatted(dict):
+    """_fmt(x - shift) by coordinate x, formatted once per distinct x.
+
+    0.0 and -0.0 share a key, which is safe: their shifted values are
+    equal or differ only in the sign of zero, which _fmt drops.
+    """
+
+    def __init__(self, shift: float):
+        super().__init__()
+        self.shift = shift
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = _fmt(x - self.shift)
+        return text
+
+
 def export_scc2020(
     graph: BifilteredGraph,
     triangles: Sequence[GradedTriangle],
@@ -112,7 +128,8 @@ def export_scc2020(
     byte-stable for a fixed input.  A triangle whose facet edge is absent
     from the graph is rejected; facets are looked up as (u, v), (u, w) and
     (v, w) with the edges' u < v, so this also rejects any triangle whose
-    vertices do not increase.
+    vertices do not increase.  A triangle's coordinates are edge
+    coordinates, so each distinct coordinate is formatted once.
     """
     edges = graph.edge_list()
     for e in edges:
@@ -121,6 +138,7 @@ def export_scc2020(
     shift_s = min((e.grade[0] for e in edges), default=0.0)
     shift_t = min((e.grade[1] for e in edges), default=0.0)
     edge_index = {(e.u, e.v): i for i, e in enumerate(edges)}
+    fmt_s, fmt_t = _Formatted(shift_s), _Formatted(shift_t)
 
     lines = [FORMAT_TAG, "2", f"{len(triangles)} {len(edges)} {graph.n}"]
     for u, v, w, (s, t) in sorted(triangles):
@@ -129,10 +147,9 @@ def export_scc2020(
         except KeyError as missing:
             pair = missing.args[0]
             raise ValueError(f"triangle {(u, v, w)} references missing edge {pair}") from None
-        lines.append(f"{_fmt(s - shift_s)} {_fmt(t - shift_t)} ; {facets}")
-    for e in edges:
-        s, t = e.grade[0] - shift_s, e.grade[1] - shift_t
-        lines.append(f"{_fmt(s)} {_fmt(t)} ; {e.u} {e.v}")
+        lines.append(f"{fmt_s[s]} {fmt_t[t]} ; {facets}")
+    for u, v, (s, t) in edges:
+        lines.append(f"{fmt_s[s]} {fmt_t[t]} ; {u} {v}")
     lines.extend("0 0 ;" for _ in range(graph.n))
     text = "\n".join(lines) + "\n"
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from bicollapse.build import (
     pairwise_distances,
 )
 from bicollapse.collapse import GradeMode, apply_grade_mode, collapse_iterated
-from bicollapse.core import graph_from_edges
+from bicollapse.core import Edge, graph_from_edges
 from bicollapse.domination import _DenseStrongEngine, is_strongly_dominated
 from bicollapse.oracle import (
     brute_force_filtration_dominated,
@@ -23,7 +26,7 @@ from bicollapse.oracle import (
 )
 from bicollapse.orders import ORDER_KINDS, EdgeOrder
 
-from conftest import A, B, make_gap6, make_k3
+from conftest import A, B, edge_of, make_gap6, make_k3
 
 
 def _order(kind: str) -> EdgeOrder:
@@ -227,6 +230,95 @@ def test_dense_engine_tracks_removals():
         engine.remove(e.u, e.v)
         for probe in g.edge_list():
             assert engine.strong_dominator(probe) == is_strongly_dominated(g, probe)
+
+
+def test_fresh_mirror_marks_absent_pairs_and_diagonal():
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        g = random_grid_graph(9, 0.5, rng)
+        M = _DenseStrongEngine(g).M
+        assert M.shape == (g.n, 2, g.n)
+        for u in range(g.n):
+            for v in range(g.n):
+                if u == v:
+                    expected = (-math.inf, -math.inf)
+                else:
+                    expected = g.grade_of(u, v)  # NEVER = (inf, inf) when absent
+                assert tuple(M[u, :, v].tolist()) == expected
+
+
+def test_mirror_after_removals_equals_fresh_mirror():
+    rng = np.random.default_rng(31)
+    shuffler = random.Random(31)
+    for _ in range(20):
+        g = random_grid_graph(int(rng.integers(3, 11)), 0.6, rng)
+        engine = _DenseStrongEngine(g)
+        edges = g.edge_list()
+        shuffler.shuffle(edges)
+        k = shuffler.randint(0, len(edges))
+        for i, e in enumerate(edges[:k]):
+            engine.remove(*((e.u, e.v) if i % 2 else (e.v, e.u)))
+        fresh = _DenseStrongEngine(graph_from_edges(g.n, edges[k:]))
+        assert np.array_equal(engine.M, fresh.M)
+
+
+def test_dense_engine_never_returns_an_endpoint():
+    # With the -inf diagonal an endpoint would pass every test, so it must
+    # be excluded from the candidates explicitly.
+    g = make_k3()
+    engine = _DenseStrongEngine(g)
+    for e in g.edge_list():
+        assert engine.strong_dominator(e) == 3 - e.u - e.v
+    g.remove_edge(0, 2)
+    engine.remove(0, 2)
+    for e in g.edge_list():
+        assert engine.strong_dominator(e) is None
+    single = graph_from_edges(2, [(0, 1, (0.0, 0.0))])
+    assert _DenseStrongEngine(single).strong_dominator(edge_of(single, 0, 1)) is None
+
+
+# -- the per-layer trace contract ----------------------------------------------
+
+
+def test_pass_calls_are_countable_by_wrappers(monkeypatch):
+    # perfbench's --trace counts the pass through collapse's module-level
+    # names: one sort per pass, one strong call per examined edge and one
+    # full call per strong miss.  Wrap them the same way and check.
+    points = generate_dataset("torus", 40, seed=1)
+    g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
+    calls: dict[str, list] = {"sort": [], "strong": [], "full": []}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name].append(out)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(collapse, "sort_edges", counting("sort", collapse.sort_edges))
+    monkeypatch.setattr(
+        collapse, "is_strongly_dominated", counting("strong", collapse.is_strongly_dominated)
+    )
+    monkeypatch.setattr(
+        collapse, "is_filtration_dominated", counting("full", collapse.is_filtration_dominated)
+    )
+    _, report = collapse_iterated(g, EdgeOrder("lex"), "full", 3)
+
+    passes = report.removal_log
+    assert len(passes) >= 2
+    assert len(calls["sort"]) == len(passes)
+    remaining = report.edges_before
+    for ordered, removed in zip(calls["sort"], passes):
+        assert len(ordered) == remaining
+        assert all(type(e) is Edge for e in ordered)
+        remaining -= len(removed)
+    assert len(calls["strong"]) == sum(len(ordered) for ordered in calls["sort"])
+    misses = sum(v is None for v in calls["strong"])
+    assert len(calls["full"]) == misses > 0
+    hits = len(calls["strong"]) - misses + sum(calls["full"])
+    assert hits == report.removed_total
+    assert any(calls["full"])
 
 
 # -- grade modes -----------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_full_check_memory_flat_on_large_neighborhood():
     # neighbors; counting all of them at once would take about 180 MB.
     g = density_rips("uniform", 200, 1)
     engine = _DenseStrongEngine(g)
-    e = sort_edges(g.edge_list(), EdgeOrder("lex"))[0]
+    e = sort_edges(g, EdgeOrder("lex"))[0]
     assert len(edge_neighborhood(g, e)) == 198
     for form in (None, engine):
         tracemalloc.start()
