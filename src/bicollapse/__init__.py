@@ -17,7 +17,6 @@ from .collapse import (
     GRADE_MODES,
     MODES,
     CollapseReport,
-    GradeMode,
     apply_grade_mode,
     collapse_iterated,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "DATASET_KINDS",
     "EdgeOrder",
     "GRADE_MODES",
-    "GradeMode",
     "MODES",
     "ORDER_KINDS",
     "SimplexBudgetExceeded",

@@ -9,6 +9,7 @@ replayed exactly (timings and memory excepted).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import resource
 import sys
@@ -35,7 +36,6 @@ from .build import (
 from .collapse import (
     GRADE_MODES,
     MODES,
-    GradeMode,
     apply_grade_mode,
     collapse_iterated,
 )
@@ -85,6 +85,16 @@ def _fraction(text: str) -> float:
         value = -1.0
     if not 0.0 <= value <= 1.0:  # also rejects NaN
         raise argparse.ArgumentTypeError(f"expected a fraction in [0, 1], got {text!r}")
+    return value
+
+
+def _noise_level(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
     return value
 
 
@@ -193,7 +203,7 @@ def _pct(fraction: float) -> str:
 
 def cmd_collapse(args: argparse.Namespace) -> int:
     graph, source = _load_graph(args)
-    graph = apply_grade_mode(graph, GradeMode(args.grade_mode), seed=args.seed)
+    graph = apply_grade_mode(graph, args.grade_mode, seed=args.seed)
     order = _make_order(args.order, args.seed)
     start = time.perf_counter()
     collapsed, report = collapse_iterated(
@@ -226,7 +236,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 
 def cmd_bench_orders(args: argparse.Namespace) -> int:
     graph, source = _load_graph(args)
-    graph = apply_grade_mode(graph, GradeMode(args.grade_mode), seed=args.seed)
+    graph = apply_grade_mode(graph, args.grade_mode, seed=args.seed)
     rows = []
     for kind in ORDER_KINDS:
         order = _make_order(kind, args.seed)
@@ -254,7 +264,7 @@ def cmd_bench_orders(args: argparse.Namespace) -> int:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     graph, source = _load_graph(args)
-    graph = apply_grade_mode(graph, GradeMode(args.grade_mode), seed=args.seed)
+    graph = apply_grade_mode(graph, args.grade_mode, seed=args.seed)
     edges_before = graph.edge_count()
     triangles_before = count_triangles(graph)
     start = time.perf_counter()
@@ -427,7 +437,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", parents=[common], help="write a synthetic point cloud")
     p.add_argument("--dataset", choices=DATASET_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--noise", type=float, help="gaussian noise for circle")
+    p.add_argument("--noise", type=_noise_level, help="gaussian noise for circle")
     p.add_argument("--outliers", type=_fraction, help="outlier fraction for sphere")
     p.set_defaults(func=cmd_generate)
 

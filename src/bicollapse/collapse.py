@@ -3,7 +3,10 @@
 One pass visits each edge exactly once in a chosen order and removes it when
 the mode's predicate holds on the current reduced graph; iterations repeat
 the pass on the survivors.  The order comes from orders.sort_edges, one
-array sort of the graph's edges per pass.  The predicates live in
+stable array sort of graph.edge_list() per pass.  CollapseReport stores
+each pass's removals once, in removal_log, and derives the per-pass counts
+from it.  apply_grade_mode rewrites first grade coordinates before a run,
+for the grade-structure experiments.  The predicates live in
 domination.py; the pass calls each once per edge and hands it the dense
 grade mirror when there is one.  This module only decides that: a mirror
 for graphs up to DENSE_LIMIT vertices (complete density-Rips graphs in the
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BifilteredGraph, Edge, graph_from_edges
+from .core import BifilteredGraph, Edge, graph_from_arrays
 from .domination import _DenseStrongEngine, is_filtration_dominated, is_strongly_dominated
 from .orders import EdgeOrder, sort_edges
 
@@ -37,11 +40,14 @@ class CollapseReport:
 
     edges_before: int
     edges_after: int
-    removed_per_iteration: list[int]
     wall_time_per_iteration: list[float]
     mode: str
     order: EdgeOrder
     removal_log: list[list[Edge]] = field(default_factory=list)
+
+    @property
+    def removed_per_iteration(self) -> list[int]:
+        return [len(p) for p in self.removal_log]
 
     @property
     def removed_total(self) -> int:
@@ -55,47 +61,35 @@ class CollapseReport:
 GRADE_MODES = ("original", "zeroed", "random")
 
 
-@dataclass(frozen=True)
-class GradeMode:
-    """Transformation of the first grade coordinate before a run.
-
-    zeroed sets every first coordinate to 0 (a single-parameter
-    filtration); random replaces each edge's first coordinate by an
-    independent uniform draw.  Per-vertex draws would be vacuous here: on a
-    complete graph the first coordinate of every candidate's edges is then
-    dominated by the entry grades automatically, leaving the distance axis
-    to decide alone.
-    """
-
-    kind: str = "original"
-
-    def __post_init__(self):
-        if self.kind not in GRADE_MODES:
-            raise ValueError(f"unknown grade mode {self.kind!r}, expected one of {GRADE_MODES}")
-
-
 def apply_grade_mode(
-    graph: BifilteredGraph, mode: GradeMode, seed: int | None = None
+    graph: BifilteredGraph, kind: str, seed: int | None = None
 ) -> BifilteredGraph:
-    """New graph with transformed first coordinates; second coordinates kept.
+    """New graph with the first grade coordinates transformed by kind, one
+    of GRADE_MODES; second coordinates kept.
 
-    Edges iterate in the graph's canonical (u, v) order, so the random mode
-    is deterministic for a fixed seed.
+    original copies the graph.  zeroed sets every first coordinate to 0 (a
+    single-parameter filtration).  random replaces each edge's first
+    coordinate by an independent uniform draw, drawn in the graph's (u, v)
+    edge order, so it is deterministic for a fixed seed.  The draws are per
+    edge: per-vertex draws would be vacuous here, since on a complete graph
+    the first coordinate of every candidate's edges is then dominated by
+    the entry grades automatically, leaving the distance axis to decide
+    alone.
     """
-    if mode.kind == "original":
+    if kind not in GRADE_MODES:
+        raise ValueError(f"unknown grade mode {kind!r}, expected one of {GRADE_MODES}")
+    if kind == "original":
         return graph.copy()
-    if mode.kind == "zeroed":
-        edges = [Edge(u, v, (0.0, g[1])) for u, v, g in graph.edges()]
-        return graph_from_edges(graph.n, edges)
-    if seed is None:
+    if kind == "random" and seed is None:
         raise ValueError("random grade mode requires a seed")
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(0.0, 1.0, graph.edge_count())
-    edges = [
-        Edge(u, v, (float(s), g[1]))
-        for (u, v, g), s in zip(graph.edges(), draws)
-    ]
-    return graph_from_edges(graph.n, edges)
+    u, v = graph.half_edges()
+    upper = np.flatnonzero(u < v)  # each edge once, in (u, v) order
+    t = graph.half_grades()[upper, 1]
+    if kind == "zeroed":
+        s = np.zeros(len(upper))
+    else:
+        s = np.random.default_rng(seed).uniform(0.0, 1.0, len(upper))
+    return graph_from_arrays(graph.n, u[upper], v[upper], s, t)
 
 
 # -- greedy passes -------------------------------------------------------------
@@ -149,14 +143,12 @@ def collapse_iterated(
     report = CollapseReport(
         edges_before=graph.edge_count(),
         edges_after=graph.edge_count(),
-        removed_per_iteration=[],
         wall_time_per_iteration=[],
         mode=mode,
         order=order,
     )
     for _ in range(iterations):
         removed, elapsed = _run_pass(out, order, mode, engine)
-        report.removed_per_iteration.append(len(removed))
         report.wall_time_per_iteration.append(elapsed)
         report.removal_log.append(removed)
         if not removed:

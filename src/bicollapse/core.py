@@ -9,7 +9,10 @@ edge takes constant time, and walking a row visits neighbors in id order.
 Graphs are built from numpy arrays: graph_from_arrays takes parallel edge
 arrays (u, v, s, t), checks them with vectorized tests and fills the rows
 from the sorted half-edges.  graph_from_edges and read_edge_list (one bulk
-np.loadtxt parse) both feed it, so the checks exist once.
+np.loadtxt parse) both feed it, so the checks exist once.  Edge is the
+one record type: edges() and edge_list() yield Edge(u, v, grade) named
+tuples, while edge_neighborhood, on the hot path of every domination
+check, returns plain (w, entry) tuples.
 """
 
 from __future__ import annotations
@@ -41,14 +44,6 @@ class Edge(NamedTuple):
     u: int
     v: int
     grade: Grade
-
-
-class EdgeNeighbor(NamedTuple):
-    """A common neighbor w of an edge e, with the grade at which it becomes
-    an edge neighbor: entry = join(crit({a,w}), crit({b,w}), crit(e))."""
-
-    w: int
-    entry: Grade
 
 
 class BifilteredGraph:
@@ -191,12 +186,12 @@ def graph_from_edges(n: int, edges: Iterable[Edge | tuple]) -> BifilteredGraph:
     return graph_from_arrays(n, u, v, s, t)
 
 
-def edge_neighborhood(graph: BifilteredGraph, e: Edge) -> list[EdgeNeighbor]:
-    """Common neighbors of e's endpoints with their entry grades.
+def edge_neighborhood(graph: BifilteredGraph, e: Edge) -> list[tuple[int, Grade]]:
+    """Common neighbors w of e's endpoints as plain (w, entry) tuples.
 
     Walks the shorter of the two rows and looks each neighbor up in the
-    other; output sorted by vertex id.
-    entry(w) = join(crit({a,w}), crit({b,w}), crit(e)).
+    other; output sorted by vertex id.  entry is the grade at which w
+    becomes an edge neighbor: join(crit({a,w}), crit({b,w}), crit(e)).
     """
     a, b, (es, et) = e.u, e.v, e.grade
     if graph.grade_of(a, b) != e.grade:
@@ -204,11 +199,11 @@ def edge_neighborhood(graph: BifilteredGraph, e: Edge) -> list[EdgeNeighbor]:
     short, other = graph.adj[a], graph.adj[b]
     if len(other) < len(short):
         short, other = other, short
-    out: list[EdgeNeighbor] = []
+    out: list[tuple[int, Grade]] = []
     for w, (s1, t1) in short.items():
         g2 = other.get(w)
         if g2 is not None:
-            out.append(EdgeNeighbor(w, (max(s1, g2[0], es), max(t1, g2[1], et))))
+            out.append((w, (max(s1, g2[0], es), max(t1, g2[1], et))))
     return out
 
 

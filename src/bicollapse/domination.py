@@ -27,12 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import NEVER, BifilteredGraph, Edge, EdgeNeighbor, Grade, edge_neighborhood, leq
+from .core import NEVER, BifilteredGraph, Edge, Grade, edge_neighborhood, leq
 
 # -- strong filtration-domination --------------------------------------------
 
 
-def _reaches_all(row: dict[int, Grade], v: int, nbhd: Sequence[EdgeNeighbor]) -> bool:
+def _reaches_all(row: dict[int, Grade], v: int, nbhd: Sequence[tuple[int, Grade]]) -> bool:
     """Does v's adjacency row hold an edge to every other edge neighbor w
     critical no later than w's entry grade?  One lookup per neighbor."""
     return all(w == v or leq(row.get(w, NEVER), entry) for w, entry in nbhd)

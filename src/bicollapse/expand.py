@@ -2,8 +2,8 @@
 
 A (k+1)-clique of the graph enters the clique complex when its last edge
 does, so every triangle carries the join of its three edge grades.  A
-triangle is a GradedTriangle named tuple (u, v, w, grade), like core.Edge:
-it sorts, compares and unpacks as a plain tuple.  The exporter emits the
+triangle is a plain (u, v, w, grade) tuple with u < v < w; GradedTriangle
+names that type, as core.Grade names a grade.  The exporter emits the
 standard scc2020 text layout (format tag, parameter count, block sizes for
 dimensions 2, 1, 0, then one generator line per simplex with its grade and
 facet indices) so the file can feed external minimal-presentation tools.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -26,13 +26,8 @@ from .core import BifilteredGraph, Grade
 FORMAT_TAG = "scc2020"
 
 
-class GradedTriangle(NamedTuple):
-    """3-clique u < v < w graded at the join of its three edges."""
-
-    u: int
-    v: int
-    w: int
-    grade: Grade
+#: 3-clique (u, v, w, grade), u < v < w, graded at the join of its three edges.
+GradedTriangle = tuple[int, int, int, Grade]
 
 
 def enumerate_triangles(graph: BifilteredGraph) -> list[GradedTriangle]:
@@ -51,7 +46,7 @@ def enumerate_triangles(graph: BifilteredGraph) -> list[GradedTriangle]:
                 g_vw = row_v.get(w)
                 if g_vw is not None:
                     grade = (max(s_uv, s_uw, g_vw[0]), max(t_uv, t_uw, g_vw[1]))
-                    out.append(GradedTriangle(u, v, w, grade))
+                    out.append((u, v, w, grade))
     return out
 
 

@@ -3,8 +3,9 @@
 Four dictionary orders on the grade plane plus a seeded random shuffle.  The
 reverse kinds are exact element-wise reversals of their forward counterparts,
 tie-break included, so benchmark runs are replayable from the order name (and
-seed) alone.  Orders are computed on the graph's edge arrays with one
-np.lexsort or one permutation; Edge tuples are built only for the result.
+seed) alone.  Each order is one stable np.lexsort of the grades of
+graph.edge_list(), or one permutation of it, so the result holds the
+Edges that edge_list() built.
 """
 
 from __future__ import annotations
@@ -38,28 +39,22 @@ class EdgeOrder:
 
 
 def sort_edges(graph: BifilteredGraph, order: EdgeOrder) -> list[Edge]:
-    """The graph's edges as a new list arranged in the given order.
+    """The graph's edge_list() as a new list arranged in the given order.
 
-    lex is np.lexsort((v, u, t, s)) over the upper half-edges (u < v), the
-    (s, t, u, v) dictionary order, and colex swaps s and t.  Coordinates
-    that compare equal (0.0 and -0.0 included) fall through to the next
-    key, as in a sort on the (s, t, u, v) tuple.  random permutes the
+    lex is one stable np.lexsort((t, s)) over the edges' grades, colex
+    swaps s and t.  edge_list() is in (u, v) order, so the stable sort
+    breaks grade ties by (u, v): the (s, t, u, v) dictionary order.
+    Coordinates that compare equal (0.0 and -0.0 included) fall through to
+    the next key, as in a sort on that tuple.  random permutes the
     (u, v)-ordered edges with default_rng(seed).
     """
-    u, v = graph.half_edges()
-    upper = np.flatnonzero(u < v)  # each edge once, in (u, v) order
-    s, t = graph.half_grades()[upper].T
+    edges = graph.edge_list()
     if order.kind == "random":
-        perm = np.random.default_rng(order.seed).permutation(len(upper))
-    elif order.kind in ("lex", "revlex"):
-        perm = np.lexsort((v[upper], u[upper], t, s))
+        perm = np.random.default_rng(order.seed).permutation(len(edges))
     else:
-        perm = np.lexsort((v[upper], u[upper], s, t))
+        grades = chain.from_iterable(grade for _, _, grade in edges)
+        s, t = np.fromiter(grades, float, 2 * len(edges)).reshape(-1, 2).T
+        perm = np.lexsort((t, s) if order.kind in ("lex", "revlex") else (s, t))
     if order.kind in ("revlex", "revcolex"):
         perm = perm[::-1]
-    half = upper[perm]
-    # The Edges share the rows' grade tuples and one int per vertex, so the
-    # list costs no new grade or id objects.
-    ids = np.arange(graph.n).astype(object)
-    grades = np.fromiter(chain.from_iterable(row.values() for row in graph.adj), object, len(u))
-    return list(map(Edge, ids[u[half]].tolist(), ids[v[half]].tolist(), grades[half].tolist()))
+    return list(map(edges.__getitem__, perm.tolist()))

@@ -131,6 +131,9 @@ def test_usage_errors_exit_64(capsys, gap6_file):
         ["generate", "--dataset", "sphere", "--n", "5", "--outliers", "2", "--output", "x.csv"],
         ["generate", "--dataset", "sphere", "--n", "5", "--outliers", "-0.5", "--output", "x.csv"],
         ["generate", "--dataset", "sphere", "--n", "5", "--outliers", "nan", "--output", "x.csv"],
+        ["generate", "--dataset", "circle", "--n", "5", "--noise", "-0.5", "--output", "x.csv"],
+        ["generate", "--dataset", "circle", "--n", "5", "--noise", "nan", "--output", "x.csv"],
+        ["generate", "--dataset", "circle", "--n", "5", "--noise", "inf", "--output", "x.csv"],
         ["nonsense"],
     ]
     for argv in cases:

@@ -16,8 +16,8 @@ from bicollapse.build import (
     kde_density,
     pairwise_distances,
 )
-from bicollapse.collapse import GradeMode, apply_grade_mode, collapse_iterated
-from bicollapse.core import Edge, graph_from_edges
+from bicollapse.collapse import apply_grade_mode, collapse_iterated
+from bicollapse.core import BifilteredGraph, Edge, graph_from_edges
 from bicollapse.domination import _DenseStrongEngine, is_strongly_dominated
 from bicollapse.oracle import (
     brute_force_filtration_dominated,
@@ -282,11 +282,13 @@ def test_dense_engine_never_returns_an_endpoint():
 
 def test_pass_calls_are_countable_by_wrappers(monkeypatch):
     # perfbench's --trace counts the pass through collapse's module-level
-    # names: one sort per pass, one strong call per examined edge and one
-    # full call per strong miss.  Wrap them the same way and check.
+    # names and BifilteredGraph.copy / edge_list, patched on the class: one
+    # copy per run, one sort and one edge_list per pass, one strong call per
+    # examined edge and one full call per strong miss.  Wrap them the same
+    # way and check.
     points = generate_dataset("torus", 40, seed=1)
     g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
-    calls: dict[str, list] = {"sort": [], "strong": [], "full": []}
+    calls: dict[str, list] = {"sort": [], "strong": [], "full": [], "copy": [], "edge_list": []}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -303,11 +305,18 @@ def test_pass_calls_are_countable_by_wrappers(monkeypatch):
     monkeypatch.setattr(
         collapse, "is_filtration_dominated", counting("full", collapse.is_filtration_dominated)
     )
+    monkeypatch.setattr(BifilteredGraph, "copy", counting("copy", BifilteredGraph.copy))
+    monkeypatch.setattr(
+        BifilteredGraph, "edge_list", counting("edge_list", BifilteredGraph.edge_list)
+    )
     _, report = collapse_iterated(g, EdgeOrder("lex"), "full", 3)
 
     passes = report.removal_log
     assert len(passes) >= 2
-    assert len(calls["sort"]) == len(passes)
+    assert len(calls["copy"]) == 1
+    assert len(calls["sort"]) == len(calls["edge_list"]) == len(passes)
+    for ordered, listed in zip(calls["sort"], calls["edge_list"]):
+        assert sorted(map(id, ordered)) == sorted(map(id, listed))
     remaining = report.edges_before
     for ordered, removed in zip(calls["sort"], passes):
         assert len(ordered) == remaining
@@ -326,20 +335,20 @@ def test_pass_calls_are_countable_by_wrappers(monkeypatch):
 
 def test_grade_mode_original_identity():
     g = make_gap6()
-    assert apply_grade_mode(g, GradeMode("original")) == g
+    assert apply_grade_mode(g, "original") == g
 
 
 def test_grade_mode_zeroed():
-    out = apply_grade_mode(make_gap6(), GradeMode("zeroed"))
+    out = apply_grade_mode(make_gap6(), "zeroed")
     assert all(g[0] == 0.0 for _, _, g in out.edges())
     assert [g[1] for _, _, g in out.edges()] == [g[1] for _, _, g in make_gap6().edges()]
 
 
 def test_grade_mode_random_deterministic():
     g = make_gap6()
-    a = apply_grade_mode(g, GradeMode("random"), seed=9)
-    b = apply_grade_mode(g, GradeMode("random"), seed=9)
-    c = apply_grade_mode(g, GradeMode("random"), seed=10)
+    a = apply_grade_mode(g, "random", seed=9)
+    b = apply_grade_mode(g, "random", seed=9)
+    c = apply_grade_mode(g, "random", seed=10)
     assert a == b
     assert a != c
     assert [gr[1] for _, _, gr in a.edges()] == [gr[1] for _, _, gr in g.edges()]
@@ -349,9 +358,9 @@ def test_grade_mode_random_deterministic():
 
 def test_grade_mode_random_needs_seed():
     with pytest.raises(ValueError, match="seed"):
-        apply_grade_mode(make_gap6(), GradeMode("random"))
+        apply_grade_mode(make_gap6(), "random")
 
 
 def test_grade_mode_unknown_kind():
     with pytest.raises(ValueError, match="unknown grade mode"):
-        GradeMode("shuffled")
+        apply_grade_mode(make_gap6(), "shuffled")

@@ -84,13 +84,13 @@ def test_grade_of_missing_edge_is_never():
 def test_edge_neighborhood_k3():
     g = make_k3()
     nbhd = edge_neighborhood(g, edge_of(g, 0, 1))
-    assert [(n.w, n.entry) for n in nbhd] == [(2, (0.0, 0.0))]
+    assert [(w, entry) for w, entry in nbhd] == [(2, (0.0, 0.0))]
 
 
 def test_edge_neighborhood_gap6():
     g = make_gap6()
     nbhd = edge_neighborhood(g, edge_of(g, A, B))
-    assert [(n.w, n.entry) for n in nbhd] == [
+    assert [(w, entry) for w, entry in nbhd] == [
         (V, (0.0, 0.0)),
         (W, (0.0, 0.0)),
         (X, (2.0, 0.0)),

@@ -10,7 +10,6 @@ from bicollapse.collapse import collapse_iterated
 from bicollapse.orders import EdgeOrder
 from bicollapse.core import graph_from_edges, leq
 from bicollapse.expand import (
-    GradedTriangle,
     SccComplex,
     count_triangles,
     enumerate_triangles,
@@ -38,7 +37,7 @@ def test_k3_join_grade():
 def test_k4_count():
     tris = enumerate_triangles(make_k4())
     assert len(tris) == 4
-    assert all(t.grade == (0.0, 0.0) for t in tris)
+    assert all(grade == (0.0, 0.0) for _, _, _, grade in tris)
 
 
 def test_gap6_matches_brute_force(gap6):
@@ -56,15 +55,15 @@ def test_random_graphs_match_brute_force():
         assert tris == brute_force_triangles(g)
         assert len(tris) == count_triangles(g)
         assert all(
-            leq(g.grade_of(a, b), t.grade)
-            for t in tris
-            for a, b in ((t.u, t.v), (t.u, t.w), (t.v, t.w))
+            leq(g.grade_of(a, b), grade)
+            for u, v, w, grade in tris
+            for a, b in ((u, v), (u, w), (v, w))
         )
 
 
 def test_enumeration_sorted_and_unique():
     g = random_grid_graph(15, 0.6, np.random.default_rng(4))
-    keys = [(t.u, t.v, t.w) for t in enumerate_triangles(g)]
+    keys = [(u, v, w) for u, v, w, _ in enumerate_triangles(g)]
     assert keys == sorted(set(keys))
 
 
@@ -157,7 +156,7 @@ def test_export_shifts_negative_grades():
 def test_export_rejects_missing_facet():
     g = graph_from_edges(3, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0))])
     with pytest.raises(ValueError, match="missing edge"):
-        export_text(g, [GradedTriangle(0, 1, 2, (0.0, 0.0))])
+        export_text(g, [(0, 1, 2, (0.0, 0.0))])
 
 
 def test_triangle_vertex_order_enforced():
@@ -166,7 +165,7 @@ def test_triangle_vertex_order_enforced():
     g = make_k4()
     for u, v, w in ((2, 1, 3), (0, 0, 1)):
         with pytest.raises(ValueError, match="missing edge"):
-            export_text(g, [GradedTriangle(u, v, w, (0.0, 0.0))])
+            export_text(g, [(u, v, w, (0.0, 0.0))])
 
 
 def test_export_byte_stable(gap6):
@@ -178,7 +177,7 @@ def test_export_byte_stable(gap6):
 
 def test_export_orders_repeated_triangles(k3):
     # Equal vertex triples are ordered by grade, whatever order they come in.
-    hi, lo = GradedTriangle(0, 1, 2, (1.0, 1.0)), GradedTriangle(0, 1, 2, (0.0, 0.0))
+    hi, lo = (0, 1, 2, (1.0, 1.0)), (0, 1, 2, (0.0, 0.0))
     assert export_text(k3, [hi, lo]) == export_text(k3, [lo, hi])
 
 
@@ -197,7 +196,7 @@ def test_round_trip_gap6(gap6):
     assert isinstance(parsed, SccComplex)
     assert parsed.sizes() == (len(tris), gap6.edge_count(), gap6.n)
     exported_tri_grades = sorted(g for g, _ in parsed.blocks[0])
-    assert exported_tri_grades == sorted(t.grade for t in tris)  # min edge grade is (0,0)
+    assert exported_tri_grades == sorted(grade for _, _, _, grade in tris)  # min edge grade is (0,0)
     edge_grades = sorted(g for g, _ in parsed.blocks[1])
     assert edge_grades == sorted(e.grade for e in gap6.edges())
     assert all(g == (0.0, 0.0) and f == () for g, f in parsed.blocks[2])
