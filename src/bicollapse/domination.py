@@ -13,10 +13,11 @@ the dense form when it is handed the mirror.
 The full check lets the dominating vertex change with the grade.  It
 counts, for every edge neighbor at once, where that neighbor dominates on a
 grid of grades built from the neighbors' entry coordinates
-(_DominationGrid): a 2-D prefix sum per neighbor, done with searchsorted,
-bincount and cumsum.  The edge is dominated iff every grid grade is
-covered.  It gathers its inputs from the dense mirror when there is one,
-else from the adjacency rows.
+(_DominationGrid): a 2-D prefix sum per neighbor, done with one
+searchsorted per axis, bincount and cumsum.  The edge is dominated iff every
+grid grade is covered; an edge with no neighbor entering at crit(e) in one
+coordinate fails before the grid is built.  It gathers its inputs from the
+dense mirror when there is one, else from the adjacency rows.
 """
 
 from __future__ import annotations
@@ -169,13 +170,14 @@ class _DominationGrid:
         self.xs = np.unique(np.append(entry_s, crit[0]))
         self.ys = np.unique(np.append(entry_t, crit[1]))
         self.shape = (len(self.xs) + 1, len(self.ys) + 1)
-        rank_s = np.searchsorted(self.xs, entry_s)
-        rank_t = np.searchsorted(self.ys, entry_t)
-        self._entry = rank_s * self.shape[1] + rank_t
-        # Ranking is monotone, so the rank of a join is the max of the ranks.
-        self._join = np.maximum(rank_s, np.searchsorted(self.xs, block_s)) * self.shape[1]
-        self._join += np.maximum(rank_t, np.searchsorted(self.ys, block_t))
-        np.fill_diagonal(self._join, self._entry)
+        # Row i holds the joins for candidate i, with its own entry on the
+        # diagonal, so one searchsorted per axis ranks the joins and entries.
+        join_s, join_t = np.maximum(block_s, entry_s), np.maximum(block_t, entry_t)
+        np.fill_diagonal(join_s, entry_s)
+        np.fill_diagonal(join_t, entry_t)
+        self._join = np.searchsorted(self.xs, join_s) * self.shape[1]
+        self._join += np.searchsorted(self.ys, join_t)
+        self._entry = self._join.diagonal()
 
     def dominates(self, lo: int, hi: int) -> np.ndarray:
         """(hi - lo, len(xs), len(ys)) booleans: neighbor lo + i dominates e
@@ -207,12 +209,17 @@ def is_filtration_dominated(
     """Is e dominated at every grade at which it is present?
 
     True iff every point of the _DominationGrid is covered by some dominating
-    neighbor.  Candidates are counted in chunks of ascending id, sized so
-    one chunk's work arrays stay within _CHUNK_CELLS cells, stopping as soon
-    as the grid is covered.  engine, when given, is the dense mirror of
-    graph to gather the grades from.
+    neighbor.  False at once when no neighbor's entry attains crit(e) in s,
+    or none in t: the grid grade (crit_s, max t), resp. (max s, crit_t),
+    then has no neighbor present.  Candidates are counted in chunks of
+    ascending id, sized so one chunk's work arrays stay within _CHUNK_CELLS
+    cells, stopping as soon as the grid is covered.  engine, when given, is
+    the dense mirror of graph to gather the grades from.
     """
     entry_s, entry_t, block_s, block_t = _neighbor_grades(graph, e, engine)
+    # Entries are >= crit(e), so <= here means equal.
+    if not ((entry_s <= e.grade[0]).any() and (entry_t <= e.grade[1]).any()):
+        return False
     grid = _DominationGrid(e.grade, entry_s, entry_t, block_s, block_t)
     k = len(entry_s)
     step = max(1, _CHUNK_CELLS // (grid.shape[0] * grid.shape[1]))

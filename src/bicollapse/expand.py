@@ -1,23 +1,24 @@
 """Triangle enumeration and scc2020 export of the dimension <= 2 clique bifiltration.
 
 A (k+1)-clique of the graph enters the clique complex when its last edge
-does, so every triangle carries the join of its three edge grades.  A
-triangle is a plain (u, v, w, grade) tuple with u < v < w; GradedTriangle
-names that type, as core.Grade names a grade.  The exporter emits the
-standard scc2020 text layout (format tag, parameter count, block sizes for
-dimensions 2, 1, 0, then one generator line per simplex with its grade and
-facet indices) so the file can feed external minimal-presentation tools.
-It sorts the triangles itself and checks each against the graph's edges.
-count_triangles counts without listing them, with numpy in memory linear in
-the edge count.
+does, so every triangle carries the join of its three edge grades.  The
+triangle stage is array-native: one wedge walk over the upper edges (u, v),
+u < v, finds each triangle as the indices of its three edges, so
+count_triangles counts without listing (in memory linear in the edge
+count) and enumerate_triangles gathers the grades into one numpy record
+array of dtype GradedTriangle, fields u < v < w and the join (s, t).  The
+exporter emits the standard scc2020 text layout (format tag, parameter
+count, block sizes for dimensions 2, 1, 0, then one generator line per
+simplex with its grade and facet indices) so the file can feed external
+minimal-presentation tools.  It sorts the triangles itself and finds their
+facets among the graph's edges with one searchsorted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -26,43 +27,32 @@ from .core import BifilteredGraph, Grade
 FORMAT_TAG = "scc2020"
 
 
-#: 3-clique (u, v, w, grade), u < v < w, graded at the join of its three edges.
-GradedTriangle = tuple[int, int, int, Grade]
+#: Record of a 3-clique u < v < w, graded at (s, t), the join of its three
+#: edges; enumerate_triangles returns an array of these.
+GradedTriangle = np.dtype(
+    [("u", np.int64), ("v", np.int64), ("w", np.int64), ("s", float), ("t", float)]
+)
 
 
-def enumerate_triangles(graph: BifilteredGraph) -> list[GradedTriangle]:
-    """Every 3-clique exactly once, sorted by (u, v, w).
-
-    For each vertex u, pairs its higher neighbors v < w in id order and
-    looks w up in v's adjacency row, so each triangle is reported once,
-    from its smallest vertex.
-    """
-    out: list[GradedTriangle] = []
-    for u, row in enumerate(graph.adj):
-        up = [(v, g) for v, g in row.items() if v > u]
-        for i, (v, (s_uv, t_uv)) in enumerate(up):
-            row_v = graph.adj[v]
-            for w, (s_uw, t_uw) in up[i + 1 :]:
-                g_vw = row_v.get(w)
-                if g_vw is not None:
-                    grade = (max(s_uv, s_uw, g_vw[0]), max(t_uv, t_uw, g_vw[1]))
-                    out.append((u, v, w, grade))
-    return out
-
-
-def count_triangles(graph: BifilteredGraph) -> int:
-    """Number of 3-cliques, counted in memory linear in the edge count.
-
-    Each upper edge (u, v), u < v, extends to the wedges u < v < w over v's
-    higher neighbors w, and a wedge closes a triangle iff {u, w} is an
-    edge, so every triangle counts once.  The rows u go in groups: a group
-    marks its upper edges in a boolean (rows x n) table of at most 2**20
-    cells and gathers at most 2**18 wedges, unless one row alone holds
-    more, and counts the wedges that land on a mark.
-    """
-    n = graph.n
+def _upper_edges(graph: BifilteredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges (a, b), a < b, in (a, b) order, as edge_list() has them,
+    with their (m, 2) grades."""
     u, v = graph.half_edges()
-    a, b = u[v > u], v[v > u]  # upper edges, sorted by (a, b)
+    up = v > u
+    return u[up], v[up], graph.half_grades()[up]
+
+
+def _closed_wedges(n: int, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Every triangle u < v < w once, as the indices uv, uw, vw of its three
+    edges among the upper edges (a, b), which are sorted by (a, b).
+
+    Each upper edge (u, v) extends to the wedges u < v < w over v's higher
+    neighbors w, and a wedge closes a triangle iff {u, w} is an edge.  The
+    rows u go in groups: a group marks its upper edges in a (rows x n)
+    table of at most 2**20 cells, holding 1 + the edge's index, gathers at
+    most 2**18 wedges, unless one row alone holds more, and yields the
+    wedges that land on a mark.  Wedges are walked in (u, v, w) order.
+    """
     deg = np.bincount(a, minlength=n)
     start = np.cumsum(deg) - deg
     fan = deg[b]  # wedges through each upper edge
@@ -70,20 +60,42 @@ def count_triangles(graph: BifilteredGraph) -> int:
     bounds = np.append(start, len(a))  # row r's upper edges: bounds[r]:bounds[r + 1]
     reach = cumfan[bounds]  # wedges before row r
     rows = max(1, (1 << 20) // max(n, 1))
-    total = lo = 0
+    mark_type = np.min_scalar_type(len(a))  # holds the largest mark, len(a)
+    lo = 0
     while lo < n:
         hi = int(np.searchsorted(reach, reach[lo] + (1 << 18), side="right")) - 1
         hi = min(max(hi, lo + 1), lo + rows)
         p, q = bounds[lo], bounds[hi]
         cell = (a[p:q] - lo) * n
-        mark = np.zeros((hi - lo) * n, dtype=bool)
-        mark[cell + b[p:q]] = True
+        mark = np.zeros((hi - lo) * n, dtype=mark_type)
+        mark[cell + b[p:q]] = np.arange(p + 1, q + 1)
         k = fan[p:q]
         ends = np.cumsum(k)
-        w = b[np.arange(cumfan[q] - cumfan[p]) + np.repeat(start[b[p:q]] - ends + k, k)]
-        total += np.count_nonzero(mark[np.repeat(cell, k) + w])
+        vw = np.arange(cumfan[q] - cumfan[p]) + np.repeat(start[b[p:q]] - ends + k, k)
+        uw = mark[np.repeat(cell, k) + b[vw]]
+        closed = np.flatnonzero(uw)
+        uv = np.repeat(np.arange(p, q), k)
+        yield uv[closed], uw[closed].astype(np.int64) - 1, vw[closed]
         lo = hi
-    return int(total)
+
+
+def enumerate_triangles(graph: BifilteredGraph) -> np.ndarray:
+    """Every 3-clique exactly once, sorted by (u, v, w), as a GradedTriangle
+    array whose grade is the coordinate-wise max of its three edges'."""
+    a, b, grades = _upper_edges(graph)
+    found = list(zip(*_closed_wedges(graph.n, a, b)))
+    uv, uw, vw = (np.concatenate(part) for part in found) if found else ([], [], [])
+    out = np.empty(len(uv), dtype=GradedTriangle)
+    out["u"], out["v"], out["w"] = a[uv], b[uv], b[uw]
+    join = np.maximum(np.maximum(grades[uv], grades[uw]), grades[vw])
+    out["s"], out["t"] = join[:, 0], join[:, 1]
+    return out
+
+
+def count_triangles(graph: BifilteredGraph) -> int:
+    """Number of 3-cliques, counted in memory linear in the edge count."""
+    u, v = graph.half_edges()
+    return sum(len(uv) for uv, _, _ in _closed_wedges(graph.n, u[v > u], v[v > u]))
 
 
 def _fmt(x: float) -> str:
@@ -94,58 +106,94 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-class _Formatted(dict):
-    """_fmt(x - shift) by coordinate x, formatted once per distinct x.
+def _formatted(x: np.ndarray, shift: float) -> list[str]:
+    """_fmt(c - shift) for each coordinate c of x, formatted once per
+    distinct value.
 
-    0.0 and -0.0 share a key, which is safe: their shifted values are
+    np.unique ties 0.0 with -0.0, which is safe: their shifted values are
     equal or differ only in the sign of zero, which _fmt drops.
     """
+    values, inverse = np.unique(x, return_inverse=True)
+    texts = np.array([_fmt(c - shift) for c in values.tolist()], dtype=object)
+    return texts[inverse].tolist()
 
-    def __init__(self, shift: float):
-        super().__init__()
-        self.shift = shift
 
-    def __missing__(self, x: float) -> str:
-        text = self[x] = _fmt(x - self.shift)
-        return text
+def _as_records(triangles: np.ndarray | Iterable[tuple[int, int, int, Grade]]) -> np.ndarray:
+    """A GradedTriangle array as it is, else (u, v, w, (s, t)) tuples converted once."""
+    if isinstance(triangles, np.ndarray) and triangles.dtype == GradedTriangle:
+        return triangles
+    rows = [(u, v, w, s, t) for u, v, w, (s, t) in triangles]
+    return np.array(rows, dtype=GradedTriangle)
+
+
+def _sorted_records(tri: np.ndarray) -> np.ndarray:
+    """tri in the order sorted() gives its (u, v, w, (s, t)) tuples: one
+    stable lexsort, skipped when (u, v, w) already strictly increases, as
+    enumerate_triangles returns it."""
+    du, dv, dw = np.diff(tri["u"]), np.diff(tri["v"]), np.diff(tri["w"])
+    if ((du > 0) | ((du == 0) & ((dv > 0) | ((dv == 0) & (dw > 0))))).all():
+        return tri
+    return tri[np.lexsort((tri["t"], tri["s"], tri["w"], tri["v"], tri["u"]))]
 
 
 def export_scc2020(
     graph: BifilteredGraph,
-    triangles: Sequence[GradedTriangle],
+    triangles: np.ndarray | Iterable[tuple[int, int, int, Grade]],
     sink: str | Path | IO[str],
 ) -> None:
     """Write the dimension 0..2 clique bifiltration in scc2020 text form.
 
-    Grades are shifted so the coordinate-wise minimum over edge grades
-    lands at (0, 0); vertices sit at that global minimum.  Edges are
-    sorted by (u, v) and triangles by (u, v, w, grade), so output is
-    byte-stable for a fixed input.  A triangle whose facet edge is absent
-    from the graph is rejected; facets are looked up as (u, v), (u, w) and
+    triangles is a GradedTriangle array, as enumerate_triangles returns,
+    or (u, v, w, (s, t)) tuples.  Grades are shifted so the coordinate-wise
+    minimum over edge grades lands at (0, 0); vertices sit at that global
+    minimum.  Edges are sorted by (u, v) and triangles by (u, v, w, s, t)
+    with a stable sort, so output is byte-stable for a fixed input.  A
+    triangle whose facet edge is absent from the graph is rejected, the
+    first in sorted order; facets are looked up as (u, v), (u, w) and
     (v, w) with the edges' u < v, so this also rejects any triangle whose
-    vertices do not increase.  A triangle's coordinates are edge
-    coordinates, so each distinct coordinate is formatted once.
+    vertices do not increase.  Each distinct coordinate is formatted once.
     """
-    edges = graph.edge_list()
-    for e in edges:
-        if not (math.isfinite(e.grade[0]) and math.isfinite(e.grade[1])):
-            raise ValueError(f"edge {(e.u, e.v)} has a non-finite grade")
-    shift_s = min((e.grade[0] for e in edges), default=0.0)
-    shift_t = min((e.grade[1] for e in edges), default=0.0)
-    edge_index = {(e.u, e.v): i for i, e in enumerate(edges)}
-    fmt_s, fmt_t = _Formatted(shift_s), _Formatted(shift_t)
+    n = graph.n
+    a, b, grades = _upper_edges(graph)
+    finite = np.isfinite(grades).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"edge {(int(a[i]), int(b[i]))} has a non-finite grade")
+    shift_s, shift_t = grades.min(axis=0).tolist() if len(a) else (0.0, 0.0)
 
-    lines = [FORMAT_TAG, "2", f"{len(triangles)} {len(edges)} {graph.n}"]
-    for u, v, w, (s, t) in sorted(triangles):
-        try:
-            facets = f"{edge_index[u, v]} {edge_index[u, w]} {edge_index[v, w]}"
-        except KeyError as missing:
-            pair = missing.args[0]
-            raise ValueError(f"triangle {(u, v, w)} references missing edge {pair}") from None
-        lines.append(f"{fmt_s[s]} {fmt_t[t]} ; {facets}")
-    for u, v, (s, t) in edges:
-        lines.append(f"{fmt_s[s]} {fmt_t[t]} ; {u} {v}")
-    lines.extend("0 0 ;" for _ in range(graph.n))
+    tri = _sorted_records(_as_records(triangles))
+    # Rows are the facets uv, uw, vw.  An edge's key is a * n + b; a facet
+    # that cannot be an edge gets n * n, which sits above every edge key and
+    # is appended to them, so every searchsorted position can be read.
+    x = np.stack((tri["u"], tri["u"], tri["v"]))
+    y = np.stack((tri["v"], tri["w"], tri["w"]))
+    valid = (0 <= x) & (x < y) & (y < n)
+    key = np.where(valid, x * n + y, n * n)
+    keys = np.append(a * n + b, n * n)
+    facets = np.searchsorted(keys, key)
+    found = valid & (keys[facets] == key)
+    if not found.all():
+        i = int(np.argmin(found.all(axis=0)))
+        j = int(np.argmin(found[:, i]))
+        corner = (int(tri["u"][i]), int(tri["v"][i]), int(tri["w"][i]))
+        raise ValueError(
+            f"triangle {corner} references missing edge {(int(x[j, i]), int(y[j, i]))}"
+        )
+
+    # Triangle then edge coordinates, formatted together: they mostly coincide.
+    s = _formatted(np.concatenate((tri["s"], grades[:, 0])), shift_s)
+    t = _formatted(np.concatenate((tri["t"], grades[:, 1])), shift_t)
+    k = len(tri)
+    names = np.array([str(i) for i in range(len(a))], dtype=object)
+    lines = [FORMAT_TAG, "2", f"{k} {len(a)} {n}"]
+    lines += [
+        f"{gs} {gt} ; {uv} {uw} {vw}"
+        for gs, gt, uv, uw, vw in zip(s[:k], t[:k], *names[facets].tolist())
+    ]
+    lines += [
+        f"{gs} {gt} ; {u} {v}" for gs, gt, u, v in zip(s[k:], t[k:], a.tolist(), b.tolist())
+    ]
+    lines += ["0 0 ;"] * n
     text = "\n".join(lines) + "\n"
 
     if isinstance(sink, (str, Path)):

@@ -223,12 +223,12 @@ def test_criterion_09_expansion_shrinkage(uniform400):
     parsed = parse_scc2020(StringIO(sink.getvalue()))
     round_trip = parsed.sizes() == (len(triangles), collapsed.edge_count(), collapsed.n)
     join_ok = sum(
-        grade
+        (s, t)
         == join(
             collapsed.grade_of(u, v),
             join(collapsed.grade_of(u, w), collapsed.grade_of(v, w)),
         )
-        for u, v, w, grade in triangles
+        for u, v, w, s, t in triangles.tolist()
     )
     ok = ratio <= 0.10 and round_trip and join_ok == len(triangles)
     report(

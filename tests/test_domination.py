@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicollapse.build import (
     DATASET_KINDS,
@@ -146,6 +149,66 @@ def test_full_k3(k3):
 def test_full_empty_neighborhood():
     g = make_path3()
     assert not is_filtration_dominated(g, edge_of(g, 0, 1))
+
+
+def test_full_check_exits_without_a_neighbor_at_crit():
+    # Every edge neighbor of (0, 1) enters strictly above crit_t, then
+    # strictly above crit_s: at (max s, 0), resp. (0, max t), no neighbor
+    # is present, so (0, 1) is not dominated.
+    for late in ((0.0, 1.0), (1.0, 0.0)):
+        edges = [(0, 1, (0.0, 0.0)), (0, 2, late), (1, 2, (0.0, 0.0)), (2, 3, (0.0, 0.0))]
+        edges += [(0, 4, (0.0, 0.0)), (1, 4, late)]
+        g = graph_from_edges(5, edges)
+        e = edge_of(g, 0, 1)
+        assert not brute_force_filtration_dominated(g, e)
+        for form in (None, _DenseStrongEngine(g)):
+            assert not is_filtration_dominated(g, e, form)
+        # Vertex 3 becomes a neighbor at crit(e).  With the edge 3-4 it
+        # dominates at every grade; without it, nothing dominates once 2
+        # and 4, which are not adjacent, are both present.
+        for extra in ([(3, 4, (0.0, 0.0))], []):
+            h = graph_from_edges(5, edges + [(0, 3, (0.0, 0.0)), (1, 3, (0.0, 0.0))] + extra)
+            e = edge_of(h, 0, 1)
+            expected = brute_force_filtration_dominated(h, e)
+            assert expected == bool(extra)
+            for form in (None, _DenseStrongEngine(h)):
+                assert is_filtration_dominated(h, e, form) == expected
+
+
+def _four_searchsorted_ranks(crit, entry_s, entry_t, block_s, block_t):
+    """Reference: the entry and join ranks, each axis ranked twice."""
+    xs = np.unique(np.append(entry_s, crit[0]))
+    ys = np.unique(np.append(entry_t, crit[1]))
+    rank_s, rank_t = np.searchsorted(xs, entry_s), np.searchsorted(ys, entry_t)
+    entry = rank_s * (len(ys) + 1) + rank_t
+    join = np.maximum(rank_s, np.searchsorted(xs, block_s)) * (len(ys) + 1)
+    join += np.maximum(rank_t, np.searchsorted(ys, block_t))
+    np.fill_diagonal(join, entry)
+    return xs, ys, entry, join
+
+
+# Few values, so entries and joins tie often, -0.0 sits next to 0.0, and
+# absent edges (+inf) and the dense form's -inf diagonal appear.
+_TIE_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
+_BLOCK_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 7), data=st.data())
+def test_grid_ranks_match_four_searchsorted(k, data):
+    crit = (data.draw(_TIE_FLOATS), data.draw(_TIE_FLOATS))
+    # Entries are joined with crit(e), as _neighbor_grades returns them.
+    entry = np.maximum(np.array(data.draw(st.lists(
+        st.tuples(_TIE_FLOATS, _TIE_FLOATS), min_size=k, max_size=k))).reshape(k, 2), crit)
+    block = np.array(data.draw(st.lists(
+        _BLOCK_FLOATS, min_size=2 * k * k, max_size=2 * k * k))).reshape(k, k, 2)
+    args = (crit, entry[:, 0], entry[:, 1], block[..., 0], block[..., 1])
+    grid = _DominationGrid(*args)
+    xs, ys, entry_rank, join_rank = _four_searchsorted_ranks(*args)
+    assert np.array_equal(grid.xs, xs) and np.array_equal(grid.ys, ys)
+    assert grid.shape == (len(xs) + 1, len(ys) + 1)
+    assert np.array_equal(grid._entry, entry_rank)
+    assert np.array_equal(grid._join, join_rank)
 
 
 # -- randomized equivalence with the oracle -----------------------------------

@@ -2,15 +2,20 @@ from __future__ import annotations
 
 import io
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicollapse.collapse import collapse_iterated
 from bicollapse.orders import EdgeOrder
 from bicollapse.core import graph_from_edges, leq
 from bicollapse.expand import (
+    GradedTriangle,
     SccComplex,
+    _fmt,
     count_triangles,
     enumerate_triangles,
     export_scc2020,
@@ -26,22 +31,29 @@ def make_k4():
     return graph_from_edges(4, [(u, v, (0.0, 0.0)) for u, v in pairs])
 
 
+def as_tuples(triangles) -> list:
+    """A GradedTriangle array as (u, v, w, (s, t)) tuples."""
+    return [(u, v, w, (s, t)) for u, v, w, s, t in triangles.tolist()]
+
+
 # -- enumeration -----------------------------------------------------------------
 
 
 def test_k3_join_grade():
     g = graph_from_edges(3, [(0, 1, (0.0, 0.0)), (0, 2, (1.0, 0.0)), (1, 2, (0.0, 1.0))])
-    assert enumerate_triangles(g) == [(0, 1, 2, (1.0, 1.0))]
+    tris = enumerate_triangles(g)
+    assert tris.dtype == GradedTriangle
+    assert as_tuples(tris) == [(0, 1, 2, (1.0, 1.0))]
 
 
 def test_k4_count():
     tris = enumerate_triangles(make_k4())
     assert len(tris) == 4
-    assert all(grade == (0.0, 0.0) for _, _, _, grade in tris)
+    assert all(grade == (0.0, 0.0) for _, _, _, grade in as_tuples(tris))
 
 
 def test_gap6_matches_brute_force(gap6):
-    tris = enumerate_triangles(gap6)
+    tris = as_tuples(enumerate_triangles(gap6))
     assert tris == brute_force_triangles(gap6)
     assert (0, 1, 4, (2.0, 0.0)) in tris  # {a, b, x} enters with its late edges
     assert (0, 1, 2, (0.0, 0.0)) in tris  # {a, b, v} present from the start
@@ -51,7 +63,7 @@ def test_random_graphs_match_brute_force():
     rng = np.random.default_rng(11)
     for trial in range(25):
         g = random_grid_graph(4 + int(rng.integers(27)), float(rng.choice([0.3, 0.5, 0.8])), rng)
-        tris = enumerate_triangles(g)
+        tris = as_tuples(enumerate_triangles(g))
         assert tris == brute_force_triangles(g)
         assert len(tris) == count_triangles(g)
         assert all(
@@ -63,7 +75,7 @@ def test_random_graphs_match_brute_force():
 
 def test_enumeration_sorted_and_unique():
     g = random_grid_graph(15, 0.6, np.random.default_rng(4))
-    keys = [(u, v, w) for u, v, w, _ in enumerate_triangles(g)]
+    keys = [(u, v, w) for u, v, w, _ in as_tuples(enumerate_triangles(g))]
     assert keys == sorted(set(keys))
 
 
@@ -83,6 +95,9 @@ def test_count_triangles_across_row_groups():
     n = 130
     g = graph_from_edges(n, [(u, v, (0.0, 0.0)) for u in range(n) for v in range(u + 1, n)])
     assert count_triangles(g) == n * (n - 1) * (n - 2) // 6
+    tris = enumerate_triangles(g)
+    assert len(tris) == n * (n - 1) * (n - 2) // 6
+    assert tris[["u", "v", "w"]].tolist() == list(combinations(range(n), 3))
     # 3000 vertices go in groups of 349 rows; the triangles span them.
     rng = np.random.default_rng(8)
     pairs = set()
@@ -171,8 +186,9 @@ def test_triangle_vertex_order_enforced():
 def test_export_byte_stable(gap6):
     tris = enumerate_triangles(gap6)
     first = export_text(gap6, tris)
-    second = export_text(gap6.copy(), list(reversed(tris)))
+    second = export_text(gap6.copy(), tris[::-1])
     assert first == second
+    assert export_text(gap6, list(reversed(as_tuples(tris)))) == first
 
 
 def test_export_orders_repeated_triangles(k3):
@@ -187,7 +203,115 @@ def test_export_to_path(tmp_path, k3):
     assert out.read_text() == export_text(k3, enumerate_triangles(k3))
 
 
+# -- the array stage against the tuple stage it replaced -------------------------
+
+
+def _tuple_enumerate(graph) -> list:
+    """Reference: the per-wedge tuple walk, one row lookup per wedge."""
+    out = []
+    for u, row in enumerate(graph.adj):
+        up = [(v, g) for v, g in row.items() if v > u]
+        for i, (v, (s_uv, t_uv)) in enumerate(up):
+            row_v = graph.adj[v]
+            for w, (s_uw, t_uw) in up[i + 1 :]:
+                g_vw = row_v.get(w)
+                if g_vw is not None:
+                    out.append((u, v, w, (max(s_uv, s_uw, g_vw[0]), max(t_uv, t_uw, g_vw[1]))))
+    return out
+
+
+def _tuple_export(graph, triangles) -> str:
+    """Reference: sorted() tuples, facets by dict lookup, one line each."""
+    edges = graph.edge_list()
+    shift_s = min((e.grade[0] for e in edges), default=0.0)
+    shift_t = min((e.grade[1] for e in edges), default=0.0)
+    edge_index = {(e.u, e.v): i for i, e in enumerate(edges)}
+    lines = ["scc2020", "2", f"{len(triangles)} {len(edges)} {graph.n}"]
+    for u, v, w, (s, t) in sorted(triangles):
+        try:
+            facets = f"{edge_index[u, v]} {edge_index[u, w]} {edge_index[v, w]}"
+        except KeyError as missing:
+            pair = missing.args[0]
+            raise ValueError(f"triangle {(u, v, w)} references missing edge {pair}") from None
+        lines.append(f"{_fmt(s - shift_s)} {_fmt(t - shift_t)} ; {facets}")
+    for u, v, (s, t) in edges:
+        lines.append(f"{_fmt(s - shift_s)} {_fmt(t - shift_t)} ; {u} {v}")
+    lines.extend("0 0 ;" for _ in range(graph.n))
+    return "\n".join(lines) + "\n"
+
+
+# Few values, so grades tie often and -0.0 sits next to 0.0.
+_TIE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+_TIE_GRADES = st.tuples(_TIE_FLOATS, _TIE_FLOATS)
+
+
+@st.composite
+def _tied_graphs(draw):
+    # Empty and triangle-free graphs come up often, and n = 0 too.
+    n = draw(st.integers(0, 9))
+    pairs = draw(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=36))
+    edges = [(u, v, draw(_TIE_GRADES)) for u, v in sorted(pairs) if u < v < n]
+    return graph_from_edges(n, draw(st.permutations(edges)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_tied_graphs(), data=st.data())
+def test_triangle_stage_matches_tuple_reference(g, data):
+    reference = _tuple_enumerate(g)
+    tris = enumerate_triangles(g)
+    assert tris.dtype == GradedTriangle
+    assert as_tuples(tris) == reference
+    assert count_triangles(g) == len(tris)
+    assert export_text(g, tris) == _tuple_export(g, reference)
+    # Hand-written input: the triangles again, some repeated at other grades,
+    # and a few arbitrary triples (mostly with a missing facet), in any order.
+    repeats = data.draw(st.lists(st.sampled_from(reference), max_size=6)) if reference else []
+    ids = st.integers(-1, g.n)
+    strays = data.draw(st.lists(st.tuples(ids, ids, ids, _TIE_GRADES), max_size=2))
+    written = reference + [(u, v, w, data.draw(_TIE_GRADES)) for u, v, w, _ in repeats]
+    written = data.draw(st.permutations(written + strays))
+    try:
+        expected = _tuple_export(g, written)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            export_text(g, written)
+        assert str(raised.value) == str(exc)
+    else:
+        assert export_text(g, written) == expected
+
+
+def test_export_first_missing_facet_in_sorted_order():
+    g = graph_from_edges(4, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0)), (1, 3, (0.0, 0.0))])
+    written = [(1, 2, 3, (0.0, 0.0)), (0, 1, 3, (1.0, 0.0)), (0, 1, 2, (0.0, 0.0))]
+    with pytest.raises(ValueError) as raised:
+        export_text(g, written)
+    assert str(raised.value) == "triangle (0, 1, 2) references missing edge (1, 2)"
+
+
 # -- round-trip ------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_tied_graphs())
+def test_round_trip_property(g):
+    # Block sizes, facets pointing at the right edges, and grades equal to
+    # the shifted edge grades exactly.
+    edges = g.edge_list()
+    tris = as_tuples(enumerate_triangles(g))
+    parsed = parse_scc2020(io.StringIO(export_text(g, tris)))
+    assert parsed.sizes() == (len(tris), len(edges), g.n)
+    shift_s = min((s for _, _, (s, _) in edges), default=0.0)
+    shift_t = min((t for _, _, (_, t) in edges), default=0.0)
+    for ((s, t), faces), (u, v, (es, et)) in zip(parsed.blocks[1], edges):
+        assert faces == (u, v)
+        assert (s, t) == (es - shift_s, et - shift_t)
+    for ((s, t), faces), (u, v, w, (ts, tt)) in zip(parsed.blocks[0], tris):
+        assert [edges[f][:2] for f in faces] == [(u, v), (u, w), (v, w)]
+        assert (s, t) == (ts - shift_s, tt - shift_t)
+        assert (ts, tt) == (max(edges[f].grade[0] for f in faces), max(edges[f].grade[1] for f in faces))
+    assert all(gen == ((0.0, 0.0), ()) for gen in parsed.blocks[2])
+
+
 
 
 def test_round_trip_gap6(gap6):
@@ -196,7 +320,8 @@ def test_round_trip_gap6(gap6):
     assert isinstance(parsed, SccComplex)
     assert parsed.sizes() == (len(tris), gap6.edge_count(), gap6.n)
     exported_tri_grades = sorted(g for g, _ in parsed.blocks[0])
-    assert exported_tri_grades == sorted(grade for _, _, _, grade in tris)  # min edge grade is (0,0)
+    # the minimum edge grade is (0, 0), so nothing is shifted
+    assert exported_tri_grades == sorted(grade for _, _, _, grade in as_tuples(tris))
     edge_grades = sorted(g for g, _ in parsed.blocks[1])
     assert edge_grades == sorted(e.grade for e in gap6.edges())
     assert all(g == (0.0, 0.0) and f == () for g, f in parsed.blocks[2])
