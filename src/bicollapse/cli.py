@@ -279,7 +279,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
         raise SimplexBudgetExceeded(total, args.max_simplices)
     triangles = enumerate_triangles(collapsed)
     sink = StringIO()
-    export_scc2020(collapsed, triangles, sink)
+    try:
+        export_scc2020(collapsed, triangles, sink)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
     _atomic_write_text(args.output, sink.getvalue())
     header = [

@@ -39,7 +39,6 @@ class CollapseReport:
     """What a run removed, per iteration, and how long the passes took."""
 
     edges_before: int
-    edges_after: int
     wall_time_per_iteration: list[float]
     mode: str
     order: EdgeOrder
@@ -51,7 +50,11 @@ class CollapseReport:
 
     @property
     def removed_total(self) -> int:
-        return self.edges_before - self.edges_after
+        return sum(self.removed_per_iteration)
+
+    @property
+    def edges_after(self) -> int:
+        return self.edges_before - self.removed_total
 
     @property
     def removed_fraction(self) -> float:
@@ -82,14 +85,12 @@ def apply_grade_mode(
         return graph.copy()
     if kind == "random" and seed is None:
         raise ValueError("random grade mode requires a seed")
-    u, v = graph.half_edges()
-    upper = np.flatnonzero(u < v)  # each edge once, in (u, v) order
-    t = graph.half_grades()[upper, 1]
+    u, v, _, t = graph.edge_arrays()
     if kind == "zeroed":
-        s = np.zeros(len(upper))
+        s = np.zeros(len(u))
     else:
-        s = np.random.default_rng(seed).uniform(0.0, 1.0, len(upper))
-    return graph_from_arrays(graph.n, u[upper], v[upper], s, t)
+        s = np.random.default_rng(seed).uniform(0.0, 1.0, len(u))
+    return graph_from_arrays(graph.n, u, v, s, t)
 
 
 # -- greedy passes -------------------------------------------------------------
@@ -142,7 +143,6 @@ def collapse_iterated(
     engine = _DenseStrongEngine(out) if out.n <= DENSE_LIMIT else None
     report = CollapseReport(
         edges_before=graph.edge_count(),
-        edges_after=graph.edge_count(),
         wall_time_per_iteration=[],
         mode=mode,
         order=order,
@@ -153,5 +153,4 @@ def collapse_iterated(
         report.removal_log.append(removed)
         if not removed:
             break
-    report.edges_after = out.edge_count()
     return out, report

@@ -10,8 +10,9 @@ Graphs are built from numpy arrays: graph_from_arrays takes parallel edge
 arrays (u, v, s, t), checks them with vectorized tests and fills the rows
 from the sorted half-edges.  graph_from_edges and read_edge_list (one bulk
 np.loadtxt parse) both feed it, so the checks exist once.  Edge is the
-one record type: edges() and edge_list() yield Edge(u, v, grade) named
-tuples, while edge_neighborhood, on the hot path of every domination
+one record type: edges() and edge_list() give the edges as Edge(u, v,
+grade) named tuples and edge_arrays(), the inverse of graph_from_arrays,
+as arrays, while edge_neighborhood, on the hot path of every domination
 check, returns plain (w, entry) tuples.
 """
 
@@ -86,18 +87,16 @@ class BifilteredGraph:
     def edge_list(self) -> list[Edge]:
         return list(self.edges())
 
-    def half_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both orientations of every edge as id arrays u, v, row by row:
-        u ascending, and v ascending within each row."""
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The edges as the parallel arrays (u, v, s, t) that graph_from_arrays
+        takes, u < v, in edge_list() order: graph_from_arrays(n, *edge_arrays())
+        equals the graph."""
         u = np.repeat(np.arange(self.n), [len(row) for row in self.adj])
         v = np.fromiter(chain.from_iterable(self.adj), np.int64, len(u))
-        return u, v
-
-    def half_grades(self) -> np.ndarray:
-        """Grades of the half_edges, as a (len, 2) float array."""
         flat = chain.from_iterable(chain.from_iterable(row.values() for row in self.adj))
-        count = 2 * sum(len(row) for row in self.adj)
-        return np.fromiter(flat, float, count).reshape(-1, 2)
+        grades = np.fromiter(flat, float, 2 * len(u)).reshape(-1, 2)
+        up = u < v
+        return u[up], v[up], grades[up, 0], grades[up, 1]
 
     # -- mutation --------------------------------------------------------
 
@@ -186,6 +185,12 @@ def graph_from_edges(n: int, edges: Iterable[Edge | tuple]) -> BifilteredGraph:
     return graph_from_arrays(n, u, v, s, t)
 
 
+def _require_edge(graph: BifilteredGraph, e: Edge) -> None:
+    """Raise ValueError unless e is an edge of graph with exactly e's grade."""
+    if graph.grade_of(e.u, e.v) != e.grade:
+        raise ValueError(f"edge ({e.u}, {e.v}) with grade {e.grade} not in graph")
+
+
 def edge_neighborhood(graph: BifilteredGraph, e: Edge) -> list[tuple[int, Grade]]:
     """Common neighbors w of e's endpoints as plain (w, entry) tuples.
 
@@ -193,9 +198,8 @@ def edge_neighborhood(graph: BifilteredGraph, e: Edge) -> list[tuple[int, Grade]
     other; output sorted by vertex id.  entry is the grade at which w
     becomes an edge neighbor: join(crit({a,w}), crit({b,w}), crit(e)).
     """
-    a, b, (es, et) = e.u, e.v, e.grade
-    if graph.grade_of(a, b) != e.grade:
-        raise ValueError(f"edge ({a}, {b}) with grade {e.grade} not in graph")
+    _require_edge(graph, e)
+    a, b, (es, et) = e
     short, other = graph.adj[a], graph.adj[b]
     if len(other) < len(short):
         short, other = other, short

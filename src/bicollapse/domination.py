@@ -5,11 +5,12 @@ dominates the edge at every grade by serial trial: candidates in ascending
 id, the first that passes wins.  It has two storage forms, one lookup per
 edge neighbor in the candidate's adjacency row, and the same trial on a
 dense grade mirror (_DenseStrongEngine), one (n, 2, n) array of both grade
-coordinates with +inf for absent edges and -inf on the diagonal.  There a
-trial is one comparison of the candidate's row with the edge's entry
-vector, and after a few failed candidates one batched comparison tests the
-rest.  Both forms return the same vertex, and is_strongly_dominated runs
-the dense form when it is handed the mirror.
+coordinates with +inf for absent edges and -inf on the diagonal, filled
+from graph.edge_arrays().  There a trial is one comparison of the
+candidate's row with the edge's entry vector, and after a few failed
+candidates one batched comparison tests the rest.  Both forms return the
+same vertex, and is_strongly_dominated runs the dense form when it is
+handed the mirror.
 The full check lets the dominating vertex change with the grade.  It
 counts, for every edge neighbor at once, where that neighbor dominates on a
 grid of grades built from the neighbors' entry coordinates
@@ -17,7 +18,9 @@ grid of grades built from the neighbors' entry coordinates
 searchsorted per axis, bincount and cumsum.  The edge is dominated iff every
 grid grade is covered; an edge with no neighbor entering at crit(e) in one
 coordinate fails before the grid is built.  It gathers its inputs from the
-dense mirror when there is one, else from the adjacency rows.
+dense mirror when there is one, else from the adjacency rows.  Both
+predicates, in either form, reject an edge the graph does not hold with
+that grade.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import NEVER, BifilteredGraph, Edge, Grade, edge_neighborhood, leq
+from .core import NEVER, BifilteredGraph, Edge, Grade, _require_edge, edge_neighborhood, leq
 
 # -- strong filtration-domination --------------------------------------------
 
@@ -53,6 +56,7 @@ def is_strongly_dominated(
     given, is the dense mirror of graph, and runs the same trial on it.
     """
     if engine is not None:
+        _require_edge(graph, e)
         return engine.strong_dominator(e)
     nbhd = edge_neighborhood(graph, e)
     for v, entry in nbhd:
@@ -76,9 +80,10 @@ class _DenseStrongEngine:
 
     def __init__(self, graph: BifilteredGraph):
         n = graph.n
-        u, v = graph.half_edges()
+        u, v, s, t = graph.edge_arrays()
         self.M = np.full((n, 2, n), math.inf)
-        self.M[u, :, v] = graph.half_grades()
+        self.M[u, 0, v] = self.M[v, 0, u] = s
+        self.M[u, 1, v] = self.M[v, 1, u] = t
         ids = np.arange(n)
         self.M[ids, :, ids] = -math.inf
 
@@ -133,6 +138,7 @@ def _neighbor_grades(
     form looks each pair of neighbors up in the adjacency rows.
     """
     if engine is not None:
+        _require_edge(graph, e)
         M = engine.M
         # The -inf diagonal is not finite either, so the endpoints drop out.
         ids = np.flatnonzero(np.isfinite(M[e.u, 0]) & np.isfinite(M[e.v, 0]))

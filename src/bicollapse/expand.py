@@ -2,16 +2,16 @@
 
 A (k+1)-clique of the graph enters the clique complex when its last edge
 does, so every triangle carries the join of its three edge grades.  The
-triangle stage is array-native: one wedge walk over the upper edges (u, v),
-u < v, finds each triangle as the indices of its three edges, so
-count_triangles counts without listing (in memory linear in the edge
-count) and enumerate_triangles gathers the grades into one numpy record
-array of dtype GradedTriangle, fields u < v < w and the join (s, t).  The
-exporter emits the standard scc2020 text layout (format tag, parameter
-count, block sizes for dimensions 2, 1, 0, then one generator line per
-simplex with its grade and facet indices) so the file can feed external
-minimal-presentation tools.  It sorts the triangles itself and finds their
-facets among the graph's edges with one searchsorted.
+triangle stage is array-native: one wedge walk over graph.edge_arrays(),
+the edges (u, v) with u < v, finds each triangle as the indices of its
+three edges, so count_triangles counts without listing (in memory linear
+in the edge count) and enumerate_triangles joins the s and the t columns
+into one numpy record array of dtype GradedTriangle, fields u < v < w and
+the join (s, t).  The exporter emits the standard scc2020 text layout
+(format tag, parameter count, block sizes for dimensions 2, 1, 0, then one
+generator line per simplex with its grade and facet indices) so the file
+can feed external minimal-presentation tools.  It sorts the triangles
+itself and finds their facets among the edges with one searchsorted.
 """
 
 from __future__ import annotations
@@ -32,14 +32,6 @@ FORMAT_TAG = "scc2020"
 GradedTriangle = np.dtype(
     [("u", np.int64), ("v", np.int64), ("w", np.int64), ("s", float), ("t", float)]
 )
-
-
-def _upper_edges(graph: BifilteredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges (a, b), a < b, in (a, b) order, as edge_list() has them,
-    with their (m, 2) grades."""
-    u, v = graph.half_edges()
-    up = v > u
-    return u[up], v[up], graph.half_grades()[up]
 
 
 def _closed_wedges(n: int, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
@@ -82,20 +74,20 @@ def _closed_wedges(n: int, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.nd
 def enumerate_triangles(graph: BifilteredGraph) -> np.ndarray:
     """Every 3-clique exactly once, sorted by (u, v, w), as a GradedTriangle
     array whose grade is the coordinate-wise max of its three edges'."""
-    a, b, grades = _upper_edges(graph)
+    a, b, s, t = graph.edge_arrays()
     found = list(zip(*_closed_wedges(graph.n, a, b)))
     uv, uw, vw = (np.concatenate(part) for part in found) if found else ([], [], [])
     out = np.empty(len(uv), dtype=GradedTriangle)
     out["u"], out["v"], out["w"] = a[uv], b[uv], b[uw]
-    join = np.maximum(np.maximum(grades[uv], grades[uw]), grades[vw])
-    out["s"], out["t"] = join[:, 0], join[:, 1]
+    out["s"] = np.maximum(np.maximum(s[uv], s[uw]), s[vw])
+    out["t"] = np.maximum(np.maximum(t[uv], t[uw]), t[vw])
     return out
 
 
 def count_triangles(graph: BifilteredGraph) -> int:
     """Number of 3-cliques, counted in memory linear in the edge count."""
-    u, v = graph.half_edges()
-    return sum(len(uv) for uv, _, _ in _closed_wedges(graph.n, u[v > u], v[v > u]))
+    a, b, _, _ = graph.edge_arrays()
+    return sum(len(uv) for uv, _, _ in _closed_wedges(graph.n, a, b))
 
 
 def _fmt(x: float) -> str:
@@ -106,15 +98,24 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-def _formatted(x: np.ndarray, shift: float) -> list[str]:
+def _formatted(x: np.ndarray, shift: float, name: str) -> list[str]:
     """_fmt(c - shift) for each coordinate c of x, formatted once per
-    distinct value.
+    distinct value; ValueError names the first c whose shifted value is not
+    finite, which a grade's overflow or a non-finite grade gives.
 
     np.unique ties 0.0 with -0.0, which is safe: their shifted values are
     equal or differ only in the sign of zero, which _fmt drops.
     """
     values, inverse = np.unique(x, return_inverse=True)
-    texts = np.array([_fmt(c - shift) for c in values.tolist()], dtype=object)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = values - shift
+    finite = np.isfinite(shifted)
+    if not finite.all():
+        c = values[np.argmin(finite)].item()
+        raise ValueError(
+            f"grade coordinate {name} = {c!r} minus the shift {shift!r} is not finite"
+        )
+    texts = np.array([_fmt(c) for c in shifted.tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
@@ -151,15 +152,13 @@ def export_scc2020(
     triangle whose facet edge is absent from the graph is rejected, the
     first in sorted order; facets are looked up as (u, v), (u, w) and
     (v, w) with the edges' u < v, so this also rejects any triangle whose
-    vertices do not increase.  Each distinct coordinate is formatted once.
+    vertices do not increase.  Each distinct coordinate is formatted once;
+    one that is not finite after the shift (it overflowed, or a triangle's
+    grade is not finite) is rejected by name.
     """
     n = graph.n
-    a, b, grades = _upper_edges(graph)
-    finite = np.isfinite(grades).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"edge {(int(a[i]), int(b[i]))} has a non-finite grade")
-    shift_s, shift_t = grades.min(axis=0).tolist() if len(a) else (0.0, 0.0)
+    a, b, es, et = graph.edge_arrays()
+    shift_s, shift_t = (es.min().item(), et.min().item()) if len(a) else (0.0, 0.0)
 
     tri = _sorted_records(_as_records(triangles))
     # Rows are the facets uv, uw, vw.  An edge's key is a * n + b; a facet
@@ -181,8 +180,8 @@ def export_scc2020(
         )
 
     # Triangle then edge coordinates, formatted together: they mostly coincide.
-    s = _formatted(np.concatenate((tri["s"], grades[:, 0])), shift_s)
-    t = _formatted(np.concatenate((tri["t"], grades[:, 1])), shift_t)
+    s = _formatted(np.concatenate((tri["s"], es)), shift_s, "s")
+    t = _formatted(np.concatenate((tri["t"], et)), shift_t, "t")
     k = len(tri)
     names = np.array([str(i) for i in range(len(a))], dtype=object)
     lines = [FORMAT_TAG, "2", f"{k} {len(a)} {n}"]

@@ -237,6 +237,17 @@ def test_expand_k3(capsys, tmp_path):
     assert parsed.sizes() == (1, 3, 3)
 
 
+def test_expand_grade_overflow_is_an_input_error(capsys, tmp_path):
+    # The scc2020 shift 1e308 - (-1e308) overflows: exit 2, and no file.
+    path = tmp_path / "overflow.txt"
+    path.write_text("3 2\n0 1 1e308 0\n1 2 -1e308 0\n")
+    out_path = tmp_path / "overflow.scc"
+    rc, out, err = run(capsys, "expand", "--edges", str(path), "--output", str(out_path))
+    assert rc == 2
+    assert "input error" in err and "not finite" in err
+    assert not out_path.exists() and out == ""
+
+
 def test_expand_no_collapse_keeps_raw_counts(capsys, tmp_path, gap6_file):
     out_path = tmp_path / "raw.scc"
     rc, out, _ = run(

@@ -14,6 +14,7 @@ from bicollapse.core import (
     BifilteredGraph,
     Edge,
     edge_neighborhood,
+    graph_from_arrays,
     graph_from_edges,
     join,
     leq,
@@ -63,6 +64,10 @@ def test_graph_from_edges_k3():
 def test_graph_from_edges_empty():
     g = graph_from_edges(2, [])
     assert g.edge_count() == 0
+    for graph in (g, BifilteredGraph(0)):
+        arrays = graph.edge_arrays()
+        assert len(arrays) == 4 and all(len(x) == 0 for x in arrays)
+        assert graph_from_arrays(graph.n, *arrays) == graph
 
 
 def test_graph_from_edges_duplicate_pair():
@@ -187,6 +192,8 @@ def test_build_order_does_not_matter():
             g.remove_edge(e.u, e.v)
             _assert_sorted_symmetric(g)
     assert builds[0] == builds[1] == builds[2]
+    for g in builds:
+        assert graph_from_arrays(g.n, *g.edge_arrays()) == g
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,7 @@ from bicollapse.build import (
     pairwise_distances,
 )
 from bicollapse.collapse import collapse_iterated
-from bicollapse.core import edge_neighborhood, graph_from_edges, join, leq, subgraph_at
+from bicollapse.core import Edge, edge_neighborhood, graph_from_edges, join, leq, subgraph_at
 from bicollapse.domination import (
     _DenseStrongEngine,
     _DominationGrid,
@@ -149,6 +151,21 @@ def test_full_k3(k3):
 def test_full_empty_neighborhood():
     g = make_path3()
     assert not is_filtration_dominated(g, edge_of(g, 0, 1))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["rows", "mirror"])
+@pytest.mark.parametrize("predicate", [is_strongly_dominated, is_filtration_dominated])
+@pytest.mark.parametrize(
+    "e", [Edge(2, 3, (5.0, 5.0)), Edge(0, 1, (7.0, 7.0))], ids=["missing-pair", "wrong-grade"]
+)
+def test_predicates_reject_an_edge_not_in_the_graph(e, predicate, dense):
+    # Both storage forms answer only for edges of the graph, with one message.
+    pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+    g = graph_from_edges(4, [(u, v, (1.0, 1.0)) for u, v in pairs])
+    engine = _DenseStrongEngine(g) if dense else None
+    message = re.escape(f"edge ({e.u}, {e.v}) with grade {e.grade} not in graph")
+    with pytest.raises(ValueError, match=message):
+        predicate(g, e, engine)
 
 
 def test_full_check_exits_without_a_neighbor_at_crit():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import tracemalloc
 from itertools import combinations
 
@@ -166,6 +167,19 @@ def test_export_edge_only_graph():
 def test_export_shifts_negative_grades():
     g = graph_from_edges(2, [(0, 1, (-3.0, 1.0))])
     assert "0 0 ; 0 1" in export_text(g, [])
+
+
+def test_export_rejects_a_shift_that_overflows(k3):
+    # Both grades are finite, but 1e308 - (-1e308) overflows to inf.
+    g = graph_from_edges(3, [(0, 1, (1e308, 0.0)), (1, 2, (-1e308, 0.0))])
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=r"coordinate s = 1e\+308 .* not finite"):
+        export_scc2020(g, [], sink)
+    assert sink.getvalue() == ""
+    # A hand-written triangle with a non-finite grade meets the same check.
+    for grade, name in (((math.inf, 0.0), "s"), ((0.0, math.nan), "t")):
+        with pytest.raises(ValueError, match=rf"coordinate {name} = .* not finite"):
+            export_text(k3, [(0, 1, 2, grade)])
 
 
 def test_export_rejects_missing_facet():

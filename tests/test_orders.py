@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicollapse.core import Edge, graph_from_edges
+from bicollapse.core import Edge, graph_from_arrays, graph_from_edges
 from bicollapse.orders import ORDER_KINDS, EdgeOrder, sort_edges
 from bicollapse.oracle import random_grid_graph
 
@@ -122,6 +122,10 @@ def _tied_graphs(draw):
 def test_array_order_matches_key_sort(drawn, seed):
     edges, g = drawn
     assert _exact(g.edge_list()) == _exact(edges)
+    # The array view holds the same edges, -0.0 included, in the same order.
+    u, v, s, t = (x.tolist() for x in g.edge_arrays())
+    assert _exact(list(map(Edge, u, v, zip(s, t)))) == _exact(edges)
+    assert graph_from_arrays(g.n, *g.edge_arrays()) == g
     for kind in ORDER_KINDS:
         order = EdgeOrder(kind, seed=seed if kind == "random" else None)
         got = sort_edges(g, order)
