@@ -8,10 +8,11 @@ each pass's removals once, in removal_log, and derives the per-pass counts
 from it.  apply_grade_mode rewrites first grade coordinates before a run,
 for the grade-structure experiments.  The predicates live in
 domination.py; the pass calls each once per edge and hands it the dense
-grade mirror when there is one.  This module only decides that: a mirror
-for graphs up to DENSE_LIMIT vertices (complete density-Rips graphs in the
-hundreds of vertices), none above it, where the (n, 2, n) mirror costs
-more memory than it saves time.  Both forms remove the same edges.
+mirror of grade ranks when there is one.  This module only decides that: a
+mirror for graphs up to DENSE_LIMIT vertices (complete density-Rips graphs
+in the hundreds of vertices), none above it, where the int32 (n, 2, n)
+mirror (8 n^2 bytes) costs more memory than it saves time.  Both forms
+remove the same edges.
 """
 
 from __future__ import annotations

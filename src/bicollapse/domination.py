@@ -4,28 +4,28 @@ Two decision procedures.  The strong check looks for a single vertex that
 dominates the edge at every grade by serial trial: candidates in ascending
 id, the first that passes wins.  It has two storage forms, one lookup per
 edge neighbor in the candidate's adjacency row, and the same trial on a
-dense grade mirror (_DenseStrongEngine), one (n, 2, n) array of both grade
-coordinates with +inf for absent edges and -inf on the diagonal, filled
-from graph.edge_arrays().  There a trial is one comparison of the
-candidate's row with the edge's entry vector, and after a few failed
-candidates one batched comparison tests the rest.  Both forms return the
-same vertex, and is_strongly_dominated runs the dense form when it is
-handed the mirror.
+dense mirror (_DenseStrongEngine).  The checks use grades only through <=
+and the join, which a strictly increasing map keeps, so the mirror is one
+int32 (n, 2, n) array of each coordinate's rank among the edge grades on
+its axis, the largest int32 for absent edges and -1 on the diagonal.
+There a trial is one comparison of the candidate's row with the edge's
+entry vector, and after a few failed candidates one batched comparison
+tests the rest.  Both forms return the same vertex, and
+is_strongly_dominated runs the dense form when it is handed the mirror.
 The full check lets the dominating vertex change with the grade.  It
 counts, for every edge neighbor at once, where that neighbor dominates on a
 grid of grades built from the neighbors' entry coordinates
 (_DominationGrid): a 2-D prefix sum per neighbor, done with one
 searchsorted per axis, bincount and cumsum.  The edge is dominated iff every
 grid grade is covered; an edge with no neighbor entering at crit(e) in one
-coordinate fails before the grid is built.  It gathers its inputs from the
-dense mirror when there is one, else from the adjacency rows.  Both
+coordinate fails before the grid is built.  It runs in the mirror's ranks
+when there is one, else on float grades from the adjacency rows.  Both
 predicates, in either form, reject an edge the graph does not hold with
 that grade.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from typing import Sequence
 
@@ -67,28 +67,36 @@ def is_strongly_dominated(
     return None
 
 
+# A rank above every edge's: the mirror's entry for an absent edge.
+_ABSENT = np.iinfo(np.int32).max
+
+
 class _DenseStrongEngine:
     """Array mirror of a graph answering the strong check with row vector ops.
 
     The vectorized form of is_strongly_dominated's serial trial, for graphs
-    small enough to hold an (n, 2, n) grade array.  M[u, :, v] is the grade
-    of edge uv, +inf where the edge is absent and -inf on the diagonal, so
-    every presence test is a plain comparison.  Semantics match
+    small enough to hold an (n, 2, n) array.  M[u, :, v] holds the ranks
+    of edge uv's grade among the distinct edge coordinates values[0] (s)
+    and values[1] (t); absent edges hold _ABSENT and the diagonal -1, so
+    every presence test, crit(e) included, is read off M.  Semantics match
     is_strongly_dominated exactly, smallest-id tie-break included.  The
     full check gathers its neighbor grades from the same mirror.
     """
 
     def __init__(self, graph: BifilteredGraph):
         n = graph.n
-        u, v, s, t = graph.edge_arrays()
-        self.M = np.full((n, 2, n), math.inf)
-        self.M[u, 0, v] = self.M[v, 0, u] = s
-        self.M[u, 1, v] = self.M[v, 1, u] = t
+        u, v, *grades = graph.edge_arrays()
+        self.M = np.full((n, 2, n), _ABSENT, dtype=np.int32)
+        self.values = []
+        for axis, x in enumerate(grades):
+            values, rank = np.unique(x, return_inverse=True)
+            self.M[u, axis, v] = self.M[v, axis, u] = rank
+            self.values.append(values)
         ids = np.arange(n)
-        self.M[ids, :, ids] = -math.inf
+        self.M[ids, :, ids] = -1
 
     def remove(self, u: int, v: int) -> None:
-        self.M[u, :, v] = self.M[v, :, u] = math.inf
+        self.M[u, :, v] = self.M[v, :, u] = _ABSENT
 
     # Serial candidate tries beyond this count switch to one batched check:
     # the serial path wins when an early candidate succeeds (the common case
@@ -96,18 +104,18 @@ class _DenseStrongEngine:
     _SERIAL_TRIES = 6
 
     def strong_dominator(self, e: Edge) -> int | None:
-        # entry[:, w] is entry(w) for an edge neighbor w, +inf for a vertex
-        # not adjacent to both endpoints, and crit(e) at the endpoints (the
-        # -inf diagonal), which must therefore be left out as candidates.
-        crit = np.array(e.grade).reshape(2, 1)
+        # entry[:, w] is entry(w) for an edge neighbor w, _ABSENT for a
+        # vertex not adjacent to both endpoints, and crit(e) at the endpoints
+        # (the -1 diagonal), which must therefore be left out as candidates.
+        crit = self.M[e.u, :, e.v, None]
         entry = np.maximum(self.M[e.u], self.M[e.v])
         np.maximum(entry, crit, out=entry)
         le = entry <= crit
         cand = le[0] & le[1]
         cand[e.u] = cand[e.v] = False
         ids = np.flatnonzero(cand)
-        # A candidate v passes iff M[v] <= entry everywhere: its own -inf
-        # diagonal, the +inf entries and its edges to the endpoints (both
+        # A candidate v passes iff M[v] <= entry everywhere: its own -1
+        # diagonal, the _ABSENT entries and its edges to the endpoints (both
         # <= crit(e)) pass by construction, so only the edge neighbors test.
         for v in ids[: self._SERIAL_TRIES]:
             if (self.M[v] <= entry).all():
@@ -128,31 +136,32 @@ _CHUNK_CELLS = 1 << 18
 
 def _neighbor_grades(
     graph: BifilteredGraph, e: Edge, engine: _DenseStrongEngine | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Entry grades of e's edge neighbors and the grades of the edges among them.
+) -> tuple[Grade | np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """crit(e), entry grades of e's edge neighbors, grades of edges among them.
 
-    Returns entry_s, entry_t (length k, neighbors in ascending id) and
-    block_s, block_t (k x k, +inf where the edge is absent; the diagonal is
-    +inf in the row form and -inf in the dense form, and _DominationGrid
-    overwrites it).  The dense form slices the engine's mirror; the row
-    form looks each pair of neighbors up in the adjacency rows.
+    Returns crit, entry_s, entry_t (length k, neighbors in ascending id) and
+    block_s, block_t (k x k, absent edges above every grade; the diagonal is
+    +inf in the row form and -1 in the dense form, and _DominationGrid
+    overwrites it).  The dense form slices the engine's mirror, in ranks;
+    the row form looks each pair of neighbors up in the adjacency rows.
     """
     if engine is not None:
         _require_edge(graph, e)
         M = engine.M
-        # The -inf diagonal is not finite either, so the endpoints drop out.
-        ids = np.flatnonzero(np.isfinite(M[e.u, 0]) & np.isfinite(M[e.v, 0]))
-        crit = np.array(e.grade).reshape(2, 1)
-        entry = np.maximum(np.maximum(M[e.u][:, ids], M[e.v][:, ids]), crit)
+        present = (M[e.u, 0] < _ABSENT) & (M[e.v, 0] < _ABSENT)
+        present[[e.u, e.v]] = False
+        ids = np.flatnonzero(present)
+        crit = M[e.u, :, e.v]
+        entry = np.maximum(np.maximum(M[e.u][:, ids], M[e.v][:, ids]), crit[:, None])
         block = M[ids[:, None], :, ids]
-        return entry[0], entry[1], block[..., 0], block[..., 1]
+        return crit, entry[0], entry[1], block[..., 0], block[..., 1]
     nbhd = edge_neighborhood(graph, e)
     k = len(nbhd)
     ids = [w for w, _ in nbhd]
     grades = chain.from_iterable(graph.adj[v].get(w, NEVER) for v in ids for w in ids)
     block = np.fromiter(grades, float, 2 * k * k).reshape(k, k, 2)
     entries = np.reshape([entry for _, entry in nbhd], (k, 2))
-    return entries[:, 0], entries[:, 1], block[..., 0], block[..., 1]
+    return e.grade, entries[:, 0], entries[:, 1], block[..., 0], block[..., 1]
 
 
 class _DominationGrid:
@@ -172,7 +181,7 @@ class _DominationGrid:
     grid coordinate at or above it, one past the grid when there is none.
     """
 
-    def __init__(self, crit: Grade, entry_s, entry_t, block_s, block_t):
+    def __init__(self, crit: Grade | np.ndarray, entry_s, entry_t, block_s, block_t):
         self.xs = np.unique(np.append(entry_s, crit[0]))
         self.ys = np.unique(np.append(entry_t, crit[1]))
         self.shape = (len(self.xs) + 1, len(self.ys) + 1)
@@ -220,13 +229,13 @@ def is_filtration_dominated(
     then has no neighbor present.  Candidates are counted in chunks of
     ascending id, sized so one chunk's work arrays stay within _CHUNK_CELLS
     cells, stopping as soon as the grid is covered.  engine, when given, is
-    the dense mirror of graph to gather the grades from.
+    the dense mirror of graph to gather the grades from, in ranks.
     """
-    entry_s, entry_t, block_s, block_t = _neighbor_grades(graph, e, engine)
+    crit, entry_s, entry_t, block_s, block_t = _neighbor_grades(graph, e, engine)
     # Entries are >= crit(e), so <= here means equal.
-    if not ((entry_s <= e.grade[0]).any() and (entry_t <= e.grade[1]).any()):
+    if not ((entry_s <= crit[0]).any() and (entry_t <= crit[1]).any()):
         return False
-    grid = _DominationGrid(e.grade, entry_s, entry_t, block_s, block_t)
+    grid = _DominationGrid(crit, entry_s, entry_t, block_s, block_t)
     k = len(entry_s)
     step = max(1, _CHUNK_CELLS // (grid.shape[0] * grid.shape[1]))
     covered = np.zeros((len(grid.xs), len(grid.ys)), dtype=bool)

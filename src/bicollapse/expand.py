@@ -10,15 +10,15 @@ into one numpy record array of dtype GradedTriangle, fields u < v < w and
 the join (s, t).  The exporter emits the standard scc2020 text layout
 (format tag, parameter count, block sizes for dimensions 2, 1, 0, then one
 generator line per simplex with its grade and facet indices) so the file
-can feed external minimal-presentation tools.  It sorts the triangles
-itself and finds their facets among the edges with one searchsorted.
+can feed external minimal-presentation tools.  It takes the triangles as
+enumerate_triangles returns them and finds their facets with one searchsorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -119,54 +119,44 @@ def _formatted(x: np.ndarray, shift: float, name: str) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _as_records(triangles: np.ndarray | Iterable[tuple[int, int, int, Grade]]) -> np.ndarray:
-    """A GradedTriangle array as it is, else (u, v, w, (s, t)) tuples converted once."""
-    if isinstance(triangles, np.ndarray) and triangles.dtype == GradedTriangle:
-        return triangles
-    rows = [(u, v, w, s, t) for u, v, w, (s, t) in triangles]
-    return np.array(rows, dtype=GradedTriangle)
-
-
-def _sorted_records(tri: np.ndarray) -> np.ndarray:
-    """tri in the order sorted() gives its (u, v, w, (s, t)) tuples: one
-    stable lexsort, skipped when (u, v, w) already strictly increases, as
-    enumerate_triangles returns it."""
-    du, dv, dw = np.diff(tri["u"]), np.diff(tri["v"]), np.diff(tri["w"])
-    if ((du > 0) | ((du == 0) & ((dv > 0) | ((dv == 0) & (dw > 0))))).all():
-        return tri
-    return tri[np.lexsort((tri["t"], tri["s"], tri["w"], tri["v"], tri["u"]))]
+def _require_enumerated(tri: np.ndarray) -> None:
+    """Raise ValueError unless tri is a GradedTriangle array as enumerate_triangles
+    returns it: u < v < w in every row, the rows strictly increasing in (u, v, w)."""
+    if not (isinstance(tri, np.ndarray) and tri.dtype == GradedTriangle and tri.ndim == 1):
+        raise ValueError("triangles must be a GradedTriangle array, as enumerate_triangles returns")
+    u, v, w = tri["u"], tri["v"], tri["w"]
+    du, dv, dw = np.diff(u), np.diff(v), np.diff(w)
+    steps = (du > 0) | ((du == 0) & ((dv > 0) | ((dv == 0) & (dw > 0))))
+    if not (((u < v) & (v < w)).all() and steps.all()):
+        raise ValueError("triangles must have u < v < w and strictly increase in (u, v, w)")
 
 
 def export_scc2020(
-    graph: BifilteredGraph,
-    triangles: np.ndarray | Iterable[tuple[int, int, int, Grade]],
-    sink: str | Path | IO[str],
+    graph: BifilteredGraph, triangles: np.ndarray, sink: str | Path | IO[str]
 ) -> None:
     """Write the dimension 0..2 clique bifiltration in scc2020 text form.
 
-    triangles is a GradedTriangle array, as enumerate_triangles returns,
-    or (u, v, w, (s, t)) tuples.  Grades are shifted so the coordinate-wise
-    minimum over edge grades lands at (0, 0); vertices sit at that global
-    minimum.  Edges are sorted by (u, v) and triangles by (u, v, w, s, t)
-    with a stable sort, so output is byte-stable for a fixed input.  A
+    triangles is a GradedTriangle array as enumerate_triangles returns it,
+    anything else is rejected (_require_enumerated).  Grades are shifted so
+    the coordinate-wise minimum over edge grades lands at (0, 0); vertices
+    sit at that global minimum.  Edges come in (u, v) order and triangles
+    in the order given, so output is byte-stable for a fixed input.  A
     triangle whose facet edge is absent from the graph is rejected, the
-    first in sorted order; facets are looked up as (u, v), (u, w) and
-    (v, w) with the edges' u < v, so this also rejects any triangle whose
-    vertices do not increase.  Each distinct coordinate is formatted once;
-    one that is not finite after the shift (it overflowed, or a triangle's
-    grade is not finite) is rejected by name.
+    first in order.  Each distinct coordinate is formatted once; one that
+    is not finite after the shift (it overflowed, or a triangle's grade is
+    not finite) is rejected by name.
     """
+    _require_enumerated(triangles)
+    tu, tv, tw = triangles["u"], triangles["v"], triangles["w"]
     n = graph.n
     a, b, es, et = graph.edge_arrays()
     shift_s, shift_t = (es.min().item(), et.min().item()) if len(a) else (0.0, 0.0)
 
-    tri = _sorted_records(_as_records(triangles))
     # Rows are the facets uv, uw, vw.  An edge's key is a * n + b; a facet
     # that cannot be an edge gets n * n, which sits above every edge key and
     # is appended to them, so every searchsorted position can be read.
-    x = np.stack((tri["u"], tri["u"], tri["v"]))
-    y = np.stack((tri["v"], tri["w"], tri["w"]))
-    valid = (0 <= x) & (x < y) & (y < n)
+    x, y = np.stack((tu, tu, tv)), np.stack((tv, tw, tw))
+    valid = (0 <= x) & (y < n)
     key = np.where(valid, x * n + y, n * n)
     keys = np.append(a * n + b, n * n)
     facets = np.searchsorted(keys, key)
@@ -174,15 +164,15 @@ def export_scc2020(
     if not found.all():
         i = int(np.argmin(found.all(axis=0)))
         j = int(np.argmin(found[:, i]))
-        corner = (int(tri["u"][i]), int(tri["v"][i]), int(tri["w"][i]))
+        corner = (int(tu[i]), int(tv[i]), int(tw[i]))
         raise ValueError(
             f"triangle {corner} references missing edge {(int(x[j, i]), int(y[j, i]))}"
         )
 
     # Triangle then edge coordinates, formatted together: they mostly coincide.
-    s = _formatted(np.concatenate((tri["s"], es)), shift_s, "s")
-    t = _formatted(np.concatenate((tri["t"], et)), shift_t, "t")
-    k = len(tri)
+    s = _formatted(np.concatenate((triangles["s"], es)), shift_s, "s")
+    t = _formatted(np.concatenate((triangles["t"], et)), shift_t, "t")
+    k = len(triangles)
     names = np.array([str(i) for i in range(len(a))], dtype=object)
     lines = [FORMAT_TAG, "2", f"{k} {len(a)} {n}"]
     lines += [

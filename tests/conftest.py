@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from bicollapse.core import BifilteredGraph, Edge, graph_from_edges
@@ -54,3 +57,15 @@ def k3() -> BifilteredGraph:
 
 def edge_of(graph: BifilteredGraph, u: int, v: int) -> Edge:
     return Edge(u, v, graph.grade_of(u, v))
+
+
+def decoded(engine, axis: int, ranks) -> np.ndarray:
+    """Ranks on one axis of a dense engine's mirror mapped back to grades
+    through its value table: the absent value to +inf, the -1 diagonal to
+    -inf."""
+    values = engine.values[axis]
+    absent = np.iinfo(np.int32).max
+    ranks = np.asarray(ranks)
+    assert ((ranks == -1) | (ranks == absent) | ((0 <= ranks) & (ranks < len(values)))).all()
+    table = np.append(values, [math.inf, -math.inf])
+    return table[np.where(ranks == absent, len(values), ranks)]

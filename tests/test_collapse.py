@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicollapse import collapse
 from bicollapse.build import (
@@ -26,7 +29,7 @@ from bicollapse.oracle import (
 )
 from bicollapse.orders import ORDER_KINDS, EdgeOrder
 
-from conftest import A, B, edge_of, make_gap6, make_k3
+from conftest import A, B, decoded, edge_of, make_gap6, make_k3
 
 
 def _order(kind: str) -> EdgeOrder:
@@ -189,6 +192,67 @@ def test_storage_forms_agree_on_density_rips(monkeypatch):
     assert sum(len(log[0]) for log in dense) > 5 * g.edge_count()
 
 
+# Ties and extreme floats: both zeros, the smallest subnormal, 1 and the next
+# float above it, and the largest magnitudes.  Ranks must keep every tie and
+# every strict order among them.
+_EXTREME_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), 1e308, -1e308]
+)
+
+
+@st.composite
+def _extreme_graphs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    grades = st.tuples(_EXTREME_FLOATS, _EXTREME_FLOATS)
+    return graph_from_edges(n, [(u, v, draw(grades)) for (u, v), k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_extreme_graphs())
+def test_storage_forms_agree_on_ties_and_extreme_floats(g):
+    with pytest.MonkeyPatch.context() as mp:
+        dense, listed = _both_forms(mp, g, 2)
+    assert dense == listed
+
+
+_COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0, 0.1])
+
+
+@st.composite
+def _degenerate_clouds(draw):
+    """Small 2-D or 3-D clouds with exact duplicates and a collinear run."""
+    dim = draw(st.sampled_from([2, 3]))
+    point = st.tuples(*[_COORDS] * dim)
+    base = draw(st.lists(point, min_size=1, max_size=5))
+    duplicates = draw(st.lists(st.sampled_from(base), max_size=3))
+    start, step = draw(st.sampled_from(base)), draw(point)
+    run = [tuple(a + k * d for a, d in zip(start, step)) for k in range(draw(st.integers(0, 4)))]
+    cloud = base + duplicates + run
+    if len(cloud) < 2:
+        cloud += cloud
+    return np.array(draw(st.permutations(cloud)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=_degenerate_clouds())
+def test_degenerate_clouds_fail_cleanly_or_agree_on_both_forms(points):
+    # Through the build path: a cloud either fails with the documented
+    # ValueError or yields a graph whose removals both forms agree on.
+    distances = pairwise_distances(points)
+    try:
+        h = kde_bandwidth(distances)
+    except ValueError as exc:
+        message = "all pairwise distances are zero" if distances.max() == 0 else "zero bandwidth"
+        assert re.fullmatch(f"degenerate cloud: {message}.*", str(exc))
+        return
+    g = density_rips_graph(points, kde_density(points, h))
+    with pytest.MonkeyPatch.context() as mp:
+        dense, listed = _both_forms(mp, g, 2)
+    assert dense == listed
+
+
 def test_dense_engine_matches_list_semantics():
     rng = np.random.default_rng(19)
     for _ in range(30):
@@ -232,22 +296,34 @@ def test_dense_engine_tracks_removals():
             assert engine.strong_dominator(probe) == is_strongly_dominated(g, probe)
 
 
+def _decoded_mirror(engine) -> np.ndarray:
+    """engine.M with its ranks mapped back to grades, +inf where an edge is
+    absent and -inf on the diagonal."""
+    return np.stack([decoded(engine, axis, engine.M[:, axis]) for axis in (0, 1)], axis=1)
+
+
 def test_fresh_mirror_marks_absent_pairs_and_diagonal():
     rng = np.random.default_rng(29)
     for _ in range(10):
         g = random_grid_graph(9, 0.5, rng)
-        M = _DenseStrongEngine(g).M
+        engine = _DenseStrongEngine(g)
+        M = engine.M
         assert M.shape == (g.n, 2, g.n)
+        assert M.dtype == np.int32 and M.nbytes == 8 * g.n * g.n
+        assert all((np.diff(values) > 0).all() for values in engine.values)
+        grades = _decoded_mirror(engine)
         for u in range(g.n):
             for v in range(g.n):
                 if u == v:
                     expected = (-math.inf, -math.inf)
                 else:
                     expected = g.grade_of(u, v)  # NEVER = (inf, inf) when absent
-                assert tuple(M[u, :, v].tolist()) == expected
+                assert tuple(grades[u, :, v].tolist()) == expected
 
 
 def test_mirror_after_removals_equals_fresh_mirror():
+    # A fresh engine ranks only the grades left, so the ranks may differ;
+    # the grades they stand for may not.
     rng = np.random.default_rng(31)
     shuffler = random.Random(31)
     for _ in range(20):
@@ -259,11 +335,13 @@ def test_mirror_after_removals_equals_fresh_mirror():
         for i, e in enumerate(edges[:k]):
             engine.remove(*((e.u, e.v) if i % 2 else (e.v, e.u)))
         fresh = _DenseStrongEngine(graph_from_edges(g.n, edges[k:]))
-        assert np.array_equal(engine.M, fresh.M)
+        assert engine.M.dtype == fresh.M.dtype == np.int32
+        assert engine.M.nbytes == fresh.M.nbytes == 8 * g.n * g.n
+        assert np.array_equal(_decoded_mirror(engine), _decoded_mirror(fresh))
 
 
 def test_dense_engine_never_returns_an_endpoint():
-    # With the -inf diagonal an endpoint would pass every test, so it must
+    # With the -1 diagonal an endpoint would pass every test, so it must
     # be excluded from the candidates explicitly.
     g = make_k3()
     engine = _DenseStrongEngine(g)

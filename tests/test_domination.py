@@ -35,12 +35,12 @@ from bicollapse.oracle import (
 )
 from bicollapse.orders import EdgeOrder, sort_edges
 
-from conftest import A, B, V, W, edge_of, make_k3, make_path3
+from conftest import A, B, V, W, decoded, edge_of, make_k3, make_path3
 from test_oracle import brute_force_strong_dominators
 
 
 def grid_of(graph, e, engine=None) -> _DominationGrid:
-    return _DominationGrid(e.grade, *_neighbor_grades(graph, e, engine))
+    return _DominationGrid(*_neighbor_grades(graph, e, engine))
 
 
 def grid_grades(grid: _DominationGrid) -> set:
@@ -290,7 +290,8 @@ def test_strong_is_smallest_brute_force_dominator():
 def test_region_query_matches_plain_domination():
     # For every neighbor v and every grade c of the grid: the grid says v
     # dominates e at c iff v dominates e in the plain graph at c.  The grid
-    # holds every join of two entry grades, in both storage forms.
+    # holds every join of two entry grades, in both storage forms; the dense
+    # form's grid is in ranks, equal to the row form's once decoded.
     rng = np.random.default_rng(41)
     for _ in range(25):
         g = random_grid_graph(8, 0.55, rng)
@@ -299,7 +300,8 @@ def test_region_query_matches_plain_domination():
             nbhd = edge_neighborhood(g, e)
             grid = grid_of(g, e)
             dense = grid_of(g, e, engine)
-            assert np.array_equal(grid.xs, dense.xs) and np.array_equal(grid.ys, dense.ys)
+            assert np.array_equal(grid.xs, decoded(engine, 0, dense.xs))
+            assert np.array_equal(grid.ys, decoded(engine, 1, dense.ys))
             dom = grid.dominates(0, len(nbhd))
             assert np.array_equal(dom, dense.dominates(0, len(nbhd)))
             assert {join(p, q) for _, p in nbhd for _, q in nbhd} <= grid_grades(grid)

@@ -37,6 +37,11 @@ def as_tuples(triangles) -> list:
     return [(u, v, w, (s, t)) for u, v, w, s, t in triangles.tolist()]
 
 
+def as_array(tuples) -> np.ndarray:
+    """(u, v, w, (s, t)) tuples as a GradedTriangle array, in their order."""
+    return np.array([(u, v, w, s, t) for u, v, w, (s, t) in tuples], dtype=GradedTriangle)
+
+
 # -- enumeration -----------------------------------------------------------------
 
 
@@ -156,7 +161,7 @@ def test_export_k3_structure(k3):
 
 def test_export_edge_only_graph():
     g = graph_from_edges(3, [(0, 1, (1.0, 2.0)), (1, 2, (3.0, 2.5))])
-    text = export_text(g, [])
+    text = export_text(g, enumerate_triangles(g))
     lines = text.splitlines()
     assert lines[2] == "0 2 3"
     # grades shifted so the coordinate-wise minimum over edges is (0, 0)
@@ -166,7 +171,7 @@ def test_export_edge_only_graph():
 
 def test_export_shifts_negative_grades():
     g = graph_from_edges(2, [(0, 1, (-3.0, 1.0))])
-    assert "0 0 ; 0 1" in export_text(g, [])
+    assert "0 0 ; 0 1" in export_text(g, enumerate_triangles(g))
 
 
 def test_export_rejects_a_shift_that_overflows(k3):
@@ -174,41 +179,57 @@ def test_export_rejects_a_shift_that_overflows(k3):
     g = graph_from_edges(3, [(0, 1, (1e308, 0.0)), (1, 2, (-1e308, 0.0))])
     sink = io.StringIO()
     with pytest.raises(ValueError, match=r"coordinate s = 1e\+308 .* not finite"):
-        export_scc2020(g, [], sink)
+        export_scc2020(g, enumerate_triangles(g), sink)
     assert sink.getvalue() == ""
-    # A hand-written triangle with a non-finite grade meets the same check.
-    for grade, name in (((math.inf, 0.0), "s"), ((0.0, math.nan), "t")):
+    # A triangle array whose grade was edited to a non-finite value meets
+    # the same check.
+    for name, value in (("s", math.inf), ("t", math.nan)):
+        tris = enumerate_triangles(k3)
+        tris[name] = value
         with pytest.raises(ValueError, match=rf"coordinate {name} = .* not finite"):
-            export_text(k3, [(0, 1, 2, grade)])
+            export_text(k3, tris)
 
 
-def test_export_rejects_missing_facet():
+def test_export_rejects_missing_facet(k3):
+    # The triangle of k3 against the graph without its edge (1, 2).
     g = graph_from_edges(3, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0))])
-    with pytest.raises(ValueError, match="missing edge"):
-        export_text(g, [(0, 1, 2, (0.0, 0.0))])
+    with pytest.raises(ValueError, match=r"missing edge \(1, 2\)"):
+        export_text(g, enumerate_triangles(k3))
+
+
+_NOT_ENUMERATED = "must have u < v < w and strictly increase in"
 
 
 def test_triangle_vertex_order_enforced():
-    # Facets are looked up as (u, v), (u, w), (v, w) among edges keyed u < v,
-    # so the export rejects any triangle whose vertices do not increase.
+    # Every triangle must list its vertices in increasing order.
     g = make_k4()
-    for u, v, w in ((2, 1, 3), (0, 0, 1)):
-        with pytest.raises(ValueError, match="missing edge"):
-            export_text(g, [(u, v, w, (0.0, 0.0))])
+    for u, v, w in ((2, 1, 3), (0, 0, 1), (0, 2, 1)):
+        with pytest.raises(ValueError, match=_NOT_ENUMERATED):
+            export_text(g, as_array([(u, v, w, (0.0, 0.0))]))
 
 
 def test_export_byte_stable(gap6):
+    # The same graph, built with its edges in another order, gives the same
+    # bytes; the triangles in any order but enumerate_triangles' are
+    # rejected, and so is anything that is not a GradedTriangle array.
     tris = enumerate_triangles(gap6)
     first = export_text(gap6, tris)
-    second = export_text(gap6.copy(), tris[::-1])
-    assert first == second
-    assert export_text(gap6, list(reversed(as_tuples(tris)))) == first
+    assert export_text(gap6.copy(), tris) == first
+    shuffled = graph_from_edges(gap6.n, list(reversed(gap6.edge_list())))
+    assert export_text(shuffled, enumerate_triangles(shuffled)) == first
+    with pytest.raises(ValueError, match=_NOT_ENUMERATED):
+        export_text(gap6, tris[::-1])
+    for other in (as_tuples(tris), [], tris[["u", "v", "w"]], tris.reshape(1, -1)):
+        with pytest.raises(ValueError, match="must be a GradedTriangle array"):
+            export_text(gap6, other)
 
 
-def test_export_orders_repeated_triangles(k3):
-    # Equal vertex triples are ordered by grade, whatever order they come in.
+def test_export_rejects_repeated_triangles(k3):
+    # A vertex triple given twice, at equal or at different grades.
     hi, lo = (0, 1, 2, (1.0, 1.0)), (0, 1, 2, (0.0, 0.0))
-    assert export_text(k3, [hi, lo]) == export_text(k3, [lo, hi])
+    for written in ([hi, lo], [lo, hi], [lo, lo]):
+        with pytest.raises(ValueError, match=_NOT_ENUMERATED):
+            export_text(k3, as_array(written))
 
 
 def test_export_to_path(tmp_path, k3):
@@ -277,29 +298,43 @@ def test_triangle_stage_matches_tuple_reference(g, data):
     assert as_tuples(tris) == reference
     assert count_triangles(g) == len(tris)
     assert export_text(g, tris) == _tuple_export(g, reference)
-    # Hand-written input: the triangles again, some repeated at other grades,
-    # and a few arbitrary triples (mostly with a missing facet), in any order.
-    repeats = data.draw(st.lists(st.sampled_from(reference), max_size=6)) if reference else []
+    # Hand-written arrays: the triangles, some at other grades, and a few
+    # arbitrary triples u < v < w (mostly with a missing facet), one grade
+    # per triple, in (u, v, w) order.
+    regraded = data.draw(st.sets(st.sampled_from(reference), max_size=6)) if reference else set()
     ids = st.integers(-1, g.n)
-    strays = data.draw(st.lists(st.tuples(ids, ids, ids, _TIE_GRADES), max_size=2))
-    written = reference + [(u, v, w, data.draw(_TIE_GRADES)) for u, v, w, _ in repeats]
-    written = data.draw(st.permutations(written + strays))
+    strays = data.draw(st.lists(st.tuples(ids, ids, ids), max_size=2))
+    written = {(u, v, w): grade for u, v, w, grade in reference}
+    for key in [t[:3] for t in regraded] + [tuple(sorted(set(t))) for t in strays]:
+        if len(key) == 3:
+            written[key] = data.draw(_TIE_GRADES)
+    written = [(*key, grade) for key, grade in sorted(written.items())]
     try:
         expected = _tuple_export(g, written)
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            export_text(g, written)
+            export_text(g, as_array(written))
         assert str(raised.value) == str(exc)
     else:
-        assert export_text(g, written) == expected
+        assert export_text(g, as_array(written)) == expected
+    # In any other order, or with a triangle repeated, they are rejected.
+    shuffled = data.draw(st.permutations(written))
+    rejected = [written + written[:1]] if written else []
+    if shuffled != written:
+        rejected.append(shuffled)
+    for other in rejected:
+        with pytest.raises(ValueError, match=_NOT_ENUMERATED):
+            export_text(g, as_array(other))
 
 
 def test_export_first_missing_facet_in_sorted_order():
     g = graph_from_edges(4, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0)), (1, 3, (0.0, 0.0))])
-    written = [(1, 2, 3, (0.0, 0.0)), (0, 1, 3, (1.0, 0.0)), (0, 1, 2, (0.0, 0.0))]
+    written = [(0, 1, 2, (0.0, 0.0)), (0, 1, 3, (1.0, 0.0)), (1, 2, 3, (0.0, 0.0))]
     with pytest.raises(ValueError) as raised:
-        export_text(g, written)
+        export_text(g, as_array(written))
     assert str(raised.value) == "triangle (0, 1, 2) references missing edge (1, 2)"
+    with pytest.raises(ValueError, match=_NOT_ENUMERATED):
+        export_text(g, as_array(written[::-1]))
 
 
 # -- round-trip ------------------------------------------------------------------
@@ -312,7 +347,7 @@ def test_round_trip_property(g):
     # the shifted edge grades exactly.
     edges = g.edge_list()
     tris = as_tuples(enumerate_triangles(g))
-    parsed = parse_scc2020(io.StringIO(export_text(g, tris)))
+    parsed = parse_scc2020(io.StringIO(export_text(g, enumerate_triangles(g))))
     assert parsed.sizes() == (len(tris), len(edges), g.n)
     shift_s = min((s for _, _, (s, _) in edges), default=0.0)
     shift_t = min((t for _, _, (_, t) in edges), default=0.0)
