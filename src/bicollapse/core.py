@@ -13,7 +13,7 @@ np.loadtxt parse) both feed it, so the checks exist once.  Edge is the
 one record type: edges() and edge_list() give the edges as Edge(u, v,
 grade) named tuples and edge_arrays(), the inverse of graph_from_arrays,
 as arrays, while edge_neighborhood, on the hot path of every domination
-check, returns plain (w, entry) tuples.
+check, intersects two rows' key views into plain (w, entry) tuples.
 """
 
 from __future__ import annotations
@@ -194,20 +194,20 @@ def _require_edge(graph: BifilteredGraph, e: Edge) -> None:
 def edge_neighborhood(graph: BifilteredGraph, e: Edge) -> list[tuple[int, Grade]]:
     """Common neighbors w of e's endpoints as plain (w, entry) tuples.
 
-    Walks the shorter of the two rows and looks each neighbor up in the
-    other; output sorted by vertex id.  entry is the grade at which w
-    becomes an edge neighbor: join(crit({a,w}), crit({b,w}), crit(e)).
+    Intersects the two rows' key views; output sorted by vertex id.  entry
+    is the grade at which w becomes an edge neighbor, join(crit({a,w}),
+    crit({b,w}), crit(e)), and is e.grade itself when that join is crit(e).
     """
     _require_edge(graph, e)
-    a, b, (es, et) = e
-    short, other = graph.adj[a], graph.adj[b]
-    if len(other) < len(short):
-        short, other = other, short
+    es, et = grade = e.grade
+    ra, rb = graph.adj[e.u], graph.adj[e.v]
     out: list[tuple[int, Grade]] = []
-    for w, (s1, t1) in short.items():
-        g2 = other.get(w)
-        if g2 is not None:
-            out.append((w, (max(s1, g2[0], es), max(t1, g2[1], et))))
+    for w in sorted(ra.keys() & rb.keys()):
+        (s1, t1), (s2, t2) = ra[w], rb[w]
+        if s1 <= es and t1 <= et and s2 <= es and t2 <= et:
+            out.append((w, grade))
+        else:
+            out.append((w, (max(s1, s2, es), max(t1, t2, et))))
     return out
 
 

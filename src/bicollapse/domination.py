@@ -2,15 +2,15 @@
 
 Two decision procedures.  The strong check looks for a single vertex that
 dominates the edge at every grade by serial trial: candidates in ascending
-id, the first that passes wins.  It has two storage forms, one lookup per
-edge neighbor in the candidate's adjacency row, and the same trial on a
-dense mirror (_DenseStrongEngine).  The checks use grades only through <=
-and the join, which a strictly increasing map keeps, so the mirror is one
-int32 (n, 2, n) array of each coordinate's rank among the edge grades on
-its axis, the largest int32 for absent edges and -1 on the diagonal.
-There a trial is one comparison of the candidate's row with the edge's
-entry vector, and after a few failed candidates one batched comparison
-tests the rest.  Both forms return the same vertex, and
+id, the first that passes wins.  In its row form a trial looks each edge
+neighbor up in the candidate's adjacency row and stops at the first miss;
+on a dense mirror (_DenseStrongEngine) it counts the cells of the
+candidate's row above the edge's entry vector, and after a few failed
+candidates one batched comparison tests the rest.  The checks use grades
+only through <= and the join, which a strictly increasing map keeps, so
+the mirror is one int32 (n, 2, n) array of each coordinate's rank among
+the edge grades on its axis, the largest int32 for absent edges and -1
+on the diagonal.  Both forms return the same vertex, a Python int, and
 is_strongly_dominated runs the dense form when it is handed the mirror.
 The full check lets the dominating vertex change with the grade.  It
 counts, for every edge neighbor at once, where that neighbor dominates on a
@@ -27,19 +27,12 @@ that grade.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
-from .core import NEVER, BifilteredGraph, Edge, Grade, _require_edge, edge_neighborhood, leq
+from .core import NEVER, BifilteredGraph, Edge, Grade, _require_edge, edge_neighborhood
 
 # -- strong filtration-domination --------------------------------------------
-
-
-def _reaches_all(row: dict[int, Grade], v: int, nbhd: Sequence[tuple[int, Grade]]) -> bool:
-    """Does v's adjacency row hold an edge to every other edge neighbor w
-    critical no later than w's entry grade?  One lookup per neighbor."""
-    return all(w == v or leq(row.get(w, NEVER), entry) for w, entry in nbhd)
 
 
 def is_strongly_dominated(
@@ -62,8 +55,14 @@ def is_strongly_dominated(
     for v, entry in nbhd:
         # entry(v) always dominates crit(e), with equality iff both edge
         # grades are <= crit(e): exactly the potential-strong-dominator test.
-        if entry == e.grade and _reaches_all(graph.adj[v], v, nbhd):
-            return v
+        if entry == e.grade:
+            row = graph.adj[v]
+            for w, (s, t) in nbhd:
+                g = row.get(w, NEVER)
+                if (g[0] > s or g[1] > t) and w != v:
+                    break
+            else:
+                return v
     return None
 
 
@@ -113,17 +112,17 @@ class _DenseStrongEngine:
         le = entry <= crit
         cand = le[0] & le[1]
         cand[e.u] = cand[e.v] = False
-        ids = np.flatnonzero(cand)
-        # A candidate v passes iff M[v] <= entry everywhere: its own -1
+        ids = cand.nonzero()[0]
+        # A candidate v passes iff no cell of M[v] exceeds entry: its own -1
         # diagonal, the _ABSENT entries and its edges to the endpoints (both
         # <= crit(e)) pass by construction, so only the edge neighbors test.
-        for v in ids[: self._SERIAL_TRIES]:
-            if (self.M[v] <= entry).all():
-                return int(v)
+        for v in ids[: self._SERIAL_TRIES].tolist():
+            if not np.count_nonzero(self.M[v] > entry):
+                return v
         rest = ids[self._SERIAL_TRIES :]
         if rest.size == 0:
             return None
-        hits = np.flatnonzero((self.M[rest] <= entry).all(axis=(1, 2)))
+        hits = (self.M[rest] <= entry).all(axis=(1, 2)).nonzero()[0]
         return int(rest[hits[0]]) if hits.size else None
 
 
@@ -149,8 +148,8 @@ def _neighbor_grades(
         _require_edge(graph, e)
         M = engine.M
         present = (M[e.u, 0] < _ABSENT) & (M[e.v, 0] < _ABSENT)
-        present[[e.u, e.v]] = False
-        ids = np.flatnonzero(present)
+        present[e.u] = present[e.v] = False
+        ids = present.nonzero()[0]
         crit = M[e.u, :, e.v]
         entry = np.maximum(np.maximum(M[e.u][:, ids], M[e.v][:, ids]), crit[:, None])
         block = M[ids[:, None], :, ids]
@@ -167,11 +166,13 @@ def _neighbor_grades(
 class _DominationGrid:
     """Where each edge neighbor dominates e, on the grid xs x ys.
 
-    xs and ys are the distinct entry coordinates together with crit(e), so
-    every grid grade is >= crit(e), and the grid holds crit(e) joined with
-    any set of entry grades.  Only those grades need a test: the neighbors
-    present at a grade c are already present at the join d <= c of their
-    entries with crit(e), and domination at d implies domination at c.
+    xs and ys are the distinct entry coordinates.  Precondition, which the
+    early exit of is_filtration_dominated ensures: some entry attains
+    crit(e) in s and some in t.  Entries are >= crit(e), so every grid
+    grade is >= crit(e), and the grid holds crit(e) joined with any set
+    of entry grades.  Only those grades need a test: the neighbors present
+    at a grade c are already present at the join d <= c of their entries
+    with crit(e), and domination at d implies domination at c.
 
     Neighbor v dominates e at c iff entry(v) <= c and
     N_v(c) = #{w != v : entry(w) <= c} - #{w != v : join(entry(w), crit(vw)) <= c}
@@ -181,15 +182,14 @@ class _DominationGrid:
     grid coordinate at or above it, one past the grid when there is none.
     """
 
-    def __init__(self, crit: Grade | np.ndarray, entry_s, entry_t, block_s, block_t):
-        self.xs = np.unique(np.append(entry_s, crit[0]))
-        self.ys = np.unique(np.append(entry_t, crit[1]))
+    def __init__(self, entry_s, entry_t, block_s, block_t):
+        self.xs, self.ys = np.unique(entry_s), np.unique(entry_t)
         self.shape = (len(self.xs) + 1, len(self.ys) + 1)
         # Row i holds the joins for candidate i, with its own entry on the
         # diagonal, so one searchsorted per axis ranks the joins and entries.
         join_s, join_t = np.maximum(block_s, entry_s), np.maximum(block_t, entry_t)
-        np.fill_diagonal(join_s, entry_s)
-        np.fill_diagonal(join_t, entry_t)
+        join_s.flat[:: len(entry_s) + 1] = entry_s
+        join_t.flat[:: len(entry_s) + 1] = entry_t
         self._join = np.searchsorted(self.xs, join_s) * self.shape[1]
         self._join += np.searchsorted(self.ys, join_t)
         self._entry = self._join.diagonal()
@@ -235,7 +235,7 @@ def is_filtration_dominated(
     # Entries are >= crit(e), so <= here means equal.
     if not ((entry_s <= crit[0]).any() and (entry_t <= crit[1]).any()):
         return False
-    grid = _DominationGrid(crit, entry_s, entry_t, block_s, block_t)
+    grid = _DominationGrid(entry_s, entry_t, block_s, block_t)
     k = len(entry_s)
     step = max(1, _CHUNK_CELLS // (grid.shape[0] * grid.shape[1]))
     covered = np.zeros((len(grid.xs), len(grid.ys)), dtype=bool)

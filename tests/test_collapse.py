@@ -27,9 +27,10 @@ from bicollapse.oracle import (
     random_grid_graph,
     verify_collapse,
 )
-from bicollapse.orders import ORDER_KINDS, EdgeOrder
+from bicollapse.orders import ORDER_KINDS, EdgeOrder, sort_edges
 
 from conftest import A, B, decoded, edge_of, make_gap6, make_k3
+from test_oracle import brute_force_strong_dominators
 
 
 def _order(kind: str) -> EdgeOrder:
@@ -217,6 +218,26 @@ def test_storage_forms_agree_on_ties_and_extreme_floats(g):
     assert dense == listed
 
 
+@settings(max_examples=40, deadline=None)
+@given(g=_extreme_graphs())
+def test_returned_vertex_agrees_during_a_pass_on_ties_and_extreme_floats(g):
+    # A strong pass in lex and revlex order: on every edge the row form, the
+    # mirror and the brute force name the same dominator, the smallest one,
+    # as a Python int; a hit removes the edge from the graph and the mirror.
+    for kind in ("lex", "revlex"):
+        h = g.copy()
+        engine = _DenseStrongEngine(h)
+        for e in sort_edges(h, EdgeOrder(kind)):
+            winners = brute_force_strong_dominators(h, e)
+            expected = winners[0] if winners else None
+            listed, dense = is_strongly_dominated(h, e), is_strongly_dominated(h, e, engine)
+            assert listed == dense == expected
+            if expected is not None:
+                assert type(listed) is int and type(dense) is int
+                h.remove_edge(e.u, e.v)
+                engine.remove(e.u, e.v)
+
+
 _COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0, 0.1])
 
 
@@ -275,8 +296,9 @@ def test_dense_engine_batch_path():
     g = graph_from_edges(12, edges)
     e = g.edge_list()[0]
     assert (e.u, e.v) == (0, 1)
-    assert is_strongly_dominated(g, e) == hub
-    assert _DenseStrongEngine(g).strong_dominator(e) == hub
+    listed, dense = is_strongly_dominated(g, e), _DenseStrongEngine(g).strong_dominator(e)
+    assert listed == dense == hub
+    assert type(listed) is int and type(dense) is int
     g2 = g.copy()
     g2.remove_edge(sats[0], hub)
     e2 = g2.edge_list()[0]

@@ -108,6 +108,34 @@ def test_edge_neighborhood_path_empty():
     assert edge_neighborhood(g, edge_of(g, 0, 1)) == []
 
 
+_FEW_FLOATS = st.sampled_from([-0.0, 0.0, 1.0, 2.0])
+
+
+@st.composite
+def _few_grade_graphs(draw):
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    grades = st.tuples(_FEW_FLOATS, _FEW_FLOATS)
+    return graph_from_edges(n, [(u, v, draw(grades)) for (u, v), k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_few_grade_graphs())
+def test_edge_neighborhood_matches_reference(g):
+    # Random degrees put the shorter row on either endpoint.
+    for e in g.edge_list():
+        a, b = e.u, e.v
+        common = [w for w in range(g.n) if g.has_edge(a, w) and g.has_edge(b, w)]
+        nbhd = edge_neighborhood(g, e)
+        ga, gb = g.adj[a], g.adj[b]
+        assert nbhd == [(w, join(join(ga[w], gb[w]), e.grade)) for w in common]
+        ids = [w for w, _ in nbhd]
+        assert all(x < y for x, y in zip(ids, ids[1:]))
+        at_crit = [w for w in common if leq(ga[w], e.grade) and leq(gb[w], e.grade)]
+        assert [w for w, entry in nbhd if entry == e.grade] == at_crit
+
+
 def test_edge_neighborhood_rejects_missing_edge():
     g = make_path3()
     with pytest.raises(ValueError, match="not in graph"):

@@ -40,7 +40,7 @@ from test_oracle import brute_force_strong_dominators
 
 
 def grid_of(graph, e, engine=None) -> _DominationGrid:
-    return _DominationGrid(*_neighbor_grades(graph, e, engine))
+    return _DominationGrid(*_neighbor_grades(graph, e, engine)[1:])
 
 
 def grid_grades(grid: _DominationGrid) -> set:
@@ -117,8 +117,14 @@ def test_critical_query_set_k3(k3):
 
 
 def test_critical_query_set_isolated_edge():
+    # With no edge neighbor the edge fails the early exit, in both forms,
+    # before a grid is built; the grid of the empty neighborhood is empty.
     g = graph_from_edges(2, [(0, 1, (1.0, 2.0))])
-    assert grid_grades(grid_of(g, edge_of(g, 0, 1))) == {(1.0, 2.0)}
+    e = edge_of(g, 0, 1)
+    assert grid_grades(grid_of(g, e)) == set()
+    assert not brute_force_filtration_dominated(g, e)
+    for form in (None, _DenseStrongEngine(g)):
+        assert not is_filtration_dominated(g, e, form)
 
 
 def test_full_gap6_dominated_but_not_strongly(gap6):
@@ -211,16 +217,19 @@ _BLOCK_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, math.inf, -math.
 
 
 @settings(max_examples=200, deadline=None)
-@given(k=st.integers(0, 7), data=st.data())
+@given(k=st.integers(1, 7), data=st.data())
 def test_grid_ranks_match_four_searchsorted(k, data):
     crit = (data.draw(_TIE_FLOATS), data.draw(_TIE_FLOATS))
-    # Entries are joined with crit(e), as _neighbor_grades returns them.
+    # Entries are joined with crit(e), as _neighbor_grades returns them, and
+    # attain it in s and in t, as the full check's early exit ensures.
     entry = np.maximum(np.array(data.draw(st.lists(
         st.tuples(_TIE_FLOATS, _TIE_FLOATS), min_size=k, max_size=k))).reshape(k, 2), crit)
+    entry[data.draw(st.integers(0, k - 1)), 0] = crit[0]
+    entry[data.draw(st.integers(0, k - 1)), 1] = crit[1]
     block = np.array(data.draw(st.lists(
         _BLOCK_FLOATS, min_size=2 * k * k, max_size=2 * k * k))).reshape(k, k, 2)
     args = (crit, entry[:, 0], entry[:, 1], block[..., 0], block[..., 1])
-    grid = _DominationGrid(*args)
+    grid = _DominationGrid(*args[1:])
     xs, ys, entry_rank, join_rank = _four_searchsorted_ranks(*args)
     assert np.array_equal(grid.xs, xs) and np.array_equal(grid.ys, ys)
     assert grid.shape == (len(xs) + 1, len(ys) + 1)
