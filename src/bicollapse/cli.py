@@ -33,12 +33,7 @@ from .build import (
     pairwise_distances,
     square_form,
 )
-from .collapse import (
-    GRADE_MODES,
-    MODES,
-    apply_grade_mode,
-    collapse_iterated,
-)
+from .collapse import GRADE_MODES, MODES, CollapseReport, apply_grade_mode, collapse_iterated
 from .core import BifilteredGraph, read_edge_list, write_edge_list
 from .domination import _DenseStrongEngine, is_filtration_dominated, is_strongly_dominated
 from .expand import count_triangles, enumerate_triangles, export_scc2020
@@ -68,34 +63,25 @@ class _Parser(argparse.ArgumentParser):
 # -- small helpers ----------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, ok, expected: str):
+    """An argparse type: ``convert(text)``, refused (exit 64) unless ``ok`` holds."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):  # the comparisons in ok are false for NaN
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
 
 
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0.0 <= value <= 1.0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"expected a fraction in [0, 1], got {text!r}")
-    return value
-
-
-def _noise_level(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0.0 <= value < math.inf:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a fraction in [0, 1]")
+_noise_level = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite non-negative number")
 
 
 def _atomic_write_text(path: str | Path, text: str) -> None:
@@ -120,9 +106,13 @@ def _edge_list_text(graph: BifilteredGraph) -> str:
     return buf.getvalue()
 
 
-def _peak_rss_mb() -> float:
+def _peak_rss_mb() -> str:
     # ru_maxrss is in KiB on Linux; approximate and labeled as such.
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f}"
+
+
+def _ms_since(start: float) -> str:
+    return f"{1000.0 * (time.perf_counter() - start):.1f}"
 
 
 def _graph_from_distances(dist: np.ndarray) -> BifilteredGraph:
@@ -134,25 +124,33 @@ def _graph_from_points(points: np.ndarray) -> BifilteredGraph:
     return _graph_from_distances(square_form(pairwise_distances(points)))
 
 
-def _load_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:
-    """Build the run's input graph; returns (graph, source label for reports)."""
+def _input_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:
+    """The run's input graph after ``--grade-mode``, and its source label for reports."""
     try:
-        if getattr(args, "edges", None):
+        if args.edges:
             with open(args.edges) as fh:
-                return read_edge_list(fh), f"edges:{args.edges}"
-        if getattr(args, "points", None):
-            return _graph_from_points(load_points(args.points)), f"points:{args.points}"
-        if getattr(args, "distances", None):
+                graph, source = read_edge_list(fh), f"edges:{args.edges}"
+        elif args.points:
+            graph, source = _graph_from_points(load_points(args.points)), f"points:{args.points}"
+        elif args.distances:
             dist = load_lower_distance_matrix(args.distances)
-            return _graph_from_distances(dist), f"distances:{args.distances}"
-        points = generate_dataset(args.dataset, args.n, seed=args.seed)
-        return _graph_from_points(points), f"{args.dataset}:n={args.n}"
+            graph, source = _graph_from_distances(dist), f"distances:{args.distances}"
+        else:
+            points = generate_dataset(args.dataset, args.n, seed=args.seed)
+            graph, source = _graph_from_points(points), f"{args.dataset}:n={args.n}"
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
+    return apply_grade_mode(graph, args.grade_mode, seed=args.seed), source
 
 
-def _make_order(kind: str, seed: int) -> EdgeOrder:
-    return EdgeOrder(kind, seed=seed) if kind == "random" else EdgeOrder(kind)
+def _collapse(
+    graph: BifilteredGraph, args: argparse.Namespace, kind: str
+) -> tuple[BifilteredGraph, CollapseReport, str]:
+    """The run's one ``collapse_iterated`` call in order ``kind``, and its wall time in ms."""
+    order = EdgeOrder(kind, seed=args.seed)  # the seed is read by the random kind only
+    start = time.perf_counter()
+    collapsed, report = collapse_iterated(graph, order, mode=args.mode, iterations=args.iterations)
+    return collapsed, report, _ms_since(start)
 
 
 def _config_echo(args: argparse.Namespace) -> str:
@@ -165,32 +163,29 @@ def _config_echo(args: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
-def _render_report(
-    command: str,
-    args: argparse.Namespace,
-    header: Sequence[str],
-    rows: Sequence[Sequence[object]],
-) -> str:
+def _render_report(command: str, args: argparse.Namespace, rows: list[dict]) -> str:
+    """The report: metadata lines, then one table whose header is the rows' keys."""
     meta = [
         ("tool", f"bicollapse {__version__}"),
         ("command", command),
         ("config", _config_echo(args)),
         ("seed", str(args.seed)),
     ]
+    header = list(rows[0])
     out = StringIO()
     if args.format == "csv":
         for key, value in meta:
             out.write(f"# {key}: {value}\n")
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(str(c) for c in row) + "\n")
+            out.write(",".join(str(c) for c in row.values()) + "\n")
     else:
         for key, value in meta:
             out.write(f"{key}: {value}\n")
         out.write("\n| " + " | ".join(header) + " |\n")
         out.write("|" + "|".join(" --- " for _ in header) + "|\n")
         for row in rows:
-            out.write("| " + " | ".join(str(c) for c in row) + " |\n")
+            out.write("| " + " | ".join(str(c) for c in row.values()) + " |\n")
     return out.getvalue()
 
 
@@ -202,59 +197,39 @@ def _pct(fraction: float) -> str:
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
-    graph, source = _load_graph(args)
-    graph = apply_grade_mode(graph, args.grade_mode, seed=args.seed)
-    order = _make_order(args.order, args.seed)
-    start = time.perf_counter()
-    collapsed, report = collapse_iterated(
-        graph, order, mode=args.mode, iterations=args.iterations
-    )
-    elapsed_ms = 1000.0 * (time.perf_counter() - start)
+    graph, source = _input_graph(args)
+    collapsed, report, time_ms = _collapse(graph, args, args.order)
     if args.output:
         _atomic_write_text(args.output, _edge_list_text(collapsed))
-    header = [
-        "source",
-        "edges_before",
-        "edges_after",
-        "removed_pct",
-        "iterations_run",
-        "time_ms",
-        "peak_rss_mb_approx",
-    ]
-    row = [
-        source,
-        report.edges_before,
-        report.edges_after,
-        _pct(report.removed_fraction),
-        len(report.removed_per_iteration),
-        f"{elapsed_ms:.1f}",
-        f"{_peak_rss_mb():.1f}",
-    ]
-    print(_render_report("collapse", args, header, [row]), end="")
+    row = {
+        "source": source,
+        "edges_before": report.edges_before,
+        "edges_after": report.edges_after,
+        "removed_pct": _pct(report.removed_fraction),
+        "iterations_run": len(report.removed_per_iteration),
+        "time_ms": time_ms,
+        "peak_rss_mb_approx": _peak_rss_mb(),
+    }
+    print(_render_report("collapse", args, [row]), end="")
     return 0
 
 
 def cmd_bench_orders(args: argparse.Namespace) -> int:
-    graph, source = _load_graph(args)
-    graph = apply_grade_mode(graph, args.grade_mode, seed=args.seed)
+    graph, source = _input_graph(args)
     rows = []
     for kind in ORDER_KINDS:
-        order = _make_order(kind, args.seed)
-        start = time.perf_counter()
-        _, report = collapse_iterated(graph, order, mode=args.mode, iterations=args.iterations)
-        elapsed_ms = 1000.0 * (time.perf_counter() - start)
+        _, report, time_ms = _collapse(graph, args, kind)
         rows.append(
-            [
-                kind,
-                source,
-                report.edges_before,
-                report.edges_after,
-                _pct(report.removed_fraction),
-                f"{elapsed_ms:.1f}",
-            ]
+            {
+                "order": kind,
+                "source": source,
+                "edges_before": report.edges_before,
+                "edges_after": report.edges_after,
+                "removed_pct": _pct(report.removed_fraction),
+                "time_ms": time_ms,
+            }
         )
-    header = ["order", "source", "edges_before", "edges_after", "removed_pct", "time_ms"]
-    text = _render_report("bench-orders", args, header, rows)
+    text = _render_report("bench-orders", args, rows)
     if args.output:
         _atomic_write_text(args.output, text)
     else:
@@ -263,16 +238,11 @@ def cmd_bench_orders(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    graph, source = _load_graph(args)
-    graph = apply_grade_mode(graph, args.grade_mode, seed=args.seed)
+    graph, source = _input_graph(args)
     edges_before = graph.edge_count()
     triangles_before = count_triangles(graph)
     start = time.perf_counter()
-    if args.no_collapse:
-        collapsed = graph
-    else:
-        order = _make_order(args.order, args.seed)
-        collapsed, _ = collapse_iterated(graph, order, mode=args.mode, iterations=args.iterations)
+    collapsed = graph if args.no_collapse else _collapse(graph, args, args.order)[0]
     triangles_after = count_triangles(collapsed)
     total = collapsed.n + collapsed.edge_count() + triangles_after
     if total > args.max_simplices:
@@ -283,32 +253,27 @@ def cmd_expand(args: argparse.Namespace) -> int:
         export_scc2020(collapsed, triangles, sink)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    elapsed_ms = 1000.0 * (time.perf_counter() - start)
+    time_ms = _ms_since(start)
     _atomic_write_text(args.output, sink.getvalue())
-    header = [
-        "source",
-        "edges_before",
-        "triangles_before",
-        "edges_after",
-        "triangles_after",
-        "time_ms",
-        "peak_rss_mb_approx",
-    ]
-    row = [
-        source,
-        edges_before,
-        triangles_before,
-        collapsed.edge_count(),
-        triangles_after,
-        f"{elapsed_ms:.1f}",
-        f"{_peak_rss_mb():.1f}",
-    ]
-    print(_render_report("expand", args, header, [row]), end="")
+    row = {
+        "source": source,
+        "edges_before": edges_before,
+        "triangles_before": triangles_before,
+        "edges_after": collapsed.edge_count(),
+        "triangles_after": triangles_after,
+        "time_ms": time_ms,
+        "peak_rss_mb_approx": _peak_rss_mb(),
+    }
+    print(_render_report("expand", args, [row]), end="")
     return 0
 
 
-def _counterexample_path(args: argparse.Namespace) -> str:
-    return args.output or "counterexample_edges.txt"
+def _counterexample(args: argparse.Namespace, graph: BifilteredGraph, message: str) -> int:
+    """Write the failing graph for replay, name it on stderr, and return exit code 1."""
+    path = args.output or "counterexample_edges.txt"
+    _atomic_write_text(path, _edge_list_text(graph))
+    print(f"{message}; graph written to {path}", file=sys.stderr)
+    return 1
 
 
 def _verify_domination(args: argparse.Namespace) -> int:
@@ -326,16 +291,13 @@ def _verify_domination(args: argparse.Namespace) -> int:
             dense = is_strongly_dominated(graph, e, engine)
             agree = fast == slow == fast_dense and dense == strong
             if not agree or (strong is not None and not fast):
-                path = _counterexample_path(args)
-                _atomic_write_text(path, _edge_list_text(graph))
-                print(
+                return _counterexample(
+                    args,
+                    graph,
                     f"domination mismatch on edge ({e.u}, {e.v}) of instance {i}: "
                     f"fast={fast} fast_dense={fast_dense} oracle={slow} "
-                    f"strong={strong} dense={dense}; "
-                    f"graph written to {path}",
-                    file=sys.stderr,
+                    f"strong={strong} dense={dense}",
                 )
-                return 1
             checked += 1
     print(f"domination oracle: {args.instances} instances, {checked} edges checked, 0 mismatches")
     return 0
@@ -349,19 +311,16 @@ def _verify_homology(args: argparse.Namespace) -> int:
         graph = random_grid_graph(4 + i % 5, densities[i % 3], rng)
         for mode in MODES:
             for kind in ORDER_KINDS:
-                collapsed, _ = collapse_iterated(
-                    graph, _make_order(kind, args.seed), mode=mode, iterations=2
-                )
+                order = EdgeOrder(kind, seed=args.seed)
+                collapsed, _ = collapse_iterated(graph, order, mode=mode, iterations=2)
                 result = verify_collapse(graph, collapsed)
                 if not result.ok:
-                    path = _counterexample_path(args)
-                    _atomic_write_text(path, _edge_list_text(graph))
-                    print(
+                    return _counterexample(
+                        args,
+                        graph,
                         f"homology mismatch on instance {i} (mode={mode}, order={kind}): "
-                        f"{result.detail}; graph written to {path}",
-                        file=sys.stderr,
+                        f"{result.detail}",
                     )
-                    return 1
                 runs += 1
     print(f"homology oracle: {args.instances} instances, {runs} collapse runs, 0 mismatches")
     return 0
@@ -398,7 +357,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed recorded in every report")
+    common.add_argument("--seed", type=_seed, default=0, help="seed recorded in every report")
     common.add_argument("--format", choices=("csv", "markdown"), default="csv")
     common.add_argument("--output", help="output file (written atomically)")
 
@@ -444,10 +403,8 @@ def build_parser() -> _Parser:
     p.add_argument("--outliers", type=_fraction, help="outlier fraction for sphere")
     p.set_defaults(func=cmd_generate)
 
-    for cmd in ("collapse", "bench-orders", "expand"):
-        sp = sub.choices[cmd]
+    for sp in sub.choices.values():
         sp.set_defaults(_parser=sp)
-    sub.choices["generate"].set_defaults(_parser=sub.choices["generate"])
     return parser
 
 
@@ -456,10 +413,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "dataset", None) and getattr(args, "n", None) is None:
         args._parser.error("--dataset requires --n")
-    if args.command == "expand" and not args.output:
-        args._parser.error("expand requires --output")
-    if args.command == "generate" and not args.output:
-        args._parser.error("generate requires --output")
+    if args.command in ("expand", "generate") and not args.output:
+        args._parser.error(f"{args.command} requires --output")
     try:
         return args.func(args)
     except InputError as exc:

@@ -135,12 +135,33 @@ def test_usage_errors_exit_64(capsys, gap6_file):
         ["generate", "--dataset", "circle", "--n", "5", "--noise", "nan", "--output", "x.csv"],
         ["generate", "--dataset", "circle", "--n", "5", "--noise", "inf", "--output", "x.csv"],
         ["nonsense"],
+        ["collapse", "--edges", gap6_file, "--order", "random", "--seed", "-1"],
+        ["collapse", "--edges", gap6_file, "--grade-mode", "random", "--seed", "-1"],
+        ["collapse", "--dataset", "uniform", "--n", "5", "--seed", "-1"],
+        ["bench-orders", "--edges", gap6_file, "--seed", "-1"],
+        ["expand", "--edges", gap6_file, "--seed", "-1", "--output", "x.scc"],
+        ["verify", "--oracle", "domination", "--seed", "-1"],
+        ["verify", "--oracle", "homology", "--seed", "-1"],
+        ["generate", "--dataset", "circle", "--n", "5", "--seed", "-1", "--output", "x.csv"],
+        ["collapse", "--edges", gap6_file, "--seed", "1.5"],
     ]
+    expected = {
+        "--iterations": "a positive integer",
+        "--max-simplices": "a positive integer",
+        "--instances": "a positive integer",
+        "--outliers": "a fraction in [0, 1]",
+        "--noise": "a finite non-negative number",
+        "--seed": "a non-negative integer",
+    }
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64, argv
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        for flag, value in expected.items():
+            if flag in argv:
+                got = argv[argv.index(flag) + 1]
+                assert f"argument {flag}: expected {value}, got {got!r}" in err, argv
 
 
 def test_unreadable_input_exits_2(capsys, tmp_path):
@@ -192,6 +213,25 @@ def test_simplex_budget_exits_3(capsys, tmp_path, gap6_file):
     assert rc == 3
     assert "budget" in err
     assert not (tmp_path / "x.scc").exists()
+
+
+def test_report_columns_in_order(capsys, tmp_path, gap6_file):
+    scc = str(tmp_path / "x.scc")
+    _, out, _ = run(capsys, "bench-orders", "--edges", gap6_file)
+    assert out.splitlines()[4] == "order,source,edges_before,edges_after,removed_pct,time_ms"
+    expand_header = (
+        "source,edges_before,triangles_before,edges_after,triangles_after,"
+        "time_ms,peak_rss_mb_approx"
+    )
+    _, out, _ = run(capsys, "expand", "--edges", gap6_file, "--output", scc)
+    assert out.splitlines()[4] == expand_header
+    _, out, _ = run(capsys, "collapse", "--edges", gap6_file, "--format", "markdown")
+    assert out.splitlines()[4:7] == [
+        "",
+        "| source | edges_before | edges_after | removed_pct | iterations_run | time_ms"
+        " | peak_rss_mb_approx |",
+        "| --- | --- | --- | --- | --- | --- | --- |",
+    ]
 
 
 # -- bench-orders -------------------------------------------------------------------
