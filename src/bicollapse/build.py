@@ -120,11 +120,13 @@ def density_rips_graph(points: np.ndarray, densities: np.ndarray) -> BifilteredG
 # -- synthetic datasets ----------------------------------------------------------
 
 
-def generate_dataset(kind: str, n: int, seed: int, **params) -> np.ndarray:
+def generate_dataset(
+    kind: str, n: int, seed: int, *, noise: float = 0.0, outliers: float = 0.1
+) -> np.ndarray:
     """Seeded synthetic point clouds.
 
-    sphere: unit 2-sphere in R^3 with an `outliers` fraction (default 0.1)
-    drawn uniformly from [-2, 2]^3 and appended after the sphere points.
+    sphere: unit 2-sphere in R^3 with an `outliers` fraction drawn
+    uniformly from [-2, 2]^3 and appended after the sphere points.
     uniform: [0, 1]^2.  circle: unit circle, optional gaussian `noise`.
     torus: surface with radii R=1, r=0.5, angle-uniform.  swiss-roll:
     (t cos t, y, t sin t) with t in [1.5pi, 4.5pi] and y in [0, 21].
@@ -135,21 +137,18 @@ def generate_dataset(kind: str, n: int, seed: int, **params) -> np.ndarray:
     if kind == "uniform":
         return rng.uniform(0.0, 1.0, (n, 2))
     if kind == "circle":
-        noise = params.get("noise", 0.0)
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
         if noise > 0:
             pts += rng.normal(0.0, noise, pts.shape)
         return pts
     if kind == "sphere":
-        fraction = params.get("outliers", 0.1)
-        k = int(round(fraction * n))
+        k = int(round(outliers * n))
         gauss = rng.normal(size=(n - k, 3))
         gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-        outliers = rng.uniform(-2.0, 2.0, (k, 3))
-        return np.vstack([gauss, outliers])
+        return np.vstack([gauss, rng.uniform(-2.0, 2.0, (k, 3))])
     if kind == "torus":
-        big, small = params.get("R", 1.0), params.get("r", 0.5)
+        big, small = 1.0, 0.5
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
         phi = rng.uniform(0.0, 2.0 * math.pi, n)
         ring = big + small * np.cos(phi)

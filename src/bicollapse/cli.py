@@ -333,13 +333,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    params = {}
-    if args.noise is not None:
-        params["noise"] = args.noise
-    if args.outliers is not None:
-        params["outliers"] = args.outliers
     try:
-        points = generate_dataset(args.dataset, args.n, seed=args.seed, **params)
+        points = generate_dataset(
+            args.dataset, args.n, args.seed, noise=args.noise, outliers=args.outliers
+        )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     lines = [",".join(repr(float(c)) for c in row) for row in points]
@@ -358,10 +355,10 @@ def build_parser() -> _Parser:
 
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=_seed, default=0, help="seed recorded in every report")
-    common.add_argument("--format", choices=("csv", "markdown"), default="csv")
     common.add_argument("--output", help="output file (written atomically)")
 
     run = _Parser(add_help=False)
+    run.add_argument("--format", choices=("csv", "markdown"), default="csv")
     run.add_argument("--mode", choices=MODES, default="strong")
     run.add_argument("--iterations", type=_positive_int, default=1)
     run.add_argument("--grade-mode", choices=GRADE_MODES, default="original")
@@ -399,8 +396,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", parents=[common], help="write a synthetic point cloud")
     p.add_argument("--dataset", choices=DATASET_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--noise", type=_noise_level, help="gaussian noise for circle")
-    p.add_argument("--outliers", type=_fraction, help="outlier fraction for sphere")
+    p.add_argument("--noise", type=_noise_level, default=0.0, help="gaussian noise for circle")
+    p.add_argument("--outliers", type=_fraction, default=0.1, help="outlier fraction for sphere")
     p.set_defaults(func=cmd_generate)
 
     for sp in sub.choices.values():
@@ -413,6 +410,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "dataset", None) and getattr(args, "n", None) is None:
         args._parser.error("--dataset requires --n")
+    if getattr(args, "n", None) is not None and not getattr(args, "dataset", None):
+        args._parser.error("--n requires --dataset")
     if args.command in ("expand", "generate") and not args.output:
         args._parser.error(f"{args.command} requires --output")
     try:

@@ -1,9 +1,12 @@
 """Independent brute-force verifiers at desk scale.
 
-Two oracles: a grid-exhaustive filtration-domination check that evaluates the
-definition literally at every critical grid grade, and an F2 homology oracle
-computing Betti numbers (and one-step inclusion-map ranks) of clique
-bifiltrations via boundary-matrix Gaussian elimination.  Both are meant for
+Two oracles.  The domination oracle evaluates filtration-domination literally
+at every critical grid grade.  The homology oracle compares F2 barcodes of
+the clique bifiltration in dimensions 0..2 along every row and every column
+of the critical grid, one column reduction per line.  These are fibered
+barcodes (RIVET, Lesnick-Wright 2015): a Betti number at a grid grade counts
+the bars that cover its index, and the rank of a one-step inclusion counts
+the bars that cover both indices of the step.  Both oracles are meant for
 small inputs (n <= 12) and serve as the ground truth the fast algorithms are
 tested against.
 """
@@ -11,7 +14,11 @@ tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import reduce
+from typing import Iterable
 
 import numpy as np
 
@@ -41,16 +48,6 @@ class CriticalGrid:
 
     def points(self) -> list[Grade]:
         return [(x, y) for x in self.xs for y in self.ys]
-
-    def right_up_successors(self, g: Grade) -> list[Grade]:
-        i = self.xs.index(g[0])
-        j = self.ys.index(g[1])
-        out = []
-        if i + 1 < len(self.xs):
-            out.append((self.xs[i + 1], g[1]))
-        if j + 1 < len(self.ys):
-            out.append((g[0], self.ys[j + 1]))
-        return out
 
 
 # -- domination oracle -----------------------------------------------------
@@ -83,67 +80,7 @@ def brute_force_filtration_dominated(graph: BifilteredGraph, e: Edge) -> bool:
     return True
 
 
-# -- F2 linear algebra -----------------------------------------------------
-
-
-def gf2_rank(mat: np.ndarray) -> int:
-    """Rank over F2 via Gaussian elimination with XOR row operations."""
-    m = np.array(mat, dtype=np.uint8, copy=True) % 2
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivot = -1
-        for r in range(rank, rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        hits = np.flatnonzero(m[rank + 1 :, col]) + rank + 1
-        m[hits] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def gf2_nullspace(mat: np.ndarray) -> np.ndarray:
-    """Basis of the right null space over F2, one column per basis vector.
-
-    For an r x c matrix returns a c x k uint8 array with k = c - rank.
-    """
-    m = np.array(mat, dtype=np.uint8, copy=True) % 2
-    rows, cols = m.shape
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(cols):
-        pivot = -1
-        for r in range(rank, rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        hits = np.flatnonzero(m[:, col]).tolist()
-        for r in hits:
-            if r != rank:
-                m[r] ^= m[rank]
-        pivot_of_col[col] = rank
-        rank += 1
-    free_cols = [c for c in range(cols) if c not in pivot_of_col]
-    basis = np.zeros((cols, len(free_cols)), dtype=np.uint8)
-    for k, f in enumerate(free_cols):
-        basis[f, k] = 1
-        for col, r in pivot_of_col.items():
-            basis[col, k] = m[r, f]
-    return basis
-
-
-# -- clique complexes and Betti tables --------------------------------------
+# -- clique bifiltration barcodes -------------------------------------------
 
 
 class SimplexBudgetExceeded(ValueError):
@@ -153,133 +90,93 @@ class SimplexBudgetExceeded(ValueError):
         self.budget = budget
 
 
-def clique_complex_at(adj: list[set[int]], max_dim: int = 3) -> list[list[tuple[int, ...]]]:
-    """Simplices of the clique complex of a plain graph, by dimension.
+#: A bar (dimension, birth, death) in entry indices; death is math.inf for a
+#: class that never dies.
+Bar = tuple[int, int, float]
 
-    Returns [vertices, edges, triangles, tetrahedra][:max_dim+1], each a
-    sorted list of ascending vertex tuples.
+
+def graded_cliques(
+    graph: BifilteredGraph, max_simplices: int = 50_000
+) -> list[tuple[Grade, tuple[int, ...]]]:
+    """Every clique of at most 4 vertices, graded by the join of its edges' grades.
+
+    Cliques are ascending vertex tuples, listed by size, then vertices.
+    Vertices get the grade (-inf, -inf): they are present at all grades.
+    Raises SimplexBudgetExceeded once the count passes max_simplices; the
+    whole clique complex is the largest complex on any grid.
     """
-    n = len(adj)
-    verts = [(v,) for v in range(n)]
-    edges = [(u, v) for u in range(n) for v in sorted(adj[u]) if v > u]
-    out: list[list[tuple[int, ...]]] = [verts, edges]
-    if max_dim >= 2:
-        tris = []
-        for u, v in edges:
-            for w in sorted(adj[u] & adj[v]):
-                if w > v:
-                    tris.append((u, v, w))
-        out.append(tris)
-    if max_dim >= 3:
-        tets = []
-        for u, v, w in out[2]:
-            for x in sorted(adj[u] & adj[v] & adj[w]):
-                if x > w:
-                    tets.append((u, v, w, x))
-        out.append(tets)
-    return out
+    adj = graph.adj
+    level = [((-math.inf, -math.inf), (v,)) for v in range(graph.n)]
+    cliques = list(level)
+    for _ in range(3):  # edges, triangles, tetrahedra
+        level = [
+            (reduce(join, (adj[u][w] for u in clique), grade), clique + (w,))
+            for grade, clique in level
+            for w in adj[clique[-1]]
+            if w > clique[-1] and all(w in adj[u] for u in clique)
+        ]
+        cliques += level
+        if len(cliques) > max_simplices:
+            raise SimplexBudgetExceeded(len(cliques), max_simplices)
+    return cliques
 
 
-def boundary_matrix(
-    faces: list[tuple[int, ...]], simplices: list[tuple[int, ...]]
-) -> np.ndarray:
-    """F2 boundary matrix: rows indexed by faces, columns by simplices."""
-    index = {f: i for i, f in enumerate(faces)}
-    mat = np.zeros((len(faces), len(simplices)), dtype=np.uint8)
-    for j, s in enumerate(simplices):
-        for k in range(len(s)):
-            mat[index[s[:k] + s[k + 1 :]], j] = 1
-    return mat
+def barcode(filtration: Iterable[tuple[int, tuple[int, ...]]]) -> list[Bar]:
+    """F2 barcode of a one-parameter filtered simplicial complex.
 
-
-@dataclass
-class BettiTable:
-    """Grid-indexed F2 Betti numbers of a clique bifiltration.
-
-    betti maps each grid grade to (b0, b1, b2); step_ranks maps each
-    (grade, immediate right/up grid successor) pair to the ranks of the
-    inclusion-induced maps in dimensions 0..2.
+    filtration holds (entry index, simplex) pairs, each face of a simplex
+    entering no later than the simplex.  Sorted by (entry, dimension,
+    vertices), every face precedes its cofaces.  Each boundary column is an
+    int bitset over those positions; left to right, the earlier reduced
+    column with the same pivot (highest set bit) is added to it until its
+    pivot is new or it is zero.  A zero column gives birth to a class, a
+    nonzero one kills the class born at its pivot.  Returns the sorted bars
+    in dimensions 0..2 without zero-length bars: tetrahedra only kill classes.
     """
+    order = sorted(filtration, key=lambda pair: (pair[0], len(pair[1]), pair[1]))
+    position = {simplex: i for i, (_, simplex) in enumerate(order)}
+    owner: dict[int, int] = {}  # pivot position -> the reduced column with that pivot
+    death: dict[int, int] = {}  # pivot position -> entry of the simplex that kills it
+    positive = []
+    for j, (entry, simplex) in enumerate(order):
+        faces = itertools.combinations(simplex, len(simplex) - 1) if len(simplex) > 1 else ()
+        column = sum(1 << position[face] for face in faces)
+        while column and (pivot := column.bit_length() - 1) in owner:
+            column ^= owner[pivot]
+        if column:
+            owner[pivot] = column
+            death[pivot] = entry
+        else:
+            positive.append(j)
+    bars = []
+    for i in positive:
+        birth, simplex = order[i]
+        end = death.get(i, math.inf)
+        if len(simplex) <= 3 and birth < end:
+            bars.append((len(simplex) - 1, birth, end))
+    return sorted(bars)
 
-    grid: CriticalGrid
-    betti: dict[Grade, tuple[int, int, int]] = field(default_factory=dict)
-    step_ranks: dict[tuple[Grade, Grade], tuple[int, int, int]] = field(default_factory=dict)
 
+def grid_barcodes(
+    cliques: list[tuple[Grade, tuple[int, ...]]], grid: CriticalGrid
+) -> dict[tuple[str, float], list[Bar]]:
+    """The barcode along every row and every column of the grid.
 
-def _complexes_on_grid(
-    graph: BifilteredGraph, grid: CriticalGrid, max_simplices: int
-) -> dict[Grade, list[list[tuple[int, ...]]]]:
+    On the row at height y, a simplex with t <= y enters at the index of the
+    first grid coordinate xs[i] >= s; columns work the same way with the
+    axes swapped.  Keys are ("row", y) and ("column", x), rows first.  A
+    Betti number at grade (xs[i], y) counts the row's bars that cover i, and
+    the rank of the inclusion one step right counts those covering i and i+1.
+    """
     out = {}
-    for g in grid.points():
-        cx = clique_complex_at(subgraph_at(graph, g))
-        count = sum(len(block) for block in cx)
-        if count > max_simplices:
-            raise SimplexBudgetExceeded(count, max_simplices)
-        out[g] = cx
+    for axis, k, along, across in (("row", 0, grid.xs, grid.ys), ("column", 1, grid.ys, grid.xs)):
+        for c in across:
+            out[(axis, c)] = barcode(
+                (bisect_left(along, grade[k]), simplex)
+                for grade, simplex in cliques
+                if grade[1 - k] <= c and grade[k] <= along[-1]
+            )
     return out
-
-
-def _betti_numbers(cx: list[list[tuple[int, ...]]]) -> tuple[int, int, int]:
-    ranks = [0] * 4  # rank of boundary map in dims 1..3 at indices 1..3
-    for p in (1, 2, 3):
-        if p < len(cx) and cx[p]:
-            ranks[p] = gf2_rank(boundary_matrix(cx[p - 1], cx[p]))
-    b = []
-    for p in (0, 1, 2):
-        n_p = len(cx[p]) if p < len(cx) else 0
-        b.append(n_p - ranks[p] - ranks[p + 1])
-    return tuple(b)  # type: ignore[return-value]
-
-
-def _inclusion_ranks(
-    cx_small: list[list[tuple[int, ...]]], cx_big: list[list[tuple[int, ...]]]
-) -> tuple[int, int, int]:
-    """Ranks of H_p(K) -> H_p(L) for K a subcomplex of L, p = 0, 1, 2.
-
-    rank = rank([Z | B]) - rank(B), with Z a cycle basis of K embedded in
-    L's chain coordinates and B the boundary columns of L in dimension p+1.
-    """
-    out = []
-    for p in (0, 1, 2):
-        small_p = cx_small[p] if p < len(cx_small) else []
-        big_p = cx_big[p] if p < len(cx_big) else []
-        if not small_p:
-            out.append(0)
-            continue
-        if p == 0:
-            cycles = np.eye(len(small_p), dtype=np.uint8)
-        else:
-            del_p = boundary_matrix(cx_small[p - 1], small_p)
-            cycles = gf2_nullspace(del_p)
-        index_big = {s: i for i, s in enumerate(big_p)}
-        embedded = np.zeros((len(big_p), cycles.shape[1]), dtype=np.uint8)
-        for i, s in enumerate(small_p):
-            embedded[index_big[s]] = cycles[i]
-        big_next = cx_big[p + 1] if p + 1 < len(cx_big) else []
-        if big_next:
-            bdry = boundary_matrix(big_p, big_next)
-            out.append(gf2_rank(np.hstack([embedded, bdry])) - gf2_rank(bdry))
-        else:
-            out.append(gf2_rank(embedded))
-    return tuple(out)  # type: ignore[return-value]
-
-
-def betti_table(
-    graph: BifilteredGraph,
-    grid: CriticalGrid | None = None,
-    max_simplices: int = 50_000,
-) -> BettiTable:
-    """Betti numbers and one-step inclusion ranks at every grid grade."""
-    if grid is None:
-        grid = CriticalGrid.of_graph(graph)
-    complexes = _complexes_on_grid(graph, grid, max_simplices)
-    table = BettiTable(grid)
-    for g, cx in complexes.items():
-        table.betti[g] = _betti_numbers(cx)
-    for g in grid.points():
-        for succ in grid.right_up_successors(g):
-            table.step_ranks[(g, succ)] = _inclusion_ranks(complexes[g], complexes[succ])
-    return table
 
 
 # -- collapse verification ---------------------------------------------------
@@ -298,9 +195,10 @@ def verify_collapse(
 ) -> VerifyReport:
     """Certify that a reduced graph has the same clique-bifiltration homology.
 
-    Both graphs are evaluated on the original graph's critical grid; Betti
-    numbers in dimensions 0..2 and inclusion-map ranks to immediate grid
-    successors must agree exactly.  Reports the first discrepancy found.
+    Both graphs' barcodes in dimensions 0..2 along every row and column of
+    the original graph's critical grid must agree exactly; they hold every
+    Betti number and one-step inclusion rank on the grid.  Reports the first
+    line that differs.
     """
     if reduced.n != graph.n:
         raise ValueError(f"vertex counts differ: {graph.n} vs {reduced.n}")
@@ -308,20 +206,12 @@ def verify_collapse(
         if graph.grade_of(u, v) != g:
             raise ValueError(f"edge ({u}, {v})@{g} of reduced graph not in original")
     grid = CriticalGrid.of_graph(graph)
-    t_full = betti_table(graph, grid, max_simplices)
-    t_red = betti_table(reduced, grid, max_simplices)
-    for g in grid.points():
-        if t_full.betti[g] != t_red.betti[g]:
+    full = grid_barcodes(graded_cliques(graph, max_simplices), grid)
+    red = grid_barcodes(graded_cliques(reduced, max_simplices), grid)
+    for (axis, c), bars in full.items():
+        if red[(axis, c)] != bars:
             return VerifyReport(
-                False,
-                f"betti mismatch at grade {g}: {t_full.betti[g]} vs {t_red.betti[g]}",
-            )
-    for pair, ranks in t_full.step_ranks.items():
-        if t_red.step_ranks[pair] != ranks:
-            return VerifyReport(
-                False,
-                f"inclusion-rank mismatch at {pair[0]} -> {pair[1]}: "
-                f"{ranks} vs {t_red.step_ranks[pair]}",
+                False, f"barcode mismatch on the {axis} at {c}: {bars} vs {red[(axis, c)]}"
             )
     return VerifyReport(True)
 

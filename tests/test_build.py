@@ -236,6 +236,8 @@ def test_generate_validation():
         generate_dataset("moons", 10, seed=1)
     with pytest.raises(ValueError, match="n >= 2"):
         generate_dataset("uniform", 1, seed=1)
+    with pytest.raises(TypeError, match="nosie"):
+        generate_dataset("torus", 10, 1, nosie=0.1)
 
 
 # -- text inputs -------------------------------------------------------------------

@@ -116,6 +116,9 @@ def test_usage_errors_exit_64(capsys, gap6_file):
     cases = [
         ["collapse"],  # no input source
         ["collapse", "--dataset", "uniform"],  # missing --n
+        ["collapse", "--edges", gap6_file, "--n", "5"],  # --n without --dataset
+        ["verify", "--oracle", "domination", "--format", "markdown"],  # renders no report
+        ["generate", "--dataset", "circle", "--n", "5", "--format", "markdown", "--output", "x.csv"],
         ["collapse", "--edges", gap6_file, "--order", "sideways"],
         ["collapse", "--edges", gap6_file, "--grade-mode", "drop"],
         ["collapse", "--edges", gap6_file, "--iterations", "0"],

@@ -7,6 +7,8 @@ evaluation before any fast algorithm relies on them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,10 @@ from bicollapse.core import Edge, graph_from_edges, leq, subgraph_at
 from bicollapse.oracle import (
     CriticalGrid,
     SimplexBudgetExceeded,
-    betti_table,
     brute_force_filtration_dominated,
-    clique_complex_at,
     dominated_in_plain,
-    gf2_nullspace,
-    gf2_rank,
+    graded_cliques,
+    grid_barcodes,
     random_grid_graph,
     verify_collapse,
 )
@@ -126,7 +126,7 @@ def test_cycle4_removal_flagged():
     mutated.remove_edge(0, 1)
     report = verify_collapse(g, mutated)
     assert not report.ok
-    assert "betti mismatch" in report.detail
+    assert "barcode mismatch" in report.detail
 
 
 def test_brute_force_rejects_stale_edge():
@@ -157,45 +157,41 @@ def test_grid_restriction_is_lossless():
             assert coarse_answer == fine_answer
 
 
-# -- F2 linear algebra --------------------------------------------------------
+# -- clique bifiltration barcodes ----------------------------------------------
 
 
-def test_gf2_rank_known():
-    assert gf2_rank(np.array([[1, 1], [1, 1]])) == 1
-    assert gf2_rank(np.array([[1, 0], [0, 1]])) == 2
-    assert gf2_rank(np.zeros((3, 4))) == 0
-    # Full rank over Q but rank 2 over F2: row3 = row1 + row2 mod 2.
-    assert gf2_rank(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 2
+def covered(bars, p, *indices):
+    """The bars of dimension p covering every index: a Betti number for one
+    index, the rank of the inclusion between two."""
+    return sum(1 for d, b, e in bars if d == p and b <= min(indices) and e > max(indices))
 
 
-def test_gf2_nullspace_properties():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        m = rng.integers(0, 2, size=(rng.integers(1, 8), rng.integers(1, 8)))
-        ns = gf2_nullspace(m)
-        assert ns.shape[1] == m.shape[1] - gf2_rank(m)
-        assert not ((m @ ns) % 2).any()
-        if ns.shape[1]:
-            assert gf2_rank(ns) == ns.shape[1]
+def row_barcode(graph, y):
+    return grid_barcodes(graded_cliques(graph), CriticalGrid.of_graph(graph))[("row", y)]
 
 
-# -- clique complexes and Betti numbers ---------------------------------------
+def betti_at(graph, grade):
+    """(b0, b1, b2) at a grid grade, read from the barcode of its row."""
+    i = CriticalGrid.of_graph(graph).xs.index(grade[0])
+    return tuple(covered(row_barcode(graph, grade[1]), p, i) for p in range(3))
 
 
 def test_clique_complex_counts():
-    adj = [{1, 2}, {0, 2}, {0, 1}]
-    cx = clique_complex_at(adj)
-    assert [len(b) for b in cx] == [3, 3, 1, 0]
-    k4 = [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}]
-    assert [len(b) for b in clique_complex_at(k4)] == [4, 6, 4, 1]
+    def counts(graph):
+        sizes = [len(c) for _, c in graded_cliques(graph)]
+        return [sizes.count(k) for k in (1, 2, 3, 4)]
+
+    assert counts(make_k3()) == [3, 3, 1, 0]
+    k4 = graph_from_edges(4, [(u, v, (float(u), float(v))) for u in range(4) for v in range(u + 1, 4)])
+    assert counts(k4) == [4, 6, 4, 1]
+    # A clique's grade is the join of its edges' grades; vertices are at -inf.
+    assert dict((c, g) for g, c in graded_cliques(k4))[(0, 1, 2)] == (1.0, 2.0)
+    assert graded_cliques(k4)[0] == ((-math.inf, -math.inf), (0,))
 
 
 def test_betti_known_shapes():
-    k3 = make_k3()
-    assert betti_table(k3).betti[(0.0, 0.0)] == (1, 0, 0)
-
-    c4 = make_cycle4()
-    assert betti_table(c4).betti[(0.0, 0.0)] == (1, 1, 0)
+    assert betti_at(make_k3(), (0.0, 0.0)) == (1, 0, 0)
+    assert betti_at(make_cycle4(), (0.0, 0.0)) == (1, 1, 0)
 
     # Octahedron: K6 minus a perfect matching; its clique complex is a sphere.
     non_edges = {(0, 1), (2, 3), (4, 5)}
@@ -208,17 +204,17 @@ def test_betti_known_shapes():
             if (u, v) not in non_edges
         ],
     )
-    assert betti_table(octa).betti[(0.0, 0.0)] == (1, 0, 1)
+    assert betti_at(octa, (0.0, 0.0)) == (1, 0, 1)
 
 
 def test_betti_counts_isolated_vertices():
     g = graph_from_edges(5, [(0, 1, (0.0, 0.0)), (2, 3, (0.0, 0.0))])
-    assert betti_table(g).betti[(0.0, 0.0)] == (3, 0, 0)
+    assert betti_at(g, (0.0, 0.0)) == (3, 0, 0)
 
 
 def test_gap6_betti_table():
-    table = betti_table(make_gap6())
-    assert table.betti == {
+    g = make_gap6()
+    assert {p: betti_at(g, p) for p in CriticalGrid.of_graph(g).points()} == {
         (0.0, 0.0): (3, 0, 0),
         (2.0, 0.0): (2, 0, 0),
         (0.0, 2.0): (2, 0, 0),
@@ -237,19 +233,18 @@ def test_triangle_free_euler_characteristic():
         g = graph_from_edges(8, cross)
         if g.edge_count() == 0:
             continue
-        table = betti_table(g)
         grid = CriticalGrid.of_graph(g)
         for p in grid.points():
             adj = subgraph_at(g, p)
             m = sum(len(s) for s in adj) // 2
-            b0, b1, b2 = table.betti[p]
+            b0, b1, b2 = betti_at(g, p)
             assert b0 - b1 == g.n - m
             assert b2 == 0
 
 
 def test_inclusion_rank_detects_dying_cycle():
     # One square dies (diagonal fills it) exactly when another is born: Betti
-    # numbers alone agree in dimension 1, the step rank exposes the swap.
+    # numbers alone agree in dimension 1, the bars expose the swap.
     edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
     later = [(4, 5), (5, 6), (6, 7), (4, 7), (0, 2)]
     g = graph_from_edges(
@@ -257,37 +252,40 @@ def test_inclusion_rank_detects_dying_cycle():
         [(u, v, (0.0, 0.0)) for u, v in edges]
         + [(u, v, (1.0, 0.0)) for u, v in later],
     )
-    table = betti_table(g)
-    assert table.betti[(0.0, 0.0)][1] == 1
-    assert table.betti[(1.0, 0.0)][1] == 1
-    r0, r1, r2 = table.step_ranks[((0.0, 0.0), (1.0, 0.0))]
-    assert r1 == 0
-    assert r0 == 2
+    bars = row_barcode(g, 0.0)
+    assert [bar for bar in bars if bar[0] == 1] == [(1, 0, 1), (1, 1, math.inf)]
+    assert covered(bars, 1, 0) == covered(bars, 1, 1) == 1
+    assert covered(bars, 1, 0, 1) == 0
+    assert covered(bars, 0, 0, 1) == 2
     # The same graph with the diagonal left out keeps the first cycle alive.
     keep = graph_from_edges(
         8,
         [(u, v, (0.0, 0.0)) for u, v in edges]
         + [(u, v, (1.0, 0.0)) for u, v in later[:-1]],
     )
-    assert betti_table(keep).step_ranks[((0.0, 0.0), (1.0, 0.0))][1] == 1
+    kept = row_barcode(keep, 0.0)
+    assert [bar for bar in kept if bar[0] == 1] == [(1, 0, math.inf), (1, 1, math.inf)]
+    assert covered(kept, 1, 0, 1) == 1
 
 
-def test_step_rank_bounded_by_betti():
+def test_rows_and_columns_agree_on_betti_numbers():
+    # Grade (xs[i], ys[j]) lies on row ys[j] at index i and on column xs[i]
+    # at index j: two independent reductions must count the same classes.
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        g = random_grid_graph(7, 0.45, rng)
-        if g.edge_count() == 0:
-            continue
-        table = betti_table(g)
-        for (src, dst), ranks in table.step_ranks.items():
-            for p in range(3):
-                assert ranks[p] <= min(table.betti[src][p], table.betti[dst][p])
+    for _ in range(30):
+        g = random_grid_graph(int(rng.integers(4, 9)), 0.5, rng)
+        grid = CriticalGrid.of_graph(g)
+        lines = grid_barcodes(graded_cliques(g), grid)
+        for i, x in enumerate(grid.xs):
+            for j, y in enumerate(grid.ys):
+                for p in range(3):
+                    assert covered(lines[("row", y)], p, i) == covered(lines[("column", x)], p, j)
 
 
 def test_simplex_budget_enforced():
     g = make_gap6()
     with pytest.raises(SimplexBudgetExceeded):
-        betti_table(g, max_simplices=5)
+        verify_collapse(g, g, max_simplices=5)
 
 
 def test_verify_collapse_rejects_foreign_edge():
