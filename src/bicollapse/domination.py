@@ -17,11 +17,12 @@ counts, for every edge neighbor at once, where that neighbor dominates on a
 grid of grades built from the neighbors' entry coordinates
 (_DominationGrid): a 2-D prefix sum per neighbor, done with one
 searchsorted per axis, bincount and cumsum.  The edge is dominated iff every
-grid grade is covered; an edge with no neighbor entering at crit(e) in one
-coordinate fails before the grid is built.  It runs in the mirror's ranks
-when there is one, else on float grades from the adjacency rows.  Both
-predicates, in either form, reject an edge the graph does not hold with
-that grade.
+grid grade is covered.  Two cheaper tests reject most misses before the grid
+is built: no neighbor enters at crit(e), or at some neighbor's entry grade
+no present neighbor is joined to every other present one by then.  It runs
+in the mirror's ranks when there is one, else on float grades from the
+adjacency rows.  Both predicates, in either form, reject an edge the graph
+does not hold with that grade.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ class _DenseStrongEngine:
 
 # -- full filtration-domination ----------------------------------------------
 
-# Cells counted per chunk of candidates: int64 work arrays of about 2 MB, so
-# the check's memory stays flat however large the neighborhood.
+# Cells per chunk of the full check's broadcasts: about 2 MB of the grid's
+# int64 counts, 256 KB per boolean array of the entry-grade probe, so the
+# check's memory stays flat however large the neighborhood.
 _CHUNK_CELLS = 1 << 18
 
 
@@ -139,26 +141,32 @@ def _neighbor_grades(
     """crit(e), entry grades of e's edge neighbors, grades of edges among them.
 
     Returns crit, entry_s, entry_t (length k, neighbors in ascending id) and
-    block_s, block_t (k x k, absent edges above every grade; the diagonal is
-    +inf in the row form and -1 in the dense form, and _DominationGrid
-    overwrites it).  The dense form slices the engine's mirror, in ranks;
-    the row form looks each pair of neighbors up in the adjacency rows.
+    block_s, block_t (k x k, absent edges above every grade and the diagonal
+    below every grade: -inf in the row form, -1 in the dense form).  So a
+    neighbor is always joined to itself, and the entry-grade probe of
+    is_filtration_dominated needs no mask for it.  The dense form slices the
+    engine's mirror, in ranks; the row form looks each pair of neighbors up
+    in the adjacency rows.
     """
     if engine is not None:
         _require_edge(graph, e)
         M = engine.M
-        present = (M[e.u, 0] < _ABSENT) & (M[e.v, 0] < _ABSENT)
+        # Column w holds the join of the grades of uw and vw: below _ABSENT
+        # iff w is adjacent to both, and entry(w) once joined with crit(e).
+        joined = np.maximum(M[e.u], M[e.v])
+        present = joined[0] < _ABSENT
         present[e.u] = present[e.v] = False
         ids = present.nonzero()[0]
         crit = M[e.u, :, e.v]
-        entry = np.maximum(np.maximum(M[e.u][:, ids], M[e.v][:, ids]), crit[:, None])
-        block = M[ids[:, None], :, ids]
-        return crit, entry[0], entry[1], block[..., 0], block[..., 1]
+        entry = np.maximum(joined[:, ids], crit[:, None])
+        block = M[ids][:, :, ids]
+        return crit, entry[0], entry[1], block[:, 0], block[:, 1]
     nbhd = edge_neighborhood(graph, e)
     k = len(nbhd)
     ids = [w for w, _ in nbhd]
     grades = chain.from_iterable(graph.adj[v].get(w, NEVER) for v in ids for w in ids)
     block = np.fromiter(grades, float, 2 * k * k).reshape(k, k, 2)
+    block[np.arange(k), np.arange(k)] = -np.inf
     entries = np.reshape([entry for _, entry in nbhd], (k, 2))
     return e.grade, entries[:, 0], entries[:, 1], block[..., 0], block[..., 1]
 
@@ -166,13 +174,15 @@ def _neighbor_grades(
 class _DominationGrid:
     """Where each edge neighbor dominates e, on the grid xs x ys.
 
-    xs and ys are the distinct entry coordinates.  Precondition, which the
-    early exit of is_filtration_dominated ensures: some entry attains
-    crit(e) in s and some in t.  Entries are >= crit(e), so every grid
-    grade is >= crit(e), and the grid holds crit(e) joined with any set
-    of entry grades.  Only those grades need a test: the neighbors present
-    at a grade c are already present at the join d <= c of their entries
-    with crit(e), and domination at d implies domination at c.
+    xs and ys are the distinct entry coordinates.  Preconditions, which
+    _neighbor_grades and the early exit of is_filtration_dominated ensure:
+    the block's diagonal is below every grade, and some neighbor enters at
+    crit(e), so crit(e) is the grid's lowest grade.  Entries are >= crit(e),
+    so every grid grade is >= crit(e), and the grid holds crit(e) joined
+    with any set of entry grades.  Only those grades need a test: the
+    neighbors present at a grade c are already present at the join d <= c
+    of their entries with crit(e), and domination at d implies domination
+    at c.
 
     Neighbor v dominates e at c iff entry(v) <= c and
     N_v(c) = #{w != v : entry(w) <= c} - #{w != v : join(entry(w), crit(vw)) <= c}
@@ -185,11 +195,10 @@ class _DominationGrid:
     def __init__(self, entry_s, entry_t, block_s, block_t):
         self.xs, self.ys = np.unique(entry_s), np.unique(entry_t)
         self.shape = (len(self.xs) + 1, len(self.ys) + 1)
-        # Row i holds the joins for candidate i, with its own entry on the
-        # diagonal, so one searchsorted per axis ranks the joins and entries.
+        # Row i holds the joins for candidate i.  The block's diagonal is below
+        # every grade, so it joins to the candidate's own entry, and one
+        # searchsorted per axis ranks the joins and entries.
         join_s, join_t = np.maximum(block_s, entry_s), np.maximum(block_t, entry_t)
-        join_s.flat[:: len(entry_s) + 1] = entry_s
-        join_t.flat[:: len(entry_s) + 1] = entry_t
         self._join = np.searchsorted(self.xs, join_s) * self.shape[1]
         self._join += np.searchsorted(self.ys, join_t)
         self._entry = self._join.diagonal()
@@ -224,19 +233,33 @@ def is_filtration_dominated(
     """Is e dominated at every grade at which it is present?
 
     True iff every point of the _DominationGrid is covered by some dominating
-    neighbor.  False at once when no neighbor's entry attains crit(e) in s,
-    or none in t: the grid grade (crit_s, max t), resp. (max s, crit_t),
-    then has no neighbor present.  Candidates are counted in chunks of
-    ascending id, sized so one chunk's work arrays stay within _CHUNK_CELLS
-    cells, stopping as soon as the grid is covered.  engine, when given, is
-    the dense mirror of graph to gather the grades from, in ranks.
+    neighbor.  Two exact tests answer False first, each at a grade where e
+    is present.  At crit(e): no neighbor enters there, so none is present.
+    At each neighbor's entry grade c: no neighbor v present at c has every
+    present w joined to it by c, which is one (cells, k, k) comparison of
+    the block against the entry grades.  Only the grid can answer True.
+    Entry grades and grid candidates are taken in chunks of ascending id,
+    sized so one chunk's work arrays stay within _CHUNK_CELLS cells; the
+    probe stops at the first uncovered entry grade and the grid as soon as
+    it is covered.  engine, when given, is the dense mirror of graph to
+    gather the grades from, in ranks.
     """
     crit, entry_s, entry_t, block_s, block_t = _neighbor_grades(graph, e, engine)
     # Entries are >= crit(e), so <= here means equal.
-    if not ((entry_s <= crit[0]).any() and (entry_t <= crit[1]).any()):
+    if not ((entry_s <= crit[0]) & (entry_t <= crit[1])).any():
         return False
-    grid = _DominationGrid(entry_s, entry_t, block_s, block_t)
     k = len(entry_s)
+    step = max(1, _CHUNK_CELLS // (k * k))
+    for lo in range(0, k, step):
+        s, t = entry_s[lo : lo + step, None], entry_t[lo : lo + step, None]
+        # At entry grade j: present[j, w], w is an edge neighbor there, and
+        # late[j, v, w], the edge vw is not yet there.
+        present = (entry_s <= s) & (entry_t <= t)
+        late = (block_s > s[..., None]) | (block_t > t[..., None])
+        late &= present[:, None, :]
+        if not (present & ~late.any(axis=2)).any(axis=1).all():
+            return False
+    grid = _DominationGrid(entry_s, entry_t, block_s, block_t)
     step = max(1, _CHUNK_CELLS // (grid.shape[0] * grid.shape[1]))
     covered = np.zeros((len(grid.xs), len(grid.ys)), dtype=bool)
     for lo in range(0, k, step):

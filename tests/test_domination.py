@@ -177,10 +177,12 @@ def test_predicates_reject_an_edge_not_in_the_graph(e, predicate, dense):
 def test_full_check_exits_without_a_neighbor_at_crit():
     # Every edge neighbor of (0, 1) enters strictly above crit_t, then
     # strictly above crit_s: at (max s, 0), resp. (0, max t), no neighbor
-    # is present, so (0, 1) is not dominated.
-    for late in ((0.0, 1.0), (1.0, 0.0)):
-        edges = [(0, 1, (0.0, 0.0)), (0, 2, late), (1, 2, (0.0, 0.0)), (2, 3, (0.0, 0.0))]
-        edges += [(0, 4, (0.0, 0.0)), (1, 4, late)]
+    # is present, so (0, 1) is not dominated.  In the third input 2 enters
+    # at (0, 1) and 4 at (1, 0): each axis attains crit(e), but at crit(e)
+    # itself no neighbor is present.
+    for late2, late4 in (((0.0, 1.0),) * 2, ((1.0, 0.0),) * 2, ((0.0, 1.0), (1.0, 0.0))):
+        edges = [(0, 1, (0.0, 0.0)), (0, 2, late2), (1, 2, (0.0, 0.0)), (2, 3, (0.0, 0.0))]
+        edges += [(0, 4, (0.0, 0.0)), (1, 4, late4)]
         g = graph_from_edges(5, edges)
         e = edge_of(g, 0, 1)
         assert not brute_force_filtration_dominated(g, e)
@@ -211,7 +213,7 @@ def _four_searchsorted_ranks(crit, entry_s, entry_t, block_s, block_t):
 
 
 # Few values, so entries and joins tie often, -0.0 sits next to 0.0, and
-# absent edges (+inf) and the dense form's -inf diagonal appear.
+# absent edges (+inf) and -inf, the decoded diagonal of both forms, appear.
 _TIE_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
 _BLOCK_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, math.inf, -math.inf])
 
@@ -228,6 +230,8 @@ def test_grid_ranks_match_four_searchsorted(k, data):
     entry[data.draw(st.integers(0, k - 1)), 1] = crit[1]
     block = np.array(data.draw(st.lists(
         _BLOCK_FLOATS, min_size=2 * k * k, max_size=2 * k * k))).reshape(k, k, 2)
+    # The diagonal is below every grade, as _neighbor_grades returns it.
+    block[np.arange(k), np.arange(k)] = -math.inf
     args = (crit, entry[:, 0], entry[:, 1], block[..., 0], block[..., 1])
     grid = _DominationGrid(*args[1:])
     xs, ys, entry_rank, join_rank = _four_searchsorted_ranks(*args)
@@ -241,16 +245,45 @@ def test_grid_ranks_match_four_searchsorted(k, data):
 
 
 def test_full_check_matches_oracle():
+    # Integer grades on a small grid tie often, so a < / <= slip in the
+    # early exit, the entry-grade probe or the grid shows here, in either form.
     rng = np.random.default_rng(31)
     checked = 0
     for _ in range(60):
         g = random_grid_graph(int(rng.integers(4, 11)), 0.55, rng)
+        engine = _DenseStrongEngine(g)
         for e in g.edge_list():
-            assert is_filtration_dominated(g, e) == brute_force_filtration_dominated(
-                g, e
-            ), f"disagreement on edge {e}"
+            expected = brute_force_filtration_dominated(g, e)
+            assert is_filtration_dominated(g, e) == expected, f"rows disagree on edge {e}"
+            assert is_filtration_dominated(g, e, engine) == expected, f"mirror disagrees on {e}"
             checked += 1
     assert checked > 300
+
+
+def test_entry_grade_probe_rejects_before_the_grid(gap6, monkeypatch):
+    # Two neighbors enter at crit(e) and are not adjacent: the probe at that
+    # entry grade answers False, so the grid is never built.  On gap6 every
+    # entry grade is covered, and only the grid can answer True.
+    g = graph_from_edges(4, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0)), (1, 2, (0.0, 0.0)),
+                             (0, 3, (0.0, 0.0)), (1, 3, (0.0, 0.0))])
+
+    def no_grid(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr("bicollapse.domination._DominationGrid", no_grid)
+    for form in (None, _DenseStrongEngine(g)):
+        assert not is_filtration_dominated(g, edge_of(g, 0, 1), form)
+
+    built = []
+
+    def recorded(*args):
+        built.append(len(args[0]))
+        return _DominationGrid(*args)
+
+    monkeypatch.setattr("bicollapse.domination._DominationGrid", recorded)
+    for form in (None, _DenseStrongEngine(gap6)):
+        assert is_filtration_dominated(gap6, edge_of(gap6, A, B), form)
+    assert built == [4, 4]
 
 
 def test_strong_implies_full_and_oracle_confirms():
@@ -309,6 +342,10 @@ def test_region_query_matches_plain_domination():
             nbhd = edge_neighborhood(g, e)
             grid = grid_of(g, e)
             dense = grid_of(g, e, engine)
+            # Both forms return the same grades, the diagonal below every grade.
+            rows, mirror = _neighbor_grades(g, e, None)[1:], _neighbor_grades(g, e, engine)[1:]
+            for i, (r, m) in enumerate(zip(rows, mirror)):
+                assert np.array_equal(r, decoded(engine, i % 2, m))
             assert np.array_equal(grid.xs, decoded(engine, 0, dense.xs))
             assert np.array_equal(grid.ys, decoded(engine, 1, dense.ys))
             dom = grid.dominates(0, len(nbhd))
