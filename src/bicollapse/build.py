@@ -195,10 +195,10 @@ def load_points(source: str | Path | IO[str]) -> np.ndarray:
 def load_lower_distance_matrix(source: str | Path | IO[str]) -> np.ndarray:
     """Square distance matrix from a strictly-lower-triangular text file.
 
-    Line i carries the i distances to earlier points; a leading empty row
-    (zero entries for the first point) may be omitted.
+    Line i carries the i finite, non-negative distances to earlier points;
+    a leading empty row (zero entries for the first point) may be omitted.
     """
-    rows = [[float(x) for x in fields] for fields in _data_lines(source)]
+    rows = [np.array(fields, dtype=float) for fields in _data_lines(source)]
     if rows and len(rows[0]) == 1:
         rows.insert(0, [])
     if not rows:
@@ -206,11 +206,11 @@ def load_lower_distance_matrix(source: str | Path | IO[str]) -> np.ndarray:
     for i, row in enumerate(rows):
         if len(row) != i:
             raise ValueError(f"row {i} has {len(row)} entries, expected {i}")
-    n = len(rows)
-    dist = np.zeros((n, n))
-    for i, row in enumerate(rows):
-        for j, value in enumerate(row):
-            if value < 0 or not math.isfinite(value):
-                raise ValueError(f"invalid distance {value} at row {i}")
-            dist[i, j] = dist[j, i] = value
+    values = np.concatenate(rows)
+    lower = np.tril_indices(len(rows), -1)  # the (row, column) of each value, in file order
+    bad = np.flatnonzero(~np.isfinite(values) | (values < 0))
+    if bad.size:
+        raise ValueError(f"invalid distance {float(values[bad[0]])} at row {lower[0][bad[0]]}")
+    dist = np.zeros((len(rows), len(rows)))
+    dist[lower] = dist[lower[::-1]] = values
     return dist

@@ -1,9 +1,9 @@
 """Command-line surface: reproducible collapse, benchmark, export, and verify runs.
 
 Exit codes: 0 success, 1 verification failure, 2 unreadable input,
-3 simplex budget exceeded, 64 usage error.  Every report embeds the
-version, the full flag configuration, and the seed, so a report can be
-replayed exactly (timings and memory excepted).
+3 simplex budget exceeded or out of memory, 64 usage error.  Every report
+embeds the version, the full flag configuration, and the seed, so a report
+can be replayed exactly (timings and memory excepted).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import tempfile
 import time
 from io import StringIO
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -268,68 +268,57 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _counterexample(args: argparse.Namespace, graph: BifilteredGraph, message: str) -> int:
-    """Write the failing graph for replay, name it on stderr, and return exit code 1."""
-    path = args.output or "counterexample_edges.txt"
-    _atomic_write_text(path, _edge_list_text(graph))
-    print(f"{message}; graph written to {path}", file=sys.stderr)
-    return 1
+def _check_domination(graph: BifilteredGraph, i: int, seed: int) -> Iterator[str | None]:
+    """Per edge: the fast checks in both forms against the oracle."""
+    engine = _DenseStrongEngine(graph)
+    for e in graph.edge_list():
+        fast = is_filtration_dominated(graph, e)
+        fast_dense = is_filtration_dominated(graph, e, engine)
+        slow = brute_force_filtration_dominated(graph, e)
+        strong = is_strongly_dominated(graph, e)
+        dense = is_strongly_dominated(graph, e, engine)
+        agree = fast == slow == fast_dense and dense == strong
+        yield None if agree and (strong is None or fast) else (
+            f"domination mismatch on edge ({e.u}, {e.v}) of instance {i}: "
+            f"fast={fast} fast_dense={fast_dense} oracle={slow} strong={strong} dense={dense}"
+        )
 
 
-def _verify_domination(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    densities = (0.3, 0.5, 0.8)
-    checked = 0
-    for i in range(args.instances):
-        graph = random_grid_graph(4 + i % 7, densities[i % 3], rng)
-        engine = _DenseStrongEngine(graph)
-        for e in graph.edge_list():
-            fast = is_filtration_dominated(graph, e)
-            fast_dense = is_filtration_dominated(graph, e, engine)
-            slow = brute_force_filtration_dominated(graph, e)
-            strong = is_strongly_dominated(graph, e)
-            dense = is_strongly_dominated(graph, e, engine)
-            agree = fast == slow == fast_dense and dense == strong
-            if not agree or (strong is not None and not fast):
-                return _counterexample(
-                    args,
-                    graph,
-                    f"domination mismatch on edge ({e.u}, {e.v}) of instance {i}: "
-                    f"fast={fast} fast_dense={fast_dense} oracle={slow} "
-                    f"strong={strong} dense={dense}",
-                )
-            checked += 1
-    print(f"domination oracle: {args.instances} instances, {checked} edges checked, 0 mismatches")
-    return 0
+def _check_homology(graph: BifilteredGraph, i: int, seed: int) -> Iterator[str | None]:
+    """Per mode and order: the grid barcodes after two passes against the original's."""
+    for mode in MODES:
+        for kind in ORDER_KINDS:
+            order = EdgeOrder(kind, seed=seed)
+            collapsed, _ = collapse_iterated(graph, order, mode=mode, iterations=2)
+            result = verify_collapse(graph, collapsed)
+            yield None if result.ok else (
+                f"homology mismatch on instance {i} (mode={mode}, order={kind}): {result.detail}"
+            )
 
 
-def _verify_homology(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    densities = (0.3, 0.5, 0.8)
-    runs = 0
-    for i in range(args.instances):
-        graph = random_grid_graph(4 + i % 5, densities[i % 3], rng)
-        for mode in MODES:
-            for kind in ORDER_KINDS:
-                order = EdgeOrder(kind, seed=args.seed)
-                collapsed, _ = collapse_iterated(graph, order, mode=mode, iterations=2)
-                result = verify_collapse(graph, collapsed)
-                if not result.ok:
-                    return _counterexample(
-                        args,
-                        graph,
-                        f"homology mismatch on instance {i} (mode={mode}, order={kind}): "
-                        f"{result.detail}",
-                    )
-                runs += 1
-    print(f"homology oracle: {args.instances} instances, {runs} collapse runs, 0 mismatches")
-    return 0
+# --oracle -> (check, k, unit): instance i has 4 + i % k vertices, and the check
+# yields one verdict per unit, None or the first mismatch's message.
+_ORACLES = {
+    "domination": (_check_domination, 7, "edges checked"),
+    "homology": (_check_homology, 5, "collapse runs"),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.oracle == "domination":
-        return _verify_domination(args)
-    return _verify_homology(args)
+    check, sizes, unit = _ORACLES[args.oracle]
+    rng = np.random.default_rng(args.seed)
+    units = 0
+    for i in range(args.instances):
+        graph = random_grid_graph(4 + i % sizes, (0.3, 0.5, 0.8)[i % 3], rng)
+        for mismatch in check(graph, i, args.seed):
+            if mismatch is not None:  # write the failing graph for replay, and name it
+                path = args.output or "counterexample_edges.txt"
+                _atomic_write_text(path, _edge_list_text(graph))
+                print(f"{mismatch}; graph written to {path}", file=sys.stderr)
+                return 1
+            units += 1
+    print(f"{args.oracle} oracle: {args.instances} instances, {units} {unit}, 0 mismatches")
+    return 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -389,7 +378,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", parents=[common], help="run a brute-force oracle suite")
-    p.add_argument("--oracle", choices=("domination", "homology"), required=True)
+    p.add_argument("--oracle", choices=tuple(_ORACLES), required=True)
     p.add_argument("--instances", type=_positive_int, default=100)
     p.set_defaults(func=cmd_verify)
 
@@ -421,6 +410,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except SimplexBudgetExceeded as exc:
         print(f"bicollapse: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"bicollapse: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
 
 

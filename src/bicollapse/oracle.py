@@ -22,7 +22,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import BifilteredGraph, Edge, Grade, graph_from_edges, join, leq, subgraph_at
+from .core import (
+    BifilteredGraph, Edge, Grade, _require_edge, graph_from_edges, join, leq, subgraph_at
+)
 
 
 # -- critical grid ---------------------------------------------------------
@@ -68,8 +70,7 @@ def dominated_in_plain(adj: list[set[int]], a: int, b: int) -> bool:
 
 def brute_force_filtration_dominated(graph: BifilteredGraph, e: Edge) -> bool:
     """Evaluate filtration-domination literally on every grid grade >= crit(e)."""
-    if graph.grade_of(e.u, e.v) != e.grade:
-        raise ValueError(f"edge ({e.u}, {e.v}) with grade {e.grade} not in graph")
+    _require_edge(graph, e)
     grid = CriticalGrid.of_graph(graph)
     for g in grid.points():
         if not leq(e.grade, g):
@@ -232,20 +233,3 @@ def random_grid_graph(
             grade = (float(rng.integers(grid_side)), float(rng.integers(grid_side)))
             edges.append(Edge(u, v, grade))
     return graph_from_edges(n, edges)
-
-
-def brute_force_triangles(graph: BifilteredGraph) -> list[tuple[int, int, int, Grade]]:
-    """All 3-cliques (u < v < w) with the join of their edge grades, cubically."""
-    out = []
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            if not graph.has_edge(u, v):
-                continue
-            for w in range(v + 1, graph.n):
-                if graph.has_edge(u, w) and graph.has_edge(v, w):
-                    grade = join(
-                        graph.grade_of(u, v),
-                        join(graph.grade_of(u, w), graph.grade_of(v, w)),
-                    )
-                    out.append((u, v, w, grade))
-    return out

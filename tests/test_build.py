@@ -278,6 +278,40 @@ def test_load_lower_distance_matrix_negative():
         load_lower_distance_matrix(io.StringIO("1.0\n-2.0 3.0\n"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.0\n2.0 nan\n", "invalid distance nan at row 2"),
+        ("1.0\n2.0 3.0\n4.0 inf 5.0\n", "invalid distance inf at row 3"),
+        ("-1.0\n2.0 -3.0\n", "invalid distance -1.0 at row 1"),
+        ("1.0\n2.0 3.0\n4.0 5.0 -0.5\n0 1 2 nan\n", "invalid distance -0.5 at row 3"),
+    ],
+)
+def test_load_lower_distance_matrix_names_the_first_invalid_entry(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_lower_distance_matrix(io.StringIO(text))
+
+
+def test_load_lower_distance_matrix_first_row_may_be_omitted_and_zeros_pass():
+    omitted = load_lower_distance_matrix(io.StringIO("1.0\n0.0 3.0\n"))
+    explicit = load_lower_distance_matrix(io.StringIO("\n1.0\n0.0 3.0\n"))
+    assert omitted.tolist() == explicit.tolist()
+    assert omitted.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 3.0], [0.0, 3.0, 0.0]]
+
+
+def test_load_lower_distance_matrix_rejects_a_ragged_row():
+    with pytest.raises(ValueError, match="^row 2 has 3 entries, expected 2$"):
+        load_lower_distance_matrix(io.StringIO("1.0\n2.0 3.0 4.0\n5.0 6.0 7.0\n"))
+
+
+def test_load_lower_distance_matrix_round_trips_bit_identically():
+    points = generate_dataset("torus", 50, seed=4)
+    dist = square_form(pairwise_distances(points))
+    text = "".join(" ".join(repr(float(x)) for x in row[:i]) + "\n" for i, row in enumerate(dist))
+    loaded = load_lower_distance_matrix(io.StringIO(text))
+    assert loaded.dtype == dist.dtype and loaded.tobytes() == dist.tobytes()
+
+
 def test_loaders_accept_paths(tmp_path):
     p = tmp_path / "pts.csv"
     p.write_text("0,0\n1,1\n")

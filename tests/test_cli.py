@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
+from bicollapse import cli
 from bicollapse.build import load_points
 from bicollapse.cli import main
 from bicollapse.core import graph_from_edges, read_edge_list, write_edge_list
 from bicollapse.expand import parse_scc2020
+from bicollapse.oracle import VerifyReport, random_grid_graph
 
 from conftest import make_gap6, make_k3
 
@@ -237,6 +240,35 @@ def test_report_columns_in_order(capsys, tmp_path, gap6_file):
     ]
 
 
+@pytest.mark.parametrize("detail", ["Unable to allocate 37.3 GiB for an array", ""])
+def test_out_of_memory_exits_3(capsys, monkeypatch, detail):
+    # Stands in for an input too big for memory, which is never built here.
+    def out_of_memory(points):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(cli, "pairwise_distances", out_of_memory)
+    rc, out, err = run(capsys, "collapse", "--dataset", "uniform", "--n", "30")
+    assert rc == 3 and out == ""
+    assert err == f"bicollapse: out of memory: {detail or 'allocation failed'}\n"
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_graph_commands_on_edgeless_inputs(capsys, tmp_path, n):
+    path = tmp_path / "edgeless.txt"
+    path.write_text(f"{n} 0\n")
+    reduced = tmp_path / "reduced.txt"
+    for mode in ("strong", "full"):
+        rc, _, _ = run(capsys, "collapse", "--edges", str(path), "--mode", mode,
+                       "--output", str(reduced))
+        assert rc == 0 and reduced.read_text() == f"{n} 0\n"
+    rc, out, _ = run(capsys, "bench-orders", "--edges", str(path))
+    assert rc == 0 and len(out.splitlines()) == 10
+    scc = tmp_path / "edgeless.scc"
+    rc, _, _ = run(capsys, "expand", "--edges", str(path), "--output", str(scc))
+    assert rc == 0
+    assert parse_scc2020(scc).sizes() == (0, 0, n)
+
+
 # -- bench-orders -------------------------------------------------------------------
 
 
@@ -322,13 +354,43 @@ def test_expand_preprocessing_shrinks(capsys, tmp_path, gap6_file):
 def test_verify_domination_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--oracle", "domination", "--instances", "12", "--seed", "9")
     assert rc == 0
-    assert "0 mismatches" in out
+    assert out == "domination oracle: 12 instances, 122 edges checked, 0 mismatches\n"
 
 
 def test_verify_homology_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--oracle", "homology", "--instances", "3", "--seed", "9")
     assert rc == 0
-    assert "0 mismatches" in out
+    assert out == "homology oracle: 3 instances, 30 collapse runs, 0 mismatches\n"
+
+
+@pytest.mark.parametrize(
+    "oracle, message",
+    [
+        (
+            "domination",
+            "domination mismatch on edge (0, 2) of instance 0: fast=False fast_dense=False "
+            "oracle=True strong=None dense=None",
+        ),
+        ("homology", "homology mismatch on instance 0 (mode=strong, order=lex): patched"),
+    ],
+)
+def test_verify_failure_writes_the_failing_instance(
+    capsys, monkeypatch, tmp_path, oracle, message
+):
+    if oracle == "domination":
+        real = cli.brute_force_filtration_dominated
+        monkeypatch.setattr(cli, "brute_force_filtration_dominated", lambda g, e: not real(g, e))
+    else:
+        monkeypatch.setattr(cli, "verify_collapse", lambda g, r: VerifyReport(False, "patched"))
+    path = tmp_path / "counterexample.txt"
+    argv = ("verify", "--oracle", oracle, "--seed", "9", "--output", str(path))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == f"{message}; graph written to {path}\n"
+    first = random_grid_graph(4, 0.3, np.random.default_rng(9))
+    assert first.edge_count() == 1  # instance 0 at seed 9: one edge, which the patch flips
+    with open(path) as fh:
+        assert read_edge_list(fh) == first
 
 
 # -- generate ----------------------------------------------------------------------

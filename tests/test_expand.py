@@ -22,7 +22,7 @@ from bicollapse.expand import (
     export_scc2020,
     parse_scc2020,
 )
-from bicollapse.oracle import brute_force_triangles, random_grid_graph
+from bicollapse.oracle import graded_cliques, random_grid_graph
 
 from conftest import make_gap6, make_k3
 
@@ -35,6 +35,11 @@ def make_k4():
 def as_tuples(triangles) -> list:
     """A GradedTriangle array as (u, v, w, (s, t)) tuples."""
     return [(u, v, w, (s, t)) for u, v, w, s, t in triangles.tolist()]
+
+
+def clique_triangles(graph) -> list:
+    """The oracle's 3-cliques as (u, v, w, (s, t)) tuples, in its (u, v, w) order."""
+    return [(*clique, grade) for grade, clique in graded_cliques(graph) if len(clique) == 3]
 
 
 def as_array(tuples) -> np.ndarray:
@@ -60,7 +65,7 @@ def test_k4_count():
 
 def test_gap6_matches_brute_force(gap6):
     tris = as_tuples(enumerate_triangles(gap6))
-    assert tris == brute_force_triangles(gap6)
+    assert tris == clique_triangles(gap6)
     assert (0, 1, 4, (2.0, 0.0)) in tris  # {a, b, x} enters with its late edges
     assert (0, 1, 2, (0.0, 0.0)) in tris  # {a, b, v} present from the start
 
@@ -70,7 +75,7 @@ def test_random_graphs_match_brute_force():
     for trial in range(25):
         g = random_grid_graph(4 + int(rng.integers(27)), float(rng.choice([0.3, 0.5, 0.8])), rng)
         tris = as_tuples(enumerate_triangles(g))
-        assert tris == brute_force_triangles(g)
+        assert tris == clique_triangles(g)
         assert len(tris) == count_triangles(g)
         assert all(
             leq(g.grade_of(a, b), grade)
