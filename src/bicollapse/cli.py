@@ -1,14 +1,17 @@
 """Command-line surface: reproducible collapse, benchmark, export, and verify runs.
 
 Exit codes: 0 success, 1 verification failure, 2 unreadable input,
-3 simplex budget exceeded or out of memory, 64 usage error.  Every report
-embeds the version, the full flag configuration, and the seed, so a report
-can be replayed exactly (timings and memory excepted).
+3 simplex budget exceeded or out of memory, 64 usage error, 73 output not
+writable.  Every report embeds the version, the full flag configuration,
+and the seed, so a report can be replayed exactly (timings and memory
+excepted).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import math
 import os
 import resource
@@ -40,6 +43,7 @@ from .expand import count_triangles, enumerate_triangles, export_scc2020
 from .oracle import (
     SimplexBudgetExceeded,
     brute_force_filtration_dominated,
+    brute_force_strong_dominator,
     random_grid_graph,
     verify_collapse,
 )
@@ -50,6 +54,10 @@ DEFAULT_MAX_SIMPLICES = 5_000_000
 
 class InputError(Exception):
     """Input file missing, unreadable, or malformed."""
+
+
+class OutputError(Exception):
+    """Output file cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,18 +93,20 @@ _noise_level = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite non-nega
 
 
 def _atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename into place."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent or "."), prefix=f".{path.name}.")
+    """Write via a temp file in the target directory, then rename into place;
+    an OSError becomes an OutputError that names the path and the reason."""
+    target, tmp = Path(path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=f".{target.name}.")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -153,22 +163,17 @@ def _collapse(
     return collapsed, report, _ms_since(start)
 
 
-def _config_echo(args: argparse.Namespace) -> str:
-    skip = {"func", "format", "_parser"}
-    parts = []
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        parts.append(f"{key.replace('_', '-')}={value}")
-    return " ".join(parts)
-
-
 def _render_report(command: str, args: argparse.Namespace, rows: list[dict]) -> str:
     """The report: metadata lines, then one table whose header is the rows' keys."""
+    config = " ".join(
+        f"{key.replace('_', '-')}={value}"
+        for key, value in sorted(vars(args).items())
+        if key not in {"func", "format", "_parser"} and value is not None
+    )
     meta = [
         ("tool", f"bicollapse {__version__}"),
         ("command", command),
-        ("config", _config_echo(args)),
+        ("config", config),
         ("seed", str(args.seed)),
     ]
     header = list(rows[0])
@@ -176,16 +181,15 @@ def _render_report(command: str, args: argparse.Namespace, rows: list[dict]) -> 
     if args.format == "csv":
         for key, value in meta:
             out.write(f"# {key}: {value}\n")
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(str(c) for c in row.values()) + "\n")
+        csv.writer(out, lineterminator="\n").writerows([header, *(r.values() for r in rows)])
     else:
         for key, value in meta:
             out.write(f"{key}: {value}\n")
         out.write("\n| " + " | ".join(header) + " |\n")
         out.write("|" + "|".join(" --- " for _ in header) + "|\n")
         for row in rows:
-            out.write("| " + " | ".join(str(c) for c in row.values()) + " |\n")
+            cells = (str(c).replace("|", "\\|") for c in row.values())
+            out.write("| " + " | ".join(cells) + " |\n")
     return out.getvalue()
 
 
@@ -269,7 +273,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _check_domination(graph: BifilteredGraph, i: int, seed: int) -> Iterator[str | None]:
-    """Per edge: the fast checks in both forms against the oracle."""
+    """Per edge: the (full, strong) answers of both forms against the two references."""
     engine = _DenseStrongEngine(graph)
     for e in graph.edge_list():
         fast = is_filtration_dominated(graph, e)
@@ -277,10 +281,12 @@ def _check_domination(graph: BifilteredGraph, i: int, seed: int) -> Iterator[str
         slow = brute_force_filtration_dominated(graph, e)
         strong = is_strongly_dominated(graph, e)
         dense = is_strongly_dominated(graph, e, engine)
-        agree = fast == slow == fast_dense and dense == strong
-        yield None if agree and (strong is None or fast) else (
+        strong_oracle = brute_force_strong_dominator(graph, e)
+        agree = fast == fast_dense == slow and strong == dense == strong_oracle
+        yield None if agree else (
             f"domination mismatch on edge ({e.u}, {e.v}) of instance {i}: "
-            f"fast={fast} fast_dense={fast_dense} oracle={slow} strong={strong} dense={dense}"
+            f"fast={fast} fast_dense={fast_dense} oracle={slow} strong={strong} dense={dense} "
+            f"strong_oracle={strong_oracle}"
         )
 
 
@@ -313,8 +319,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for mismatch in check(graph, i, args.seed):
             if mismatch is not None:  # write the failing graph for replay, and name it
                 path = args.output or "counterexample_edges.txt"
-                _atomic_write_text(path, _edge_list_text(graph))
-                print(f"{mismatch}; graph written to {path}", file=sys.stderr)
+                try:
+                    _atomic_write_text(path, _edge_list_text(graph))
+                    where = f"graph written to {path}"
+                except OutputError as exc:
+                    where = f"graph not written: {exc}"
+                print(f"{mismatch}; {where}", file=sys.stderr)
                 return 1
             units += 1
     print(f"{args.oracle} oracle: {args.instances} instances, {units} {unit}, 0 mismatches")
@@ -414,6 +424,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"bicollapse: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"bicollapse: {exc}", file=sys.stderr)
+        return 73
 
 
 if __name__ == "__main__":

@@ -238,9 +238,9 @@ def read_edge_list(source: TextIO) -> BifilteredGraph:
     if not lines:
         raise ValueError("empty edge-list input")
     head = lines[0].split()
-    if len(head) != 2:
+    if len(head) != 2 or not all(h.isdecimal() for h in head):  # no sign, point or exponent
         raise ValueError(f"malformed header {lines[0]!r}, expected 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = map(int, head)
     body = lines[1:]
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, found {len(body)}")

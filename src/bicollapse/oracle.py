@@ -1,7 +1,7 @@
 """Independent brute-force verifiers at desk scale.
 
-Two oracles.  The domination oracle evaluates filtration-domination literally
-at every critical grid grade.  The homology oracle compares F2 barcodes of
+Two oracles.  The domination oracle lists an edge's plain-graph dominators at
+every critical grid grade.  The homology oracle compares F2 barcodes of
 the clique bifiltration in dimensions 0..2 along every row and every column
 of the critical grid, one column reduction per line.  These are fibered
 barcodes (RIVET, Lesnick-Wright 2015): a Betti number at a grid grade counts
@@ -55,30 +55,30 @@ class CriticalGrid:
 # -- domination oracle -----------------------------------------------------
 
 
-def dominated_in_plain(adj: list[set[int]], a: int, b: int) -> bool:
-    """Is edge {a, b} dominated in a plain graph given as adjacency sets?
+def plain_dominators(adj: list[set[int]], a: int, b: int) -> set[int]:
+    """The common neighbors of a and b adjacent to every other common neighbor.
 
-    True iff some common neighbor v of a and b is adjacent to every other
-    common neighbor.  An empty common neighborhood is never dominated.
+    Edge {a, b} of the plain graph adj is dominated iff this set is non-empty.
     """
     nbrs = adj[a] & adj[b]
-    for v in sorted(nbrs):
-        if all(w == v or w in adj[v] for w in nbrs):
-            return True
-    return False
+    return {v for v in nbrs if nbrs <= adj[v] | {v}}
+
+
+def dominators_by_grade(graph: BifilteredGraph, e: Edge) -> dict[Grade, set[int]]:
+    """plain_dominators of e at every critical grid grade >= crit(e), in grid order."""
+    _require_edge(graph, e)
+    grades = [g for g in CriticalGrid.of_graph(graph).points() if leq(e.grade, g)]
+    return {g: plain_dominators(subgraph_at(graph, g), e.u, e.v) for g in grades}
 
 
 def brute_force_filtration_dominated(graph: BifilteredGraph, e: Edge) -> bool:
-    """Evaluate filtration-domination literally on every grid grade >= crit(e)."""
-    _require_edge(graph, e)
-    grid = CriticalGrid.of_graph(graph)
-    for g in grid.points():
-        if not leq(e.grade, g):
-            continue
-        adj = subgraph_at(graph, g)
-        if not dominated_in_plain(adj, e.u, e.v):
-            return False
-    return True
+    """Is e dominated in the plain graph at every grid grade >= crit(e)?"""
+    return all(dominators_by_grade(graph, e).values())
+
+
+def brute_force_strong_dominator(graph: BifilteredGraph, e: Edge) -> int | None:
+    """The smallest vertex that dominates e at every grid grade >= crit(e), or None."""
+    return min(set.intersection(*dominators_by_grade(graph, e).values()), default=None)
 
 
 # -- clique bifiltration barcodes -------------------------------------------

@@ -31,13 +31,13 @@ from bicollapse.domination import is_filtration_dominated, is_strongly_dominated
 from bicollapse.expand import count_triangles, enumerate_triangles, export_scc2020, parse_scc2020
 from bicollapse.oracle import (
     brute_force_filtration_dominated,
+    brute_force_strong_dominator,
     random_grid_graph,
     verify_collapse,
 )
 from bicollapse.orders import ORDER_KINDS, EdgeOrder
 
 from conftest import make_gap6
-from test_oracle import brute_force_strong_dominators
 
 CORPUS_SEED = 101
 HOMOLOGY_SEED = 303
@@ -140,14 +140,14 @@ def test_criterion_04_gap_between_notions():
     e = graph.edge_list()[0]
     assert (e.u, e.v) == (0, 1)
     fully = brute_force_filtration_dominated(graph, e)
-    strong_witnesses = brute_force_strong_dominators(graph, e)
+    strong = brute_force_strong_dominator(graph, e)
     fast_agrees = is_filtration_dominated(graph, e) and is_strongly_dominated(graph, e) is None
-    ok = fully and not strong_witnesses and fast_agrees
+    ok = fully and strong is None and fast_agrees
     report(
         4,
         ok,
         f"edge (0,1): filtration-dominated={fully}, "
-        f"strong dominators={strong_witnesses}, fast checks agree={fast_agrees}",
+        f"strong dominator={strong}, fast checks agree={fast_agrees}",
     )
 
 

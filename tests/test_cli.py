@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 
 import numpy as np
@@ -11,7 +12,7 @@ from bicollapse.build import load_points
 from bicollapse.cli import main
 from bicollapse.core import graph_from_edges, read_edge_list, write_edge_list
 from bicollapse.expand import parse_scc2020
-from bicollapse.oracle import VerifyReport, random_grid_graph
+from bicollapse.oracle import VerifyReport, brute_force_filtration_dominated, random_grid_graph
 
 from conftest import make_gap6, make_k3
 
@@ -26,6 +27,14 @@ def write_graph(path, graph):
     with open(path, "w") as fh:
         write_edge_list(graph, fh)
     return str(path)
+
+
+def domination_instance(seed, i):
+    """Instance i of `verify --oracle domination --seed seed`."""
+    rng = np.random.default_rng(seed)
+    for j in range(i + 1):
+        graph = random_grid_graph(4 + j % 7, (0.3, 0.5, 0.8)[j % 3], rng)
+    return graph
 
 
 @pytest.fixture()
@@ -240,6 +249,45 @@ def test_report_columns_in_order(capsys, tmp_path, gap6_file):
     ]
 
 
+def test_unwritable_output_exits_73(capsys, tmp_path, gap6_file):
+    # A missing directory fails at the temp file, a directory in the way at
+    # the rename: one line, no report, and no temp file left behind.
+    (tmp_path / "taken").mkdir()
+    targets = [
+        (tmp_path / "missing" / "out.txt", "No such file or directory"),
+        (tmp_path / "taken", "Is a directory"),
+    ]
+    commands = [
+        ["collapse", "--edges", gap6_file],
+        ["bench-orders", "--edges", gap6_file],
+        ["expand", "--edges", gap6_file],
+        ["generate", "--dataset", "circle", "--n", "5"],
+    ]
+    for target, reason in targets:
+        for argv in commands:
+            rc, out, err = run(capsys, *argv, "--output", str(target))
+            assert (rc, out) == (73, ""), argv
+            assert err == f"bicollapse: cannot write {target}: {reason}\n", argv
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["gap6.txt", "taken"], argv
+            assert list((tmp_path / "taken").iterdir()) == [], argv
+
+
+def test_report_cells_are_quoted(capsys, tmp_path):
+    # A comma stays inside its CSV cell, a pipe inside its markdown cell.
+    comma = write_graph(tmp_path / "a,b.edges", make_gap6())
+    for command, columns in (("collapse", 7), ("bench-orders", 6)):
+        rc, out, _ = run(capsys, command, "--edges", comma)
+        header, *rows = csv.reader(out.splitlines()[4:])
+        assert rc == 0 and len(header) == columns
+        for row in rows:
+            assert len(row) == columns and f"edges:{comma}" in row
+    pipe = write_graph(tmp_path / "x|y.edges", make_gap6())
+    rc, out, _ = run(capsys, "collapse", "--edges", pipe, "--format", "markdown")
+    row = out.splitlines()[7]
+    assert rc == 0 and row.replace("\\|", "").count("|") == 8
+    assert row.startswith("| edges:" + pipe.replace("|", "\\|") + " | 14 | ")
+
+
 @pytest.mark.parametrize("detail", ["Unable to allocate 37.3 GiB for an array", ""])
 def test_out_of_memory_exits_3(capsys, monkeypatch, detail):
     # Stands in for an input too big for memory, which is never built here.
@@ -369,7 +417,7 @@ def test_verify_homology_passes(capsys):
         (
             "domination",
             "domination mismatch on edge (0, 2) of instance 0: fast=False fast_dense=False "
-            "oracle=True strong=None dense=None",
+            "oracle=True strong=None dense=None strong_oracle=None",
         ),
         ("homology", "homology mismatch on instance 0 (mode=strong, order=lex): patched"),
     ],
@@ -391,6 +439,45 @@ def test_verify_failure_writes_the_failing_instance(
     assert first.edge_count() == 1  # instance 0 at seed 9: one edge, which the patch flips
     with open(path) as fh:
         assert read_edge_list(fh) == first
+
+
+@pytest.mark.parametrize("mutant, named", [("none", "None"), ("not_a_dominator", "0")])
+def test_verify_checks_the_strong_answer(capsys, monkeypatch, tmp_path, mutant, named):
+    # Seed 9's first filtration-dominated edge is (4, 5) of instance 2, and 1
+    # dominates it strongly.  Both wrong strong checks must be caught there.
+    real = cli.is_strongly_dominated
+
+    def not_a_dominator(g, e, engine=None):
+        # On filtration-dominated edges, the smallest vertex not a common neighbor.
+        if not brute_force_filtration_dominated(g, e):
+            return real(g, e, engine)
+        return min(v for v in range(g.n) if v not in g.adj[e.u] or v not in g.adj[e.v])
+
+    wrong = {"none": lambda g, e, engine=None: None, "not_a_dominator": not_a_dominator}
+    monkeypatch.setattr(cli, "is_strongly_dominated", wrong[mutant])
+    path = tmp_path / "counterexample.txt"
+    argv = ("verify", "--oracle", "domination", "--seed", "9", "--output", str(path))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == (
+        "domination mismatch on edge (4, 5) of instance 2: fast=True fast_dense=True "
+        f"oracle=True strong={named} dense={named} strong_oracle=1; graph written to {path}\n"
+    )
+    with open(path) as fh:
+        assert read_edge_list(fh) == domination_instance(9, 2)
+
+
+def test_verify_failure_with_unwritable_output(capsys, monkeypatch, tmp_path):
+    # Still exit 1, and the one line says why the graph is not there.
+    monkeypatch.setattr(cli, "is_strongly_dominated", lambda g, e, engine=None: None)
+    path = tmp_path / "missing" / "counterexample.txt"
+    rc, out, err = run(capsys, "verify", "--oracle", "domination", "--seed", "9",
+                       "--output", str(path))
+    assert rc == 1 and out == ""
+    assert err.endswith(
+        f"strong_oracle=1; graph not written: cannot write {path}: No such file or directory\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- generate ----------------------------------------------------------------------

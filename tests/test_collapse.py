@@ -24,13 +24,13 @@ from bicollapse.core import BifilteredGraph, Edge, graph_from_edges
 from bicollapse.domination import _DenseStrongEngine, is_strongly_dominated
 from bicollapse.oracle import (
     brute_force_filtration_dominated,
+    brute_force_strong_dominator,
     random_grid_graph,
     verify_collapse,
 )
 from bicollapse.orders import ORDER_KINDS, EdgeOrder, sort_edges
 
 from conftest import A, B, decoded, edge_of, make_gap6, make_k3
-from test_oracle import brute_force_strong_dominators
 
 
 def _order(kind: str) -> EdgeOrder:
@@ -228,8 +228,7 @@ def test_returned_vertex_agrees_during_a_pass_on_ties_and_extreme_floats(g):
         h = g.copy()
         engine = _DenseStrongEngine(h)
         for e in sort_edges(h, EdgeOrder(kind)):
-            winners = brute_force_strong_dominators(h, e)
-            expected = winners[0] if winners else None
+            expected = brute_force_strong_dominator(h, e)
             listed, dense = is_strongly_dominated(h, e), is_strongly_dominated(h, e, engine)
             assert listed == dense == expected
             if expected is not None:

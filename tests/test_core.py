@@ -256,8 +256,11 @@ def test_edge_list_roundtrip():
 
 
 def test_read_edge_list_rejects_bad_header():
-    with pytest.raises(ValueError, match="header"):
-        read_edge_list(io.StringIO("3\n0 1 0 0\n"))
+    # A float, a word, a sign or an exponent is refused before any count is read.
+    for header in ["3", "3.0 2", "3 x", "-3 2", "3 -2", "+3 2", "3 2 1", "3 1e0", "3 2_0"]:
+        with pytest.raises(ValueError) as raised:
+            read_edge_list(io.StringIO(f"{header}\n0 1 0 0\n1 2 0 0\n"))
+        assert str(raised.value) == f"malformed header {header!r}, expected 'n m'", header
 
 
 def test_read_edge_list_rejects_count_mismatch():

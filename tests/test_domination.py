@@ -31,12 +31,12 @@ from bicollapse.domination import (
 from bicollapse.oracle import (
     CriticalGrid,
     brute_force_filtration_dominated,
+    brute_force_strong_dominator,
     random_grid_graph,
 )
 from bicollapse.orders import EdgeOrder, sort_edges
 
 from conftest import A, B, V, W, decoded, edge_of, make_k3, make_path3
-from test_oracle import brute_force_strong_dominators
 
 
 def grid_of(graph, e, engine=None) -> _DominationGrid:
@@ -323,9 +323,9 @@ def test_strong_is_smallest_brute_force_dominator():
     for _ in range(20):
         g = random_grid_graph(int(rng.integers(4, 9)), 0.7, rng)
         for e in g.edge_list():
-            winners = brute_force_strong_dominators(g, e)
-            assert is_strongly_dominated(g, e) == (winners[0] if winners else None)
-            hits += bool(winners)
+            expected = brute_force_strong_dominator(g, e)
+            assert is_strongly_dominated(g, e) == expected
+            hits += expected is not None
     assert hits > 20
 
 

@@ -243,21 +243,7 @@ def test_export_to_path(tmp_path, k3):
     assert out.read_text() == export_text(k3, enumerate_triangles(k3))
 
 
-# -- the array stage against the tuple stage it replaced -------------------------
-
-
-def _tuple_enumerate(graph) -> list:
-    """Reference: the per-wedge tuple walk, one row lookup per wedge."""
-    out = []
-    for u, row in enumerate(graph.adj):
-        up = [(v, g) for v, g in row.items() if v > u]
-        for i, (v, (s_uv, t_uv)) in enumerate(up):
-            row_v = graph.adj[v]
-            for w, (s_uw, t_uw) in up[i + 1 :]:
-                g_vw = row_v.get(w)
-                if g_vw is not None:
-                    out.append((u, v, w, (max(s_uv, s_uw, g_vw[0]), max(t_uv, t_uw, g_vw[1]))))
-    return out
+# -- the array stage against the clique oracle and the tuple exporter ------------
 
 
 def _tuple_export(graph, triangles) -> str:
@@ -297,7 +283,7 @@ def _tied_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(g=_tied_graphs(), data=st.data())
 def test_triangle_stage_matches_tuple_reference(g, data):
-    reference = _tuple_enumerate(g)
+    reference = clique_triangles(g)
     tris = enumerate_triangles(g)
     assert tris.dtype == GradedTriangle
     assert as_tuples(tris) == reference

@@ -17,9 +17,11 @@ from bicollapse.oracle import (
     CriticalGrid,
     SimplexBudgetExceeded,
     brute_force_filtration_dominated,
-    dominated_in_plain,
+    brute_force_strong_dominator,
+    dominators_by_grade,
     graded_cliques,
     grid_barcodes,
+    plain_dominators,
     random_grid_graph,
     verify_collapse,
 )
@@ -27,43 +29,26 @@ from bicollapse.oracle import (
 from conftest import A, B, V, W, X, Y, edge_of, make_cycle4, make_gap6, make_k3, make_path3
 
 
-def brute_force_strong_dominators(graph, e):
-    """All vertices that alone dominate e at every grid grade >= crit(e)."""
-    grid = CriticalGrid.of_graph(graph)
-    pts = [p for p in grid.points() if leq(e.grade, p)]
-    winners = []
-    for v in range(graph.n):
-        if v in (e.u, e.v):
-            continue
-        ok = True
-        for p in pts:
-            adj = subgraph_at(graph, p)
-            nbrs = adj[e.u] & adj[e.v]
-            if v not in nbrs or not all(w == v or w in adj[v] for w in nbrs):
-                ok = False
-                break
-        if ok:
-            winners.append(v)
-    return winners
-
-
 # -- plain-graph domination ---------------------------------------------------
 
 
-def test_dominated_in_plain_triangle():
+def test_plain_dominators_triangle():
     adj = [{1, 2}, {0, 2}, {0, 1}]
-    assert dominated_in_plain(adj, 0, 1)
+    assert plain_dominators(adj, 0, 1) == {2}
 
 
-def test_dominated_in_plain_no_common_neighbor():
+def test_plain_dominators_no_common_neighbor():
     adj = [{1}, {0, 2}, {1}]
-    assert not dominated_in_plain(adj, 0, 1)
+    assert plain_dominators(adj, 0, 1) == set()
 
 
-def test_dominated_in_plain_two_unadjacent_witnesses():
+def test_plain_dominators_two_unadjacent_witnesses():
     # 0-1 has common neighbors 2 and 3, but 2 and 3 are not adjacent.
     adj = [{1, 2, 3}, {0, 2, 3}, {0, 1}, {0, 1}]
-    assert not dominated_in_plain(adj, 0, 1)
+    assert plain_dominators(adj, 0, 1) == set()
+    adj[2].add(3)
+    adj[3].add(2)  # once they are adjacent, each dominates
+    assert plain_dominators(adj, 0, 1) == {2, 3}
 
 
 # -- fixture claims, confirmed by brute force --------------------------------
@@ -76,7 +61,7 @@ def test_gap6_edge_ab_is_filtration_dominated():
 
 def test_gap6_edge_ab_has_no_strong_dominator():
     g = make_gap6()
-    assert brute_force_strong_dominators(g, edge_of(g, A, B)) == []
+    assert brute_force_strong_dominator(g, edge_of(g, A, B)) is None
 
 
 def test_gap6_per_grade_witnesses():
@@ -85,17 +70,12 @@ def test_gap6_per_grade_witnesses():
     g = make_gap6()
     expected = {
         (0.0, 0.0): {V, W},
-        (2.0, 0.0): {V},
         (0.0, 2.0): {W},
+        (2.0, 0.0): {V},
         (2.0, 2.0): {W, X},
     }
-    for grade, winners in expected.items():
-        adj = subgraph_at(g, grade)
-        nbrs = adj[A] & adj[B]
-        found = {
-            v for v in nbrs if all(w == v or w in adj[v] for w in nbrs)
-        }
-        assert found == winners, f"witnesses at {grade}"
+    found = dominators_by_grade(g, edge_of(g, A, B))
+    assert list(found.items()) == list(expected.items())  # in grid order
 
 
 def test_gap6_removal_preserves_homology():
@@ -108,7 +88,7 @@ def test_gap6_removal_preserves_homology():
 def test_k3_edge_dominated_and_removable():
     g = make_k3()
     assert brute_force_filtration_dominated(g, edge_of(g, 0, 1))
-    assert brute_force_strong_dominators(g, edge_of(g, 0, 1)) == [2]
+    assert brute_force_strong_dominator(g, edge_of(g, 0, 1)) == 2
     reduced = g.copy()
     reduced.remove_edge(0, 1)
     assert verify_collapse(g, reduced).ok
@@ -133,6 +113,8 @@ def test_brute_force_rejects_stale_edge():
     g = make_k3()
     with pytest.raises(ValueError, match="not in graph"):
         brute_force_filtration_dominated(g, Edge(0, 1, (5.0, 5.0)))
+    with pytest.raises(ValueError, match="not in graph"):
+        brute_force_strong_dominator(g, Edge(0, 1, (5.0, 5.0)))
 
 
 def test_grid_restriction_is_lossless():
@@ -150,7 +132,7 @@ def test_grid_restriction_is_lossless():
         for e in g.edge_list():
             coarse_answer = brute_force_filtration_dominated(g, e)
             fine_answer = all(
-                dominated_in_plain(subgraph_at(g, p), e.u, e.v)
+                plain_dominators(subgraph_at(g, p), e.u, e.v)
                 for p in fine.points()
                 if leq(e.grade, p)
             )
