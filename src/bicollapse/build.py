@@ -9,18 +9,20 @@ distances; any strictly monotone rescaling of densities yields the same graph
 up to axis relabeling, so the normalization constant is omitted.
 Distances are computed with numpy in scipy's summation order, so they are
 bit-identical to scipy.spatial.distance.pdist, and the graph is built from
-the grade arrays in one graph_from_arrays call.
+the grade arrays in one graph_from_arrays call.  load_points and
+load_lower_distance_matrix read a path or a text stream through
+core._text_lines and convert one row at a time.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
-from .core import BifilteredGraph, graph_from_arrays
+from .core import BifilteredGraph, _text_lines, graph_from_arrays
 
 DATASET_KINDS = ("sphere", "uniform", "circle", "torus", "swiss-roll")
 
@@ -165,22 +167,10 @@ def generate_dataset(
 # -- text inputs -------------------------------------------------------------------
 
 
-def _data_lines(source: str | Path | IO[str]) -> Iterable[list[str]]:
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            yield from _data_lines(fh)
-        return
-    for line in source:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield stripped.replace(",", " ").split()
-
-
 def load_points(source: str | Path | IO[str]) -> np.ndarray:
     """Point cloud from text: one point per line, 2 or 3 columns, CSV or
     whitespace separated; blank lines and # comments skipped."""
-    rows = [[float(x) for x in fields] for fields in _data_lines(source)]
+    rows = [[float(x) for x in ln.replace(",", " ").split()] for ln in _text_lines(source)]
     if not rows:
         raise ValueError("empty point file")
     dims = {len(r) for r in rows}
@@ -198,7 +188,7 @@ def load_lower_distance_matrix(source: str | Path | IO[str]) -> np.ndarray:
     Line i carries the i finite, non-negative distances to earlier points;
     a leading empty row (zero entries for the first point) may be omitted.
     """
-    rows = [np.array(fields, dtype=float) for fields in _data_lines(source)]
+    rows = [np.array(ln.replace(",", " ").split(), dtype=float) for ln in _text_lines(source)]
     if rows and len(rows[0]) == 1:
         rows.insert(0, [])
     if not rows:

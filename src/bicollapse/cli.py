@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import math
 import os
 import resource
@@ -92,22 +93,42 @@ _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a fraction in [0, 1]")
 _noise_level = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite non-negative number")
 
 
-def _atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename into place;
-    an OSError becomes an OutputError that names the path and the reason."""
-    target, tmp = Path(path), None
+@contextlib.contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """Turn an OSError into an OutputError that names the path and the reason."""
     try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _atomic_write_text(path: str | Path, text: str) -> None:
+    """Write via a temp file in the target directory, then rename into place."""
+    target, tmp = Path(path), None
+    with _writing(path):
+        try:
+            fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=f".{target.name}.")
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+            raise
+
+
+def _check_output(path: str | Path) -> None:
+    """Refuse, before any work, an output _atomic_write_text would fail on: its
+    temp file is made and removed, and a directory at path refused as the
+    rename would refuse it.  path itself is neither created nor truncated."""
+    target = Path(path)
+    with _writing(path):
         fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=f".{target.name}.")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException as exc:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        raise
+        os.close(fd)
+        os.unlink(tmp)
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
 def _edge_list_text(graph: BifilteredGraph) -> str:
@@ -138,8 +159,7 @@ def _input_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:
     """The run's input graph after ``--grade-mode``, and its source label for reports."""
     try:
         if args.edges:
-            with open(args.edges) as fh:
-                graph, source = read_edge_list(fh), f"edges:{args.edges}"
+            graph, source = read_edge_list(args.edges), f"edges:{args.edges}"
         elif args.points:
             graph, source = _graph_from_points(load_points(args.points)), f"points:{args.points}"
         elif args.distances:
@@ -414,6 +434,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command in ("expand", "generate") and not args.output:
         args._parser.error(f"{args.command} requires --output")
     try:
+        if args.output and args.command != "verify":  # verify writes only on failure
+            _check_output(args.output)
         return args.func(args)
     except InputError as exc:
         print(f"bicollapse: input error: {exc}", file=sys.stderr)

@@ -14,12 +14,16 @@ one record type: edges() and edge_list() give the edges as Edge(u, v,
 grade) named tuples and edge_arrays(), the inverse of graph_from_arrays,
 as arrays, while edge_neighborhood, on the hot path of every domination
 check, intersects two rows' key views into plain (w, entry) tuples.
+Every text reader, read_edge_list here and those of build and expand,
+takes a path or a text stream through _text_lines, which strips each line
+and skips blank and # lines.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, islice
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -218,10 +222,23 @@ def subgraph_at(graph: BifilteredGraph, g: Grade) -> list[set[int]]:
     return [{v for v, (s, t) in row.items() if s <= gs and t <= gt} for row in graph.adj]
 
 
-# -- edge-list text format ------------------------------------------------
+# -- text formats ---------------------------------------------------------
 #
-# Header line "n m", then m lines "u v s t" (whitespace-separated, 0-based
-# ids, grades as decimal floats).  Input and output of collapse runs.
+# Edge list: header line "n m", then m lines "u v s t" (whitespace-separated,
+# 0-based ids, grades as decimal floats).  Input and output of collapse runs.
+
+
+def _text_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
+    """Each line of source, stripped, that is neither blank nor a # comment.
+    A str or Path is opened here, and closed when the generator ends or is dropped."""
+    if isinstance(source, (str, Path)):
+        with open(source) as fh:
+            yield from _text_lines(fh)
+        return
+    for raw in source:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line
 
 
 def write_edge_list(graph: BifilteredGraph, sink: TextIO) -> None:
@@ -231,17 +248,19 @@ def write_edge_list(graph: BifilteredGraph, sink: TextIO) -> None:
         sink.write(f"{u} {v} {s!r} {t!r}\n")
 
 
-def read_edge_list(source: TextIO) -> BifilteredGraph:
-    """Parse the edge-list text format; the body is parsed in one np.loadtxt
-    call, which reads the same floats as float() does."""
-    lines = [ln for ln in (raw.strip() for raw in source) if ln and not ln.startswith("#")]
-    if not lines:
+def read_edge_list(source: str | Path | Iterable[str]) -> BifilteredGraph:
+    """Parse the edge-list text format; the header is checked before the body
+    is read, and the body is parsed in one np.loadtxt call, which reads the
+    same floats as float() does."""
+    lines = _text_lines(source)
+    header = next(lines, None)
+    if header is None:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2 or not all(h.isdecimal() for h in head):  # no sign, point or exponent
-        raise ValueError(f"malformed header {lines[0]!r}, expected 'n m'")
+        raise ValueError(f"malformed header {header!r}, expected 'n m'")
     n, m = map(int, head)
-    body = lines[1:]
+    body = list(lines)
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, found {len(body)}")
     if not body:

@@ -12,17 +12,20 @@ the join (s, t).  The exporter emits the standard scc2020 text layout
 generator line per simplex with its grade and facet indices) so the file
 can feed external minimal-presentation tools.  It takes the triangles as
 enumerate_triangles returns them and finds their facets with one searchsorted.
+parse_scc2020 reads the layout back, through core._text_lines, and refuses
+what the exporter never writes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
 import numpy as np
 
-from .core import BifilteredGraph, Grade
+from .core import BifilteredGraph, Grade, _text_lines
 
 FORMAT_TAG = "scc2020"
 
@@ -206,20 +209,18 @@ class SccComplex:
 
 
 def parse_scc2020(source: str | Path | IO[str]) -> SccComplex:
-    """Round-trip reader for files produced by export_scc2020."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    else:
-        text = source.read()
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
+    """Round-trip reader for files produced by export_scc2020.  Refuses what
+    the exporter never writes: block sizes and facet indices that are not
+    plain decimal digits, and grades that are not finite."""
+    rows = list(_text_lines(source))
     if not rows or rows[0] != FORMAT_TAG:
         raise ValueError(f"missing {FORMAT_TAG} format tag")
     if len(rows) < 3 or rows[1] != "2":
         raise ValueError("expected 2 filtration parameters")
-    sizes = [int(tok) for tok in rows[2].split()]
-    if len(sizes) != 3 or any(k < 0 for k in sizes):
+    counts = rows[2].split()
+    if len(counts) != 3 or not all(k.isdecimal() for k in counts):  # no sign or underscore
         raise ValueError(f"expected three block sizes, got {rows[2]!r}")
+    sizes = [int(k) for k in counts]
     body = rows[3:]
     if len(body) != sum(sizes):
         raise ValueError(f"expected {sum(sizes)} generator lines, got {len(body)}")
@@ -236,8 +237,13 @@ def parse_scc2020(source: str | Path | IO[str]) -> SccComplex:
             coords = [float(tok) for tok in head.split()]
             if len(coords) != 2:
                 raise ValueError(f"expected two grade coordinates: {ln!r}")
-            faces = tuple(int(tok) for tok in tail.split())
-            if any(f < 0 or f >= next_size for f in faces):
+            if not all(map(math.isfinite, coords)):
+                raise ValueError(f"grade is not finite: {ln!r}")
+            indices = tail.split()
+            if not all(f.isdecimal() for f in indices):
+                raise ValueError(f"facet index is not a plain decimal: {ln!r}")
+            faces = tuple(int(f) for f in indices)
+            if any(f >= next_size for f in faces):
                 raise ValueError(f"facet index out of range: {ln!r}")
             gens.append(((coords[0], coords[1]), faces))
         blocks.append(tuple(gens))

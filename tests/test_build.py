@@ -108,6 +108,12 @@ def test_density_single_point():
         kde_density(np.zeros((1, 2)), 0.0)
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0])
+def test_density_from_matrix_needs_a_positive_bandwidth(h):
+    with pytest.raises(ValueError, match="^bandwidth must be positive$"):
+        kde_density_from_matrix(np.zeros((2, 2)), h)
+
+
 def test_density_coincident_pair():
     got = kde_density(np.zeros((2, 2)), 1.0)
     assert got.tolist() == [2.0, 2.0]
@@ -204,6 +210,15 @@ def test_circle_unit_norm():
     assert np.linalg.norm(pts, axis=1) == pytest.approx(np.ones(64))
 
 
+def test_circle_noise_is_added_after_the_angles():
+    # The same seed draws the same angles; noise moves each point off the circle.
+    clean = generate_dataset("circle", 400, seed=2)
+    noisy = generate_dataset("circle", 400, seed=2, noise=0.1)
+    offset = noisy - clean
+    assert (offset != 0).all()
+    assert offset.std() == pytest.approx(0.1, rel=0.1)
+
+
 def test_sphere_no_outliers_unit_norm():
     pts = generate_dataset("sphere", 100, seed=3, outliers=0.0)
     assert pts.shape == (100, 3)
@@ -261,11 +276,22 @@ def test_load_points_empty():
         load_points(io.StringIO("# nothing\n"))
 
 
+@pytest.mark.parametrize("text", ["0 0\nnan 1\n", "0,0\n1,inf\n", "0 0\n-inf 1\n"])
+def test_load_points_rejects_non_finite_coordinates(text):
+    with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+        load_points(io.StringIO(text))
+
+
 def test_load_lower_distance_matrix():
     text = "1.0\n2.0, 3.0\n"
     dist = load_lower_distance_matrix(io.StringIO(text))
     expected = [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
     assert dist.tolist() == expected
+
+
+def test_load_lower_distance_matrix_empty():
+    with pytest.raises(ValueError, match="^empty distance file$"):
+        load_lower_distance_matrix(io.StringIO("# nothing\n\n"))
 
 
 def test_load_lower_distance_matrix_row_mismatch():

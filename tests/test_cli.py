@@ -198,6 +198,11 @@ def test_unreadable_input_exits_2(capsys, tmp_path):
         rc, _, err = run(capsys, "collapse", "--edges", str(bad))
         assert rc == 2, body
         assert "input error" in err
+    cloud = tmp_path / "one.csv"
+    argv = ("generate", "--dataset", "circle", "--n", "1", "--output", str(cloud))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", "bicollapse: input error: need n >= 2\n")
+    assert not cloud.exists()
 
 
 @pytest.mark.parametrize("copies, sites, rc_expected", [(2, 3, 2), (20, 5, 0)])
@@ -249,9 +254,15 @@ def test_report_columns_in_order(capsys, tmp_path, gap6_file):
     ]
 
 
-def test_unwritable_output_exits_73(capsys, tmp_path, gap6_file):
-    # A missing directory fails at the temp file, a directory in the way at
-    # the rename: one line, no report, and no temp file left behind.
+def test_unwritable_output_exits_73(capsys, monkeypatch, tmp_path, gap6_file):
+    # A missing directory fails at the temp file, a directory in the way as
+    # the rename would: one line, no report, and no temp file left behind,
+    # all before the input is read or generated.
+    def not_before_the_output_check(*args, **kwargs):
+        pytest.fail("the input was read or generated before --output was checked")
+
+    monkeypatch.setattr(cli, "_input_graph", not_before_the_output_check)
+    monkeypatch.setattr(cli, "generate_dataset", not_before_the_output_check)
     (tmp_path / "taken").mkdir()
     targets = [
         (tmp_path / "missing" / "out.txt", "No such file or directory"),

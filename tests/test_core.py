@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicollapse.build import load_lower_distance_matrix, load_points
 from bicollapse.core import (
     NEVER,
     BifilteredGraph,
@@ -23,6 +24,7 @@ from bicollapse.core import (
     write_edge_list,
 )
 from bicollapse.collapse import collapse_iterated
+from bicollapse.expand import parse_scc2020
 from bicollapse.oracle import random_grid_graph
 from bicollapse.orders import EdgeOrder
 
@@ -239,6 +241,11 @@ def test_graph_from_edges_rejects(edges, message):
         graph_from_edges(3, edges)
 
 
+def test_negative_vertex_count_rejected():
+    with pytest.raises(ValueError, match="^vertex count must be non-negative, got -1$"):
+        BifilteredGraph(-1)
+
+
 def test_remove_missing_edge_rejected():
     g = make_path3()
     with pytest.raises(ValueError, match="not in graph"):
@@ -266,6 +273,42 @@ def test_read_edge_list_rejects_bad_header():
 def test_read_edge_list_rejects_count_mismatch():
     with pytest.raises(ValueError, match="promises"):
         read_edge_list(io.StringIO("3 2\n0 1 0 0\n"))
+
+
+@pytest.mark.parametrize(
+    "text", ["", "\n  \n", "# only a comment\n\n"], ids=["empty", "blank", "comment"]
+)
+def test_read_edge_list_rejects_empty_input(text):
+    with pytest.raises(ValueError, match="^empty edge-list input$"):
+        read_edge_list(io.StringIO(text))
+
+
+def test_read_edge_list_checks_the_header_before_the_body():
+    def lines():
+        yield "3.0 2\n"
+        pytest.fail("the body was read before the header was checked")
+
+    with pytest.raises(ValueError, match=r"^malformed header '3.0 2', expected 'n m'$"):
+        read_edge_list(lines())
+
+
+# Each format's text, with a # line and a blank line that every reader skips.
+_TEXT_INPUTS = [
+    (read_edge_list, "# path\n3 2\n\n0 1 0 0\n  1 2 1.5 1  \n"),
+    (load_points, "# cloud\n0,0\n\n1.5, 2\n3 4\n"),
+    (load_lower_distance_matrix, "# three points\n1.0\n\n2.0, 3.0\n"),
+    (parse_scc2020, "# gap\nscc2020\n2\n\n0 1 2\n1 1 ; 0 1\n0 0 ;\n0 0 ;\n"),
+]
+
+
+@pytest.mark.parametrize("read, text", _TEXT_INPUTS, ids=[r.__name__ for r, _ in _TEXT_INPUTS])
+def test_text_readers_take_a_str_a_path_or_a_stream(tmp_path, read, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    results = [read(str(path)), read(path), read(io.StringIO(text))]
+    if isinstance(results[0], np.ndarray):
+        results = [r.tolist() for r in results]
+    assert results[0] == results[1] == results[2]
 
 
 # Few distinct values, so grades tie often; both signs of zero, subnormals,
@@ -324,6 +367,8 @@ def test_edge_list_round_trip_shuffled(drawn, data):
         ("0 7 0 0\n0 1 0 0\n1 0 1 1\n",
          [(0, 7, (0.0, 0.0)), (0, 1, (0.0, 0.0)), (1, 0, (1.0, 1.0))],
          r"edge \(0, 7\) out of range for n=3"),
+        # A well-formed line whose id overflows int64: numpy's own error stands.
+        ("0 99999999999999999999 0 0\n", None, "could not convert string '99999999999999999999'"),
     ],
 )
 def test_first_bad_edge_reported(body, edges, message):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -396,4 +397,34 @@ def test_parse_rejects_line_count_mismatch():
 def test_parse_rejects_out_of_range_facet():
     text = "scc2020\n2\n0 1 2\n0 0 ; 0 5\n0 0 ;\n0 0 ;\n"
     with pytest.raises(ValueError, match="out of range"):
+        parse_scc2020(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    ["0 1", "0 1 2 3", "a b c", "0 -1 2", "+0 1 2", "0_0 1 2", "0 1.0 2", "0 1e0 2"],
+)
+def test_parse_rejects_block_sizes_that_are_not_three_plain_decimals(sizes):
+    text = f"scc2020\n2\n{sizes}\n0 0 ; 0 1\n0 0 ;\n0 0 ;\n"
+    message = f"expected three block sizes, got {sizes!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_scc2020(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("0 0 0 1", "generator line lacks ';'"),
+        ("0 ; 0 1", "expected two grade coordinates"),
+        ("0 0 0 ; 0 1", "expected two grade coordinates"),
+        ("nan 0 ; 0 1", "grade is not finite"),
+        ("0 inf ; 0 1", "grade is not finite"),
+        ("0 0 ; +0 1", "facet index is not a plain decimal"),
+        ("0 0 ; 0 -1", "facet index is not a plain decimal"),
+        ("0 0 ; 0 1_0", "facet index is not a plain decimal"),
+    ],
+)
+def test_parse_rejects_a_generator_line_export_never_writes(line, message):
+    text = f"scc2020\n2\n0 1 2\n{line}\n0 0 ;\n0 0 ;\n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}: {re.escape(repr(line))}$"):
         parse_scc2020(io.StringIO(text))

@@ -270,6 +270,12 @@ def test_simplex_budget_enforced():
         verify_collapse(g, g, max_simplices=5)
 
 
+def test_verify_collapse_rejects_a_vertex_count_mismatch():
+    g = make_k3()
+    with pytest.raises(ValueError, match="^vertex counts differ: 3 vs 4$"):
+        verify_collapse(g, graph_from_edges(4, []))
+
+
 def test_verify_collapse_rejects_foreign_edge():
     g = make_k3()
     other = graph_from_edges(3, [(0, 1, (1.0, 1.0))])
