@@ -11,14 +11,15 @@ Distances are computed with numpy in scipy's summation order, so they are
 bit-identical to scipy.spatial.distance.pdist, and the graph is built from
 the grade arrays in one graph_from_arrays call.  load_points and
 load_lower_distance_matrix read a path or a text stream through
-core._text_lines and convert one row at a time.
+core._text_lines, refuse a line holding an underscore (float() would read
+1_0 as 10), and convert one row at a time.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -167,10 +168,20 @@ def generate_dataset(
 # -- text inputs -------------------------------------------------------------------
 
 
+def _no_underscore(source: str | Path | IO[str], what: str) -> Iterator[str]:
+    """core._text_lines, refusing a line with an underscore, which float()
+    would read as a digit separator (1_0 as 10)."""
+    for ln in _text_lines(source):
+        if "_" in ln:
+            raise ValueError(f"{what} line holds an underscore: {ln!r}")
+        yield ln
+
+
 def load_points(source: str | Path | IO[str]) -> np.ndarray:
     """Point cloud from text: one point per line, 2 or 3 columns, CSV or
     whitespace separated; blank lines and # comments skipped."""
-    rows = [[float(x) for x in ln.replace(",", " ").split()] for ln in _text_lines(source)]
+    lines = _no_underscore(source, "point")
+    rows = [[float(x) for x in ln.replace(",", " ").split()] for ln in lines]
     if not rows:
         raise ValueError("empty point file")
     dims = {len(r) for r in rows}
@@ -188,7 +199,8 @@ def load_lower_distance_matrix(source: str | Path | IO[str]) -> np.ndarray:
     Line i carries the i finite, non-negative distances to earlier points;
     a leading empty row (zero entries for the first point) may be omitted.
     """
-    rows = [np.array(ln.replace(",", " ").split(), dtype=float) for ln in _text_lines(source)]
+    lines = _no_underscore(source, "distance")
+    rows = [np.array(ln.replace(",", " ").split(), dtype=float) for ln in lines]
     if rows and len(rows[0]) == 1:
         rows.insert(0, [])
     if not rows:

@@ -21,7 +21,7 @@ import tempfile
 import time
 from io import StringIO
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,14 +102,15 @@ def _writing(path: str | Path) -> Iterator[None]:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename into place."""
+def _atomic_write(path: str | Path, write: Callable[[IO[str]], object]) -> None:
+    """Call write on a temp file in the target directory, then rename the file
+    into place; on any error the temp file is removed and path left untouched."""
     target, tmp = Path(path), None
     with _writing(path):
         try:
             fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=f".{target.name}.")
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                write(fh)
             os.replace(tmp, target)
         except BaseException:
             if tmp is not None:
@@ -119,7 +120,7 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def _check_output(path: str | Path) -> None:
-    """Refuse, before any work, an output _atomic_write_text would fail on: its
+    """Refuse, before any work, an output _atomic_write would fail on: its
     temp file is made and removed, and a directory at path refused as the
     rename would refuse it.  path itself is neither created nor truncated."""
     target = Path(path)
@@ -129,12 +130,6 @@ def _check_output(path: str | Path) -> None:
         os.unlink(tmp)
         if target.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-
-
-def _edge_list_text(graph: BifilteredGraph) -> str:
-    buf = StringIO()
-    write_edge_list(graph, buf)
-    return buf.getvalue()
 
 
 def _peak_rss_mb() -> str:
@@ -224,7 +219,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
     graph, source = _input_graph(args)
     collapsed, report, time_ms = _collapse(graph, args, args.order)
     if args.output:
-        _atomic_write_text(args.output, _edge_list_text(collapsed))
+        _atomic_write(args.output, lambda fh: write_edge_list(collapsed, fh))
     row = {
         "source": source,
         "edges_before": report.edges_before,
@@ -255,7 +250,7 @@ def cmd_bench_orders(args: argparse.Namespace) -> int:
         )
     text = _render_report("bench-orders", args, rows)
     if args.output:
-        _atomic_write_text(args.output, text)
+        _atomic_write(args.output, lambda fh: fh.write(text))
     else:
         print(text, end="")
     return 0
@@ -272,13 +267,11 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if total > args.max_simplices:
         raise SimplexBudgetExceeded(total, args.max_simplices)
     triangles = enumerate_triangles(collapsed)
-    sink = StringIO()
-    try:
-        export_scc2020(collapsed, triangles, sink)
+    try:  # export_scc2020 checks everything before it writes a byte
+        _atomic_write(args.output, lambda fh: export_scc2020(collapsed, triangles, fh))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     time_ms = _ms_since(start)
-    _atomic_write_text(args.output, sink.getvalue())
     row = {
         "source": source,
         "edges_before": edges_before,
@@ -340,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if mismatch is not None:  # write the failing graph for replay, and name it
                 path = args.output or "counterexample_edges.txt"
                 try:
-                    _atomic_write_text(path, _edge_list_text(graph))
+                    _atomic_write(path, lambda fh: write_edge_list(graph, fh))
                     where = f"graph written to {path}"
                 except OutputError as exc:
                     where = f"graph not written: {exc}"
@@ -358,8 +351,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    lines = [",".join(repr(float(c)) for c in row) for row in points]
-    _atomic_write_text(args.output, "\n".join(lines) + "\n")
+    lines = (",".join(repr(float(c)) for c in row) + "\n" for row in points)
+    _atomic_write(args.output, lambda fh: fh.writelines(lines))
     print(f"wrote {len(points)} {args.dataset} points (seed={args.seed}) to {args.output}")
     return 0
 

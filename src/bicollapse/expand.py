@@ -11,13 +11,17 @@ the join (s, t).  The exporter emits the standard scc2020 text layout
 (format tag, parameter count, block sizes for dimensions 2, 1, 0, then one
 generator line per simplex with its grade and facet indices) so the file
 can feed external minimal-presentation tools.  It takes the triangles as
-enumerate_triangles returns them and finds their facets with one searchsorted.
+enumerate_triangles returns them and runs every check (the array's order,
+the facet lookup by searchsorted, the finiteness of each shifted grade)
+before it writes a byte; then it writes the text in slices of _CHUNK_LINES
+lines, so its memory grows with the triangle array, not with the text.
 parse_scc2020 reads the layout back, through core._text_lines, and refuses
 what the exporter never writes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +32,9 @@ import numpy as np
 from .core import BifilteredGraph, Grade, _text_lines
 
 FORMAT_TAG = "scc2020"
+
+#: Lines per write, and triangles per facet lookup, in export_scc2020.
+_CHUNK_LINES = 1 << 14
 
 
 #: Record of a 3-clique u < v < w, graded at (s, t), the join of its three
@@ -101,10 +108,11 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-def _formatted(x: np.ndarray, shift: float, name: str) -> list[str]:
-    """_fmt(c - shift) for each coordinate c of x, formatted once per
-    distinct value; ValueError names the first c whose shifted value is not
-    finite, which a grade's overflow or a non-finite grade gives.
+def _formatted(x: np.ndarray, shift: float, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """_fmt(c - shift) for each coordinate c of x, as an object array of the
+    texts of the distinct values and the index of each c's text in it;
+    ValueError names the first c whose shifted value is not finite, which a
+    grade's overflow or a non-finite grade gives.
 
     np.unique ties 0.0 with -0.0, which is safe: their shifted values are
     equal or differ only in the sign of zero, which _fmt drops.
@@ -118,8 +126,7 @@ def _formatted(x: np.ndarray, shift: float, name: str) -> list[str]:
         raise ValueError(
             f"grade coordinate {name} = {c!r} minus the shift {shift!r} is not finite"
         )
-    texts = np.array([_fmt(c) for c in shifted.tolist()], dtype=object)
-    return texts[inverse].tolist()
+    return np.array([_fmt(c) for c in shifted.tolist()], dtype=object), inverse
 
 
 def _require_enumerated(tri: np.ndarray) -> None:
@@ -132,6 +139,33 @@ def _require_enumerated(tri: np.ndarray) -> None:
     steps = (du > 0) | ((du == 0) & ((dv > 0) | ((dv == 0) & (dw > 0))))
     if not (((u < v) & (v < w)).all() and steps.all()):
         raise ValueError("triangles must have u < v < w and strictly increase in (u, v, w)")
+
+
+def _facets(n: int, a: np.ndarray, b: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """The indices among the edges (a, b) of each triangle's facets uv, uw,
+    vw, as a (3, k) array filled _CHUNK_LINES triangles at a time;
+    ValueError names the first triangle with a facet that is not an edge."""
+    # An edge's key is a * n + b; a facet that cannot be an edge gets n * n,
+    # which sits above every edge key and is appended to them, so every
+    # searchsorted position can be read.
+    keys = np.append(a * n + b, n * n)
+    facets = np.empty((3, len(tri)), dtype=np.int64)
+    for lo in range(0, len(tri), _CHUNK_LINES):
+        part = tri[lo : lo + _CHUNK_LINES]
+        x = np.stack((part["u"], part["u"], part["v"]))
+        y = np.stack((part["v"], part["w"], part["w"]))
+        valid = (0 <= x) & (y < n)
+        key = np.where(valid, x * n + y, n * n)
+        found = facets[:, lo : lo + len(part)] = np.searchsorted(keys, key)
+        hit = valid & (keys[found] == key)
+        if not hit.all():
+            i = int(np.argmin(hit.all(axis=0)))
+            j = int(np.argmin(hit[:, i]))
+            corner = (int(x[0, i]), int(y[0, i]), int(y[2, i]))
+            raise ValueError(
+                f"triangle {corner} references missing edge {(int(x[j, i]), int(y[j, i]))}"
+            )
+    return facets
 
 
 def export_scc2020(
@@ -147,51 +181,42 @@ def export_scc2020(
     triangle whose facet edge is absent from the graph is rejected, the
     first in order.  Each distinct coordinate is formatted once; one that
     is not finite after the shift (it overflowed, or a triangle's grade is
-    not finite) is rejected by name.
+    not finite) is rejected by name.  Every check runs before the first
+    byte is written, and a path sink is opened only after them; the text
+    is then written _CHUNK_LINES lines at a time, never whole.
     """
     _require_enumerated(triangles)
-    tu, tv, tw = triangles["u"], triangles["v"], triangles["w"]
-    n = graph.n
+    n, k = graph.n, len(triangles)
     a, b, es, et = graph.edge_arrays()
-    shift_s, shift_t = (es.min().item(), et.min().item()) if len(a) else (0.0, 0.0)
-
-    # Rows are the facets uv, uw, vw.  An edge's key is a * n + b; a facet
-    # that cannot be an edge gets n * n, which sits above every edge key and
-    # is appended to them, so every searchsorted position can be read.
-    x, y = np.stack((tu, tu, tv)), np.stack((tv, tw, tw))
-    valid = (0 <= x) & (y < n)
-    key = np.where(valid, x * n + y, n * n)
-    keys = np.append(a * n + b, n * n)
-    facets = np.searchsorted(keys, key)
-    found = valid & (keys[facets] == key)
-    if not found.all():
-        i = int(np.argmin(found.all(axis=0)))
-        j = int(np.argmin(found[:, i]))
-        corner = (int(tu[i]), int(tv[i]), int(tw[i]))
-        raise ValueError(
-            f"triangle {corner} references missing edge {(int(x[j, i]), int(y[j, i]))}"
-        )
-
+    m = len(a)
+    shift_s, shift_t = (es.min().item(), et.min().item()) if m else (0.0, 0.0)
+    facets = _facets(n, a, b, triangles)
     # Triangle then edge coordinates, formatted together: they mostly coincide.
-    s = _formatted(np.concatenate((triangles["s"], es)), shift_s, "s")
-    t = _formatted(np.concatenate((triangles["t"], et)), shift_t, "t")
-    k = len(triangles)
-    names = np.array([str(i) for i in range(len(a))], dtype=object)
-    lines = [FORMAT_TAG, "2", f"{k} {len(a)} {n}"]
-    lines += [
-        f"{gs} {gt} ; {uv} {uw} {vw}"
-        for gs, gt, uv, uw, vw in zip(s[:k], t[:k], *names[facets].tolist())
-    ]
-    lines += [
-        f"{gs} {gt} ; {u} {v}" for gs, gt, u, v in zip(s[k:], t[k:], a.tolist(), b.tolist())
-    ]
-    lines += ["0 0 ;"] * n
-    text = "\n".join(lines) + "\n"
+    s_text, s_of = _formatted(np.concatenate((triangles["s"], es)), shift_s, "s")
+    t_text, t_of = _formatted(np.concatenate((triangles["t"], et)), shift_t, "t")
+    names = np.array([str(i) for i in range(m)], dtype=object)
 
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text)
-    else:
-        sink.write(text)
+    def grades(lo: int, hi: int) -> tuple[list[str], list[str]]:
+        # The s and t texts of generator lines lo:hi, triangles before edges.
+        return s_text[s_of[lo:hi]].tolist(), t_text[t_of[lo:hi]].tolist()
+
+    def slices() -> Iterator[str]:
+        yield f"{FORMAT_TAG}\n2\n{k} {m} {n}\n"
+        for lo in range(0, k, _CHUNK_LINES):
+            hi = min(lo + _CHUNK_LINES, k)
+            lines = zip(*grades(lo, hi), *names[facets[:, lo:hi]].tolist())
+            yield "".join([f"{s} {t} ; {uv} {uw} {vw}\n" for s, t, uv, uw, vw in lines])
+        for lo in range(0, m, _CHUNK_LINES):
+            hi = min(lo + _CHUNK_LINES, m)
+            lines = zip(*grades(k + lo, k + hi), a[lo:hi].tolist(), b[lo:hi].tolist())
+            yield "".join([f"{s} {t} ; {u} {v}\n" for s, t, u, v in lines])
+        for lo in range(0, n, _CHUNK_LINES):
+            yield "0 0 ;\n" * (min(lo + _CHUNK_LINES, n) - lo)
+
+    is_path = isinstance(sink, (str, Path))
+    with open(sink, "w") if is_path else contextlib.nullcontext(sink) as out:
+        for text in slices():
+            out.write(text)
 
 
 @dataclass(frozen=True)
@@ -211,12 +236,14 @@ class SccComplex:
 def parse_scc2020(source: str | Path | IO[str]) -> SccComplex:
     """Round-trip reader for files produced by export_scc2020.  Refuses what
     the exporter never writes: block sizes and facet indices that are not
-    plain decimal digits, and grades that are not finite."""
+    plain decimal digits, and grades that hold an underscore or are not finite."""
     rows = list(_text_lines(source))
     if not rows or rows[0] != FORMAT_TAG:
         raise ValueError(f"missing {FORMAT_TAG} format tag")
-    if len(rows) < 3 or rows[1] != "2":
+    if len(rows) < 2 or rows[1] != "2":
         raise ValueError("expected 2 filtration parameters")
+    if len(rows) < 3:
+        raise ValueError("missing the block-size line")
     counts = rows[2].split()
     if len(counts) != 3 or not all(k.isdecimal() for k in counts):  # no sign or underscore
         raise ValueError(f"expected three block sizes, got {rows[2]!r}")
@@ -234,6 +261,8 @@ def parse_scc2020(source: str | Path | IO[str]) -> SccComplex:
             head, sep, tail = ln.partition(";")
             if not sep:
                 raise ValueError(f"generator line lacks ';': {ln!r}")
+            if "_" in head:  # float() reads 1_0 as 10
+                raise ValueError(f"grade holds an underscore: {ln!r}")
             coords = [float(tok) for tok in head.split()]
             if len(coords) != 2:
                 raise ValueError(f"expected two grade coordinates: {ln!r}")

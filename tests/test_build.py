@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +281,21 @@ def test_load_points_empty():
 def test_load_points_rejects_non_finite_coordinates(text):
     with pytest.raises(ValueError, match="^point coordinates must be finite$"):
         load_points(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_points, "0 0\n1_0 2\n", "point line holds an underscore: '1_0 2'"),
+        (load_points, "0,0\n1,2_5\n", "point line holds an underscore: '1,2_5'"),
+        (load_lower_distance_matrix, "1_0\n", "distance line holds an underscore: '1_0'"),
+        (load_lower_distance_matrix, "1\n2 3_0\n", "distance line holds an underscore: '2 3_0'"),
+    ],
+)
+def test_text_loaders_refuse_an_underscore(load, text, message):
+    # float() reads 1_0 as 10; no writer puts an underscore in a number.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load(io.StringIO(text))
 
 
 def test_load_lower_distance_matrix():

@@ -380,6 +380,12 @@ def test_expand_grade_overflow_is_an_input_error(capsys, tmp_path):
     assert rc == 2
     assert "input error" in err and "not finite" in err
     assert not out_path.exists() and out == ""
+    # The export refuses before it writes into the temp file, which is
+    # removed; a file already at --output keeps its bytes.
+    out_path.write_bytes(b"kept\n")
+    rc, _, _ = run(capsys, "expand", "--edges", str(path), "--output", str(out_path))
+    assert rc == 2 and out_path.read_bytes() == b"kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.scc", "overflow.txt"]
 
 
 def test_expand_no_collapse_keeps_raw_counts(capsys, tmp_path, gap6_file):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicollapse import expand
 from bicollapse.collapse import collapse_iterated
 from bicollapse.orders import EdgeOrder
 from bicollapse.core import graph_from_edges, leq
@@ -134,6 +135,22 @@ def test_count_triangles_memory_linear_in_edges():
     assert peak < 10 * 2**20
 
 
+def test_export_memory_bounded_by_the_triangles(tmp_path):
+    # Complete on 130 vertices: 357,760 triangles at distinct grades (u, v),
+    # an 8 MB file.  The export writes it in slices, so its peak stays
+    # within a small multiple of the triangle array, not of the text.
+    n = 130
+    g = graph_from_edges(n, [(u, v, (u, v)) for u in range(n) for v in range(u + 1, n)])
+    triangles = enumerate_triangles(g)
+    tracemalloc.start()
+    try:
+        export_scc2020(g, triangles, tmp_path / "k130.scc")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * triangles.nbytes
+
+
 def test_collapse_never_adds_triangles():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -242,6 +259,45 @@ def test_export_to_path(tmp_path, k3):
     out = tmp_path / "k3.scc"
     export_scc2020(k3, enumerate_triangles(k3), out)
     assert out.read_text() == export_text(k3, enumerate_triangles(k3))
+
+
+def test_refused_export_leaves_the_path_untouched(tmp_path, k3):
+    # Every check runs before the path is opened, so a file already there
+    # keeps its bytes.
+    out = tmp_path / "kept.scc"
+    out.write_bytes(b"kept\n")
+    overflow = graph_from_edges(3, [(0, 1, (1e308, 0.0)), (1, 2, (-1e308, 0.0))])
+    no_12 = graph_from_edges(3, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0))])
+    refused = [
+        (overflow, enumerate_triangles(overflow), "not finite"),
+        (no_12, enumerate_triangles(k3), "missing edge"),
+        (k3, enumerate_triangles(k3)[["u", "v", "w"]], "must be a GradedTriangle array"),
+    ]
+    for graph, triangles, message in refused:
+        for sink in (out, str(out)):
+            with pytest.raises(ValueError, match=message):
+                export_scc2020(graph, triangles, sink)
+            assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("lines", [1, 2, 5])
+def test_export_bytes_do_not_depend_on_the_slice_size(monkeypatch, gap6, lines):
+    # gap6 (16 triangles, 14 edges, 6 vertices) and a random graph whose
+    # triangles, edges and vertices each span several slices of 5 lines.
+    random = random_grid_graph(12, 0.6, np.random.default_rng(3))
+    graphs = [(g, enumerate_triangles(g)) for g in (gap6, random)]
+    assert all(len(tris) > 10 and g.edge_count() > 10 for g, tris in graphs)
+    expected = [export_text(g, tris) for g, tris in graphs]
+    monkeypatch.setattr(expand, "_CHUNK_LINES", lines)
+    for (g, tris), text in zip(graphs, expected):
+        assert export_text(g, tris) == text == _tuple_export(g, as_tuples(tris))
+    # The first missing facet is still the first in order across slices.
+    pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4)]
+    g = graph_from_edges(5, [(u, v, (0.0, 0.0)) for u, v in pairs])
+    written = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4)]
+    with pytest.raises(ValueError) as raised:
+        export_text(g, as_array([(*uvw, (0.0, 0.0)) for uvw in written]))
+    assert str(raised.value) == "triangle (0, 2, 3) references missing edge (2, 3)"
 
 
 # -- the array stage against the clique oracle and the tuple exporter ------------
@@ -389,6 +445,12 @@ def test_parse_rejects_wrong_parameter_count():
         parse_scc2020(io.StringIO("scc2020\n3\n0 0 0\n"))
 
 
+def test_parse_rejects_a_missing_block_size_line():
+    for text in ("scc2020\n2\n", "scc2020\n2\n# no sizes\n\n"):
+        with pytest.raises(ValueError, match="^missing the block-size line$"):
+            parse_scc2020(io.StringIO(text))
+
+
 def test_parse_rejects_line_count_mismatch():
     with pytest.raises(ValueError, match="generator lines"):
         parse_scc2020(io.StringIO("scc2020\n2\n0 1 2\n0 0 ; 0 1\n0 0 ;\n"))
@@ -419,6 +481,8 @@ def test_parse_rejects_block_sizes_that_are_not_three_plain_decimals(sizes):
         ("0 0 0 ; 0 1", "expected two grade coordinates"),
         ("nan 0 ; 0 1", "grade is not finite"),
         ("0 inf ; 0 1", "grade is not finite"),
+        ("1_0 0 ; 0 1", "grade holds an underscore"),
+        ("0 0_5 ; 0 1", "grade holds an underscore"),
         ("0 0 ; +0 1", "facet index is not a plain decimal"),
         ("0 0 ; 0 -1", "facet index is not a plain decimal"),
         ("0 0 ; 0 1_0", "facet index is not a plain decimal"),
