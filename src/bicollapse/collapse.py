@@ -3,16 +3,18 @@
 One pass visits each edge exactly once in a chosen order and removes it when
 the mode's predicate holds on the current reduced graph; iterations repeat
 the pass on the survivors.  The order comes from orders.sort_edges, one
-stable array sort of graph.edge_list() per pass.  CollapseReport stores
-each pass's removals once, in removal_log, and derives the per-pass counts
-from it.  apply_grade_mode rewrites first grade coordinates before a run,
-for the grade-structure experiments.  The predicates live in
-domination.py; the pass calls each once per edge and hands it the dense
-mirror of grade ranks when there is one.  This module only decides that: a
-mirror for graphs up to DENSE_LIMIT vertices (complete density-Rips graphs
-in the hundreds of vertices), none above it, where the int32 (n, 2, n)
-mirror (8 n^2 bytes) costs more memory than it saves time.  Both forms
-remove the same edges.
+stable array sort of the pass graph's edge_list() per pass.  CollapseReport
+stores each pass's removals once, in removal_log, and derives the per-pass
+counts from it.  apply_grade_mode rewrites first grade coordinates before a
+run, for the grade-structure experiments.  The predicates live in
+domination.py; the pass calls each once per edge.  This module decides the
+storage form: for graphs up to DENSE_LIMIT vertices (complete density-Rips
+graphs in the hundreds of vertices) the pass runs on the dense mirror of
+grade ranks alone, never copying or changing its input and never building
+adjacency rows, and reads each pass's survivors off the mirror into a new
+graph; above it, where the int32 (n, 2, n) mirror (8 n^2 bytes) costs more
+memory than it saves time, it removes edges from the rows of a private
+copy.  Both forms remove the same edges.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BifilteredGraph, Edge, graph_from_arrays
-from .domination import _DenseStrongEngine, is_filtration_dominated, is_strongly_dominated
+from .domination import _ABSENT, _DenseStrongEngine, is_filtration_dominated, is_strongly_dominated
 from .orders import EdgeOrder, sort_edges
 
 MODES = ("strong", "full")
@@ -71,25 +73,23 @@ def apply_grade_mode(
     """New graph with the first grade coordinates transformed by kind, one
     of GRADE_MODES; second coordinates kept.
 
-    original copies the graph.  zeroed sets every first coordinate to 0 (a
-    single-parameter filtration).  random replaces each edge's first
-    coordinate by an independent uniform draw, drawn in the graph's (u, v)
-    edge order, so it is deterministic for a fixed seed.  The draws are per
-    edge: per-vertex draws would be vacuous here, since on a complete graph
-    the first coordinate of every candidate's edges is then dominated by
-    the entry grades automatically, leaving the distance axis to decide
-    alone.
+    original gives the same edges in a new graph.  zeroed sets every first
+    coordinate to 0 (a single-parameter filtration).  random replaces each
+    edge's first coordinate by an independent uniform draw, drawn in the
+    graph's (u, v) edge order, so it is deterministic for a fixed seed.  The
+    draws are per edge: per-vertex draws would be vacuous here, since on a
+    complete graph the first coordinate of every candidate's edges is then
+    dominated by the entry grades automatically, leaving the distance axis
+    to decide alone.
     """
     if kind not in GRADE_MODES:
         raise ValueError(f"unknown grade mode {kind!r}, expected one of {GRADE_MODES}")
-    if kind == "original":
-        return graph.copy()
     if kind == "random" and seed is None:
         raise ValueError("random grade mode requires a seed")
-    u, v, _, t = graph.edge_arrays()
+    u, v, s, t = graph.edge_arrays()
     if kind == "zeroed":
         s = np.zeros(len(u))
-    else:
+    elif kind == "random":
         s = np.random.default_rng(seed).uniform(0.0, 1.0, len(u))
     return graph_from_arrays(graph.n, u, v, s, t)
 
@@ -98,16 +98,15 @@ def apply_grade_mode(
 
 
 def _run_pass(
-    graph: BifilteredGraph,
-    order: EdgeOrder,
-    mode: str,
-    engine: _DenseStrongEngine | None,
-) -> tuple[list[Edge], float]:
-    """One predicate pass over the current edges; mutates graph (and engine).
+    graph: BifilteredGraph, order: EdgeOrder, mode: str, engine: _DenseStrongEngine | None
+) -> tuple[BifilteredGraph, list[Edge], float]:
+    """One predicate pass: the graph after it, the removed edges and the seconds.
 
+    With a mirror, a hit leaves the mirror only and the survivors become a
+    new graph; without one, a hit leaves graph, the run's row copy, in place.
     In full mode the cheap strong check runs first: a strong dominator is in
-    particular a filtration dominator, so the expensive per-grade check only
-    runs on strong failures.
+    particular a filtration dominator, so the expensive per-grade check
+    only runs on strong failures.
     """
     ordered = sort_edges(graph, order)
     removed: list[Edge] = []
@@ -117,12 +116,16 @@ def _run_pass(
         if not hit and mode == "full":
             hit = is_filtration_dominated(graph, e, engine)
         if hit:
-            graph.remove_edge(e.u, e.v)
-            if engine is not None:
+            if engine is None:
+                graph.remove_edge(e.u, e.v)
+            else:
                 engine.remove(e.u, e.v)
             removed.append(e)
-    elapsed = time.perf_counter() - start
-    return removed, elapsed
+    if engine is not None:
+        u, v, s, t = graph.edge_arrays()
+        kept = engine.M[u, 0, v] != _ABSENT
+        graph = graph_from_arrays(graph.n, u[kept], v[kept], s[kept], t[kept])
+    return graph, removed, time.perf_counter() - start
 
 
 def collapse_iterated(
@@ -131,7 +134,8 @@ def collapse_iterated(
     mode: str = "strong",
     iterations: int = 1,
 ) -> tuple[BifilteredGraph, CollapseReport]:
-    """Up to `iterations` passes, re-sorting survivors each time.
+    """Up to `iterations` passes, re-sorting survivors each time; graph is
+    never changed, and the result is a new graph.
 
     Stops early once a pass removes nothing: further passes would see the
     same graph and remove nothing too.
@@ -140,8 +144,8 @@ def collapse_iterated(
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if iterations < 1:
         raise ValueError("iteration count must be >= 1")
-    out = graph.copy()
-    engine = _DenseStrongEngine(out) if out.n <= DENSE_LIMIT else None
+    engine = _DenseStrongEngine(graph) if graph.n <= DENSE_LIMIT else None
+    out = graph if engine is not None else graph.copy()
     report = CollapseReport(
         edges_before=graph.edge_count(),
         wall_time_per_iteration=[],
@@ -149,7 +153,7 @@ def collapse_iterated(
         order=order,
     )
     for _ in range(iterations):
-        removed, elapsed = _run_pass(out, order, mode, engine)
+        out, removed, elapsed = _run_pass(out, order, mode, engine)
         report.wall_time_per_iteration.append(elapsed)
         report.removal_log.append(removed)
         if not removed:

@@ -3,16 +3,17 @@
 A grade is a point (s, t) in the plane, partially ordered coordinate-wise.
 Every edge of a bifiltered graph carries a unique critical grade at which it
 enters the filtration; vertices are present at all grades.  The graph is
-stored as symmetric adjacency rows, one dict per vertex from neighbor id to
-edge grade with keys in ascending id: looking up, testing or deleting an
-edge takes constant time, and walking a row visits neighbors in id order.
-Graphs are built from numpy arrays: graph_from_arrays takes parallel edge
-arrays (u, v, s, t), checks them with vectorized tests and fills the rows
-from the sorted half-edges.  graph_from_edges and read_edge_list (one bulk
-np.loadtxt parse) both feed it, so the checks exist once.  Edge is the
-one record type: edges() and edge_list() give the edges as Edge(u, v,
-grade) named tuples and edge_arrays(), the inverse of graph_from_arrays,
-as arrays, while edge_neighborhood, on the hot path of every domination
+stored as its checked edge arrays (u, v, s, t), u < v, sorted by (u, v):
+graph_from_arrays checks parallel arrays with vectorized tests and keeps
+them, and graph_from_edges and read_edge_list (one bulk np.loadtxt parse)
+both feed it, so the checks exist once.  edge_arrays(), count_triangles,
+the mirror of the dense pass and the writers read them as they are.
+Symmetric adjacency rows, one dict per vertex from neighbor id to edge
+grade with keys in ascending id, are built on first use of adj, for the
+row-form pass, the oracles and remove_edge: looking up, testing or
+deleting an edge then takes constant time.  Edge is the one record type:
+edges() and edge_list() give the edges as Edge(u, v, grade) named tuples,
+while edge_neighborhood, on the hot path of every row-form domination
 check, intersects two rows' key views into plain (w, entry) tuples.
 Every text reader, read_edge_list here and those of build and expand,
 takes a path or a text stream through _text_lines, which strips each line
@@ -22,7 +23,8 @@ and skips blank and # lines.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from functools import cached_property
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -54,25 +56,42 @@ class Edge(NamedTuple):
 class BifilteredGraph:
     """1-critical bifiltered graph over vertices 0..n-1.
 
-    adj[u] maps each neighbor of u to the grade of their edge, with keys in
-    ascending id.  graph_from_edges sorts every row once; deleting a key
-    keeps the others in order, so rows stay sorted across in-place edge
-    removals.  Instances are safe to share read-only; mutation (edge
-    removal) must be exclusive.
+    The store is edge_arrays(): the checked upper edges (u, v, s, t), u < v,
+    sorted by (u, v), read-only and shared by copies.  adj, the adjacency
+    rows, is built from them on first use: adj[u] maps each neighbor of u
+    to the grade of their edge, with keys in ascending id, and both halves
+    of an edge share one grade tuple.  Once built, the rows are the graph:
+    edges() walks them, remove_edge deletes from them (deleting a key keeps
+    the others in order) and drops the arrays, which edge_arrays() then
+    rebuilds from the rows.  Instances are safe to share read-only;
+    mutation (edge removal) must be exclusive.
     """
-
-    __slots__ = ("n", "adj")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self.n = n
-        self.adj: list[dict[int, Grade]] = [{} for _ in range(n)]
+        self._arrays: tuple[np.ndarray, ...] | None = _frozen([], [], [], [])
+
+    @cached_property  # once built, a plain instance attribute: no call per access
+    def adj(self) -> list[dict[int, Grade]]:
+        return self._rows()
+
+    def _rows(self) -> list[dict[int, Grade]]:
+        """The adjacency rows of the stored arrays, each filled in ascending
+        id from the sorted half-edges."""
+        u, v, s, t = self._arrays
+        m, n = len(u), self.n
+        grades = list(zip(s.tolist(), t.tolist()))
+        rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+        half = np.argsort(rows * n + cols)
+        cells = zip(cols[half].tolist(), [grades[i] for i in (half % m).tolist()])
+        return [dict(islice(cells, k)) for k in np.bincount(rows, minlength=n).tolist()]
 
     # -- queries ---------------------------------------------------------
 
     def edge_count(self) -> int:
-        return sum(len(row) for row in self.adj) // 2
+        return len(self.edge_arrays()[0])
 
     def grade_of(self, u: int, v: int) -> Grade:
         """Critical grade of edge {u, v}, or NEVER if the edge is absent."""
@@ -82,48 +101,64 @@ class BifilteredGraph:
         return v in self.adj[u]
 
     def edges(self) -> Iterator[Edge]:
-        """All edges as Edge(u, v, grade) with u < v, sorted by (u, v)."""
-        for u, row in enumerate(self.adj):
-            for v, g in row.items():
-                if v > u:
-                    yield Edge(u, v, g)
+        """All edges as Edge(u, v, grade) with u < v, sorted by (u, v); once
+        the rows exist, walked from them, sharing their grade tuples."""
+        if "adj" not in vars(self):  # tuple.__new__ skips Edge.__new__'s Python frame
+            u, v, s, t = (x.tolist() for x in self._arrays)
+            return map(tuple.__new__, repeat(Edge), zip(u, v, zip(s, t)))
+        return (Edge(u, v, g) for u, row in enumerate(self.adj) for v, g in row.items() if v > u)
 
     def edge_list(self) -> list[Edge]:
         return list(self.edges())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The edges as the parallel arrays (u, v, s, t) that graph_from_arrays
-        takes, u < v, in edge_list() order: graph_from_arrays(n, *edge_arrays())
-        equals the graph."""
-        u = np.repeat(np.arange(self.n), [len(row) for row in self.adj])
-        v = np.fromiter(chain.from_iterable(self.adj), np.int64, len(u))
-        flat = chain.from_iterable(chain.from_iterable(row.values() for row in self.adj))
-        grades = np.fromiter(flat, float, 2 * len(u)).reshape(-1, 2)
-        up = u < v
-        return u[up], v[up], grades[up, 0], grades[up, 1]
+        """The edges as the read-only parallel arrays (u, v, s, t) that
+        graph_from_arrays takes, u < v, in edge_list() order:
+        graph_from_arrays(n, *edge_arrays()) equals the graph."""
+        if self._arrays is None:  # from the rows: both halves of each edge, then the upper
+            u = np.repeat(np.arange(self.n), [len(row) for row in self.adj])
+            v = np.fromiter(chain.from_iterable(self.adj), np.int64, len(u))
+            flat = chain.from_iterable(chain.from_iterable(row.values() for row in self.adj))
+            grades = np.fromiter(flat, float, 2 * len(u)).reshape(-1, 2)
+            up = u < v
+            self._arrays = _frozen(u[up], v[up], grades[up, 0], grades[up, 1])
+        return self._arrays
 
     # -- mutation --------------------------------------------------------
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete edge {u, v} in place; the rows keep their order."""
-        try:
-            del self.adj[u][v]
-            del self.adj[v][u]
-        except KeyError:
-            raise ValueError(f"edge ({u}, {v}) not in graph") from None
+        """Delete edge {u, v} from the rows in place; they keep their order.
+        Ids are checked first: a negative one would index a row from the end."""
+        rows = self.adj
+        if not (0 <= u < self.n and 0 <= v < self.n and v in rows[u]):
+            raise ValueError(f"edge ({u}, {v}) not in graph")
+        del rows[u][v], rows[v][u]
+        self._arrays = None
 
     def copy(self) -> "BifilteredGraph":
+        """An independent graph with its own rows, built here from the
+        shared arrays when self has none."""
         g = BifilteredGraph(self.n)
-        g.adj = [dict(row) for row in self.adj]
+        g._arrays = self._arrays
+        g.adj = [dict(row) for row in self.adj] if "adj" in vars(self) else g._rows()
         return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BifilteredGraph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        pairs = zip(self.edge_arrays(), other.edge_arrays())
+        return self.n == other.n and all(np.array_equal(x, y) for x, y in pairs)
 
     def __repr__(self) -> str:
         return f"BifilteredGraph(n={self.n}, m={self.edge_count()})"
+
+
+def _frozen(*arrays) -> tuple[np.ndarray, ...]:
+    """(u, v, s, t) as int64, int64, float and float arrays that cannot be written."""
+    out = tuple(np.asarray(x, dtype=d) for x, d in zip(arrays, (np.int64, np.int64, float, float)))
+    for x in out:
+        x.flags.writeable = False
+    return out
 
 
 def graph_from_arrays(n: int, u, v, s, t) -> BifilteredGraph:
@@ -132,9 +167,9 @@ def graph_from_arrays(n: int, u, v, s, t) -> BifilteredGraph:
 
     Ids must have an integer dtype.  Rejects self-loops, ids outside
     0..n-1, non-finite grades and duplicate unordered pairs, all checked
-    with numpy; the first offending edge in input order is reported.  Each
-    row is filled in ascending id from the sorted half-edges, and both
-    halves of an edge share one grade tuple.
+    with numpy; the first offending edge in input order is reported.  The
+    graph keeps the edges as (min, max) pairs sorted by that pair, the
+    order of the sort that finds the duplicates.
     """
     g = BifilteredGraph(n)
     u, v = np.asarray(u), np.asarray(v)
@@ -166,12 +201,7 @@ def graph_from_arrays(n: int, u, v, s, t) -> BifilteredGraph:
         if nonfinite[i]:
             raise ValueError(f"edge ({a}, {b}) has non-finite grade {(float(s[i]), float(t[i]))}")
         raise ValueError(f"duplicate edge pair ({min(a, b)}, {max(a, b)})")
-
-    grades = list(zip(s.tolist(), t.tolist()))
-    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
-    half = np.argsort(rows * n + cols)
-    cells = zip(cols[half].tolist(), [grades[i] for i in (half % m).tolist()])
-    g.adj = [dict(islice(cells, k)) for k in np.bincount(rows, minlength=n).tolist()]
+    g._arrays = _frozen(lo[order], hi[order], s[order], t[order])
     return g
 
 
@@ -181,12 +211,8 @@ def graph_from_edges(n: int, edges: Iterable[Edge | tuple]) -> BifilteredGraph:
     The triples become the parallel arrays of graph_from_arrays, which runs
     the checks.
     """
-    edges = list(edges)
-    if not edges:
-        return graph_from_arrays(n, [], [], [], [])
-    u, v, grades = zip(*edges)
-    s, t = zip(*grades)
-    return graph_from_arrays(n, u, v, s, t)
+    u, v, grades = list(zip(*edges)) or ((), (), ())
+    return graph_from_arrays(n, u, v, *np.reshape(grades, (-1, 2)).T)
 
 
 def _require_edge(graph: BifilteredGraph, e: Edge) -> None:
@@ -242,10 +268,9 @@ def _text_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
 
 
 def write_edge_list(graph: BifilteredGraph, sink: TextIO) -> None:
-    edges = graph.edge_list()
-    sink.write(f"{graph.n} {len(edges)}\n")
-    for u, v, (s, t) in edges:
-        sink.write(f"{u} {v} {s!r} {t!r}\n")
+    u, v, s, t = (x.tolist() for x in graph.edge_arrays())
+    sink.write(f"{graph.n} {len(u)}\n")
+    sink.writelines(f"{a} {b} {x!r} {y!r}\n" for a, b, x, y in zip(u, v, s, t))
 
 
 def read_edge_list(source: str | Path | Iterable[str]) -> BifilteredGraph:

@@ -21,8 +21,8 @@ grid grade is covered.  Two cheaper tests reject most misses before the grid
 is built: no neighbor enters at crit(e), or at some neighbor's entry grade
 no present neighbor is joined to every other present one by then.  It runs
 in the mirror's ranks when there is one, else on float grades from the
-adjacency rows.  Both predicates, in either form, reject an edge the graph
-does not hold with that grade.
+adjacency rows.  Handed the mirror, neither predicate reads the graph, and
+both reject an edge the mirror (else the graph) does not hold with that grade.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import NEVER, BifilteredGraph, Edge, Grade, _require_edge, edge_neighborhood
+from .core import NEVER, BifilteredGraph, Edge, Grade, edge_neighborhood
 
 # -- strong filtration-domination --------------------------------------------
 
@@ -47,10 +47,10 @@ def is_strongly_dominated(
     crit(e)) and must reach every other edge neighbor w no later than w's
     entry grade.  Each trial is one row lookup per edge neighbor, so a hit
     on an early candidate costs O(min(deg(a), deg(b))).  engine, when
-    given, is the dense mirror of graph, and runs the same trial on it.
+    given, is the dense mirror of graph, and runs the same trial on it
+    without reading graph.
     """
     if engine is not None:
-        _require_edge(graph, e)
         return engine.strong_dominator(e)
     nbhd = edge_neighborhood(graph, e)
     for v, entry in nbhd:
@@ -98,6 +98,17 @@ class _DenseStrongEngine:
     def remove(self, u: int, v: int) -> None:
         self.M[u, :, v] = self.M[v, :, u] = _ABSENT
 
+    def crit(self, e: Edge) -> np.ndarray:
+        """crit(e) in ranks, M[e.u, :, e.v]; ValueError unless the mirror
+        holds the edge with exactly e's grade."""
+        (u, v, (gs, gt)), n = e, len(self.M)
+        if 0 <= u < n and 0 <= v < n and u != v:
+            crit = self.M[u, :, v]
+            s, t = crit.tolist()
+            if s != _ABSENT and self.values[0][s] == gs and self.values[1][t] == gt:
+                return crit
+        raise ValueError(f"edge ({u}, {v}) with grade {e.grade} not in graph")
+
     # Serial candidate tries beyond this count switch to one batched check:
     # the serial path wins when an early candidate succeeds (the common case
     # on structured grades), the batch caps the cost when most or all fail.
@@ -107,7 +118,7 @@ class _DenseStrongEngine:
         # entry[:, w] is entry(w) for an edge neighbor w, _ABSENT for a
         # vertex not adjacent to both endpoints, and crit(e) at the endpoints
         # (the -1 diagonal), which must therefore be left out as candidates.
-        crit = self.M[e.u, :, e.v, None]
+        crit = self.crit(e)[:, None]
         entry = np.maximum(self.M[e.u], self.M[e.v])
         np.maximum(entry, crit, out=entry)
         le = entry <= crit
@@ -149,15 +160,13 @@ def _neighbor_grades(
     in the adjacency rows.
     """
     if engine is not None:
-        _require_edge(graph, e)
-        M = engine.M
+        crit, M = engine.crit(e), engine.M
         # Column w holds the join of the grades of uw and vw: below _ABSENT
         # iff w is adjacent to both, and entry(w) once joined with crit(e).
         joined = np.maximum(M[e.u], M[e.v])
         present = joined[0] < _ABSENT
         present[e.u] = present[e.v] = False
         ids = present.nonzero()[0]
-        crit = M[e.u, :, e.v]
         entry = np.maximum(joined[:, ids], crit[:, None])
         block = M[ids][:, :, ids]
         return crit, entry[0], entry[1], block[:, 0], block[:, 1]

@@ -236,7 +236,8 @@ class SccComplex:
 def parse_scc2020(source: str | Path | IO[str]) -> SccComplex:
     """Round-trip reader for files produced by export_scc2020.  Refuses what
     the exporter never writes: block sizes and facet indices that are not
-    plain decimal digits, and grades that hold an underscore or are not finite."""
+    plain decimal digits, and grades that hold an underscore or a token
+    that is not a number, or are not finite."""
     rows = list(_text_lines(source))
     if not rows or rows[0] != FORMAT_TAG:
         raise ValueError(f"missing {FORMAT_TAG} format tag")
@@ -263,7 +264,10 @@ def parse_scc2020(source: str | Path | IO[str]) -> SccComplex:
                 raise ValueError(f"generator line lacks ';': {ln!r}")
             if "_" in head:  # float() reads 1_0 as 10
                 raise ValueError(f"grade holds an underscore: {ln!r}")
-            coords = [float(tok) for tok in head.split()]
+            try:
+                coords = [float(tok) for tok in head.split()]
+            except ValueError:
+                raise ValueError(f"grade holds a token that is not a number: {ln!r}") from None
             if len(coords) != 2:
                 raise ValueError(f"expected two grade coordinates: {ln!r}")
             if not all(map(math.isfinite, coords)):

@@ -3,15 +3,15 @@
 Four dictionary orders on the grade plane plus a seeded random shuffle.  The
 reverse kinds are exact element-wise reversals of their forward counterparts,
 tie-break included, so benchmark runs are replayable from the order name (and
-seed) alone.  Each order is one stable np.lexsort of the grades of
-graph.edge_list(), or one permutation of it, so the result holds the
-Edges that edge_list() built.
+seed) alone.  Each order is one stable np.lexsort of graph.edge_arrays()'s
+grade columns, or one permutation, applied to graph.edge_list(), so the
+result holds the Edges that edge_list() built: from the stored arrays on
+the dense pass, sharing the rows' grade tuples on the row form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -41,9 +41,9 @@ class EdgeOrder:
 def sort_edges(graph: BifilteredGraph, order: EdgeOrder) -> list[Edge]:
     """The graph's edge_list() as a new list arranged in the given order.
 
-    lex is one stable np.lexsort((t, s)) over the edges' grades, colex
-    swaps s and t.  edge_list() is in (u, v) order, so the stable sort
-    breaks grade ties by (u, v): the (s, t, u, v) dictionary order.
+    lex is one stable np.lexsort((t, s)) over the grade columns of
+    edge_arrays(), colex swaps s and t.  Both lists are in (u, v) order, so
+    the stable sort breaks grade ties by (u, v): the (s, t, u, v) order.
     Coordinates that compare equal (0.0 and -0.0 included) fall through to
     the next key, as in a sort on that tuple.  random permutes the
     (u, v)-ordered edges with default_rng(seed).
@@ -52,8 +52,7 @@ def sort_edges(graph: BifilteredGraph, order: EdgeOrder) -> list[Edge]:
     if order.kind == "random":
         perm = np.random.default_rng(order.seed).permutation(len(edges))
     else:
-        grades = chain.from_iterable(grade for _, _, grade in edges)
-        s, t = np.fromiter(grades, float, 2 * len(edges)).reshape(-1, 2).T
+        _, _, s, t = graph.edge_arrays()
         perm = np.lexsort((t, s) if order.kind in ("lex", "revlex") else (s, t))
     if order.kind in ("revlex", "revcolex"):
         perm = perm[::-1]

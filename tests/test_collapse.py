@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import re
@@ -20,8 +21,9 @@ from bicollapse.build import (
     pairwise_distances,
 )
 from bicollapse.collapse import apply_grade_mode, collapse_iterated
-from bicollapse.core import BifilteredGraph, Edge, graph_from_edges
+from bicollapse.core import BifilteredGraph, Edge, graph_from_arrays, graph_from_edges
 from bicollapse.domination import _DenseStrongEngine, is_strongly_dominated
+from bicollapse.expand import count_triangles, enumerate_triangles, export_scc2020
 from bicollapse.oracle import (
     brute_force_filtration_dominated,
     brute_force_strong_dominator,
@@ -382,51 +384,83 @@ def test_dense_engine_never_returns_an_endpoint():
 def test_pass_calls_are_countable_by_wrappers(monkeypatch):
     # perfbench's --trace counts the pass through collapse's module-level
     # names and BifilteredGraph.copy / edge_list, patched on the class: one
-    # copy per run, one sort and one edge_list per pass, one strong call per
-    # examined edge and one full call per strong miss.  Wrap them the same
-    # way and check.
+    # sort and one edge_list per pass, one strong call per examined edge and
+    # one full call per strong miss, in both storage forms.  The row form
+    # works on one private copy per run; the mirror never copies its input.
+    # Wrap them the same way and check.
     points = generate_dataset("torus", 40, seed=1)
     g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
-    calls: dict[str, list] = {"sort": [], "strong": [], "full": [], "copy": [], "edge_list": []}
+    logs = []
+    for limit, copies in ((collapse.DENSE_LIMIT, 0), (0, 1)):
+        calls: dict[str, list] = {"sort": [], "strong": [], "full": [], "copy": [], "edge_list": []}
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            calls[name].append(out)
-            return out
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls[name].append(out)
+                return out
 
-        return wrapper
+            return wrapper
 
-    monkeypatch.setattr(collapse, "sort_edges", counting("sort", collapse.sort_edges))
-    monkeypatch.setattr(
-        collapse, "is_strongly_dominated", counting("strong", collapse.is_strongly_dominated)
-    )
-    monkeypatch.setattr(
-        collapse, "is_filtration_dominated", counting("full", collapse.is_filtration_dominated)
-    )
-    monkeypatch.setattr(BifilteredGraph, "copy", counting("copy", BifilteredGraph.copy))
-    monkeypatch.setattr(
-        BifilteredGraph, "edge_list", counting("edge_list", BifilteredGraph.edge_list)
-    )
-    _, report = collapse_iterated(g, EdgeOrder("lex"), "full", 3)
+        wrapped = (
+            (collapse, "sort_edges", "sort"),
+            (collapse, "is_strongly_dominated", "strong"),
+            (collapse, "is_filtration_dominated", "full"),
+            (BifilteredGraph, "copy", "copy"),
+            (BifilteredGraph, "edge_list", "edge_list"),
+        )
+        with monkeypatch.context() as m:
+            m.setattr(collapse, "DENSE_LIMIT", limit)
+            for owner, attr, name in wrapped:
+                m.setattr(owner, attr, counting(name, getattr(owner, attr)))
+            _, report = collapse_iterated(g, EdgeOrder("lex"), "full", 3)
 
-    passes = report.removal_log
-    assert len(passes) >= 2
-    assert len(calls["copy"]) == 1
-    assert len(calls["sort"]) == len(calls["edge_list"]) == len(passes)
-    for ordered, listed in zip(calls["sort"], calls["edge_list"]):
-        assert sorted(map(id, ordered)) == sorted(map(id, listed))
-    remaining = report.edges_before
-    for ordered, removed in zip(calls["sort"], passes):
-        assert len(ordered) == remaining
-        assert all(type(e) is Edge for e in ordered)
-        remaining -= len(removed)
-    assert len(calls["strong"]) == sum(len(ordered) for ordered in calls["sort"])
-    misses = sum(v is None for v in calls["strong"])
-    assert len(calls["full"]) == misses > 0
-    hits = len(calls["strong"]) - misses + sum(calls["full"])
-    assert hits == report.removed_total
-    assert any(calls["full"])
+        passes = report.removal_log
+        logs.append(passes)
+        assert len(passes) >= 2
+        assert len(calls["copy"]) == copies
+        assert len(calls["sort"]) == len(calls["edge_list"]) == len(passes)
+        for ordered, listed in zip(calls["sort"], calls["edge_list"]):
+            assert sorted(map(id, ordered)) == sorted(map(id, listed))
+        remaining = report.edges_before
+        for ordered, removed in zip(calls["sort"], passes):
+            assert len(ordered) == remaining
+            assert all(type(e) is Edge for e in ordered)
+            remaining -= len(removed)
+        assert len(calls["strong"]) == sum(len(ordered) for ordered in calls["sort"])
+        misses = sum(v is None for v in calls["strong"])
+        assert len(calls["full"]) == misses > 0
+        hits = len(calls["strong"]) - misses + sum(calls["full"])
+        assert hits == report.removed_total
+        assert any(calls["full"])
+    assert logs[0] == logs[1]
+
+
+def test_dense_runs_never_build_rows_nor_change_their_input(monkeypatch):
+    # On the mirror the pass, the triangle count and list and the export all
+    # read the stored edge arrays; the row form builds rows on its private
+    # copy only.  In both forms the input keeps every edge.
+    points = generate_dataset("torus", 60, seed=3)
+    g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
+    before = graph_from_arrays(g.n, *g.edge_arrays())
+    builds = []
+    rows = BifilteredGraph._rows
+    monkeypatch.setattr(BifilteredGraph, "_rows", lambda self: builds.append(self) or rows(self))
+    outputs = []
+    for limit, expected_builds in ((collapse.DENSE_LIMIT, 0), (0, 1)):
+        with monkeypatch.context() as m:
+            m.setattr(collapse, "DENSE_LIMIT", limit)
+            collapsed, report = collapse_iterated(g, EdgeOrder("revlex"), "full", 2)
+        assert report.removed_total > 0
+        sink = io.StringIO()
+        export_scc2020(collapsed, enumerate_triangles(collapsed), sink)
+        assert count_triangles(collapsed) > 0
+        assert len(builds) == expected_builds
+        assert all(b is not g for b in builds)
+        assert g == before and g.edge_count() == before.edge_count()
+        outputs.append((collapsed, report.removal_log, sink.getvalue()))
+        builds.clear()
+    assert outputs[0] == outputs[1]
 
 
 # -- grade modes -----------------------------------------------------------------

@@ -250,6 +250,56 @@ def test_remove_missing_edge_rejected():
     g = make_path3()
     with pytest.raises(ValueError, match="not in graph"):
         g.remove_edge(0, 2)
+    # A negative id must not reach a row from the end: row -1 is row 2, which
+    # holds the edge (2, 1), and deleting that half first left the rows
+    # asymmetric.
+    for u, v in ((-1, 1), (1, -1), (1, 1), (1, 3)):
+        with pytest.raises(ValueError, match="not in graph"):
+            g.remove_edge(u, v)
+    assert g == make_path3()
+    _assert_sorted_symmetric(g)
+
+
+def test_remove_edge_leaves_no_stale_arrays():
+    # The arrays are cached before the removal (a fresh build) and again
+    # after it (one edge_arrays call between two removals): each removal
+    # must show in edge_arrays, edge_count and ==, and a copy must agree.
+    g = random_grid_graph(9, 0.6, np.random.default_rng(13))
+    edges = g.edge_list()
+    kept = list(edges)
+    for e in edges[::3]:
+        g.edge_arrays()
+        g.remove_edge(e.u, e.v)
+        kept.remove(e)
+        expected = graph_from_edges(g.n, kept)
+        u, v, s, t = (x.tolist() for x in g.edge_arrays())
+        assert list(zip(u, v, zip(s, t))) == kept
+        assert g.edge_count() == len(kept)
+        assert g == expected and g.copy() == expected and g != graph_from_edges(g.n, edges)
+        assert g.edge_list() == kept
+
+
+def test_edge_arrays_are_read_only_and_shared_by_copies():
+    g = random_grid_graph(6, 0.8, np.random.default_rng(2))
+    for x in g.edge_arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0
+    assert all(a is b for a, b in zip(g.copy().edge_arrays(), g.edge_arrays()))
+
+
+def test_write_edge_list_formats_the_stored_arrays(monkeypatch):
+    # Ids in decimal, grades by repr: both zeros, the smallest subnormal,
+    # the largest finite floats and a long fraction, with no Edge built.
+    grades = [(-0.0, 0.0), (5e-324, -5e-324), (1.7976931348623157e308, -1.7976931348623157e308),
+              (0.1 + 0.2, 1e-7), (1e16, 2.0)]
+    edges = [(u, u + 1 + (u % 2), g) for u, g in enumerate(grades)]
+    g = graph_from_edges(8, edges)
+    monkeypatch.setattr(BifilteredGraph, "edges", None)
+    out = io.StringIO()
+    write_edge_list(g, out)
+    expected = "8 5\n" + "".join(f"{u} {v} {s!r} {t!r}\n" for u, v, (s, t) in edges)
+    assert out.getvalue() == expected
+    assert "-0.0 0.0\n" in expected and "1e+16 2.0" in expected
 
 
 def test_edge_list_roundtrip():

@@ -162,7 +162,14 @@ def test_full_empty_neighborhood():
 @pytest.mark.parametrize("dense", [False, True], ids=["rows", "mirror"])
 @pytest.mark.parametrize("predicate", [is_strongly_dominated, is_filtration_dominated])
 @pytest.mark.parametrize(
-    "e", [Edge(2, 3, (5.0, 5.0)), Edge(0, 1, (7.0, 7.0))], ids=["missing-pair", "wrong-grade"]
+    "e",
+    [
+        Edge(2, 3, (5.0, 5.0)),
+        Edge(0, 1, (7.0, 7.0)),
+        Edge(1, 1, (1.0, 1.0)),
+        Edge(0, 4, (1.0, 1.0)),
+    ],
+    ids=["missing-pair", "wrong-grade", "loop", "id-past-n"],
 )
 def test_predicates_reject_an_edge_not_in_the_graph(e, predicate, dense):
     # Both storage forms answer only for edges of the graph, with one message.

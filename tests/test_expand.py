@@ -473,6 +473,14 @@ def test_parse_rejects_block_sizes_that_are_not_three_plain_decimals(sizes):
         parse_scc2020(io.StringIO(text))
 
 
+@pytest.mark.parametrize("line", ["0 x ; 0 1", "0x1 0 ; 0 1"])
+def test_parse_quotes_a_grade_with_a_token_that_is_not_a_number(line):
+    text = f"scc2020\n2\n0 1 2\n{line}\n0 0 ;\n0 0 ;\n"
+    message = f"grade holds a token that is not a number: {line!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_scc2020(io.StringIO(text))
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
