@@ -2,12 +2,11 @@
 
 One pass visits each edge exactly once in a chosen order and removes it when
 the mode's predicate holds on the current reduced graph; iterations repeat
-the pass on the survivors.  The order comes from orders.sort_edges, one
-stable array sort of the pass graph's edge_list() per pass.  CollapseReport
-stores each pass's removals once, in removal_log, and derives the per-pass
-counts from it.  apply_grade_mode rewrites first grade coordinates before a
-run, for the grade-structure experiments.  The predicates live in
-domination.py; the pass calls each once per edge.  This module decides the
+the pass on the survivors.  The pass walks the edge columns at the
+positions orders.sort_edges gives, one short-lived Edge per predicate call,
+and CollapseReport keeps its removals as columns, so a run holds no Python
+object per edge.  apply_grade_mode rewrites first grade coordinates before
+a run, for the grade-structure experiments.  This module decides the
 storage form: for graphs up to DENSE_LIMIT vertices (complete density-Rips
 graphs in the hundreds of vertices) the pass runs on the dense mirror of
 grade ranks alone, never copying or changing its input and never building
@@ -21,10 +20,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import BifilteredGraph, Edge, graph_from_arrays
+from .core import BifilteredGraph, Edge, _as_edges, graph_from_arrays
 from .domination import _ABSENT, _DenseStrongEngine, is_filtration_dominated, is_strongly_dominated
 from .orders import EdgeOrder, sort_edges
 
@@ -39,17 +39,26 @@ DENSE_LIMIT = 2048
 
 @dataclass
 class CollapseReport:
-    """What a run removed, per iteration, and how long the passes took."""
+    """What a run removed, per iteration, and how long the passes took.
+
+    removed_arrays holds each pass's removals as (u, v, s, t) arrays in pass
+    order, which the counts read; removal_log, the same edges as Edges, is
+    built on first read and cached, so later reads see any change made to it.
+    """
 
     edges_before: int
     wall_time_per_iteration: list[float]
     mode: str
     order: EdgeOrder
-    removal_log: list[list[Edge]] = field(default_factory=list)
+    removed_arrays: list[tuple[np.ndarray, ...]] = field(default_factory=list, compare=False)
+
+    @cached_property
+    def removal_log(self) -> list[list[Edge]]:
+        return [list(_as_edges(*columns)) for columns in self.removed_arrays]
 
     @property
     def removed_per_iteration(self) -> list[int]:
-        return [len(p) for p in self.removal_log]
+        return [len(columns[0]) for columns in self.removed_arrays]
 
     @property
     def removed_total(self) -> int:
@@ -99,8 +108,8 @@ def apply_grade_mode(
 
 def _run_pass(
     graph: BifilteredGraph, order: EdgeOrder, mode: str, engine: _DenseStrongEngine | None
-) -> tuple[BifilteredGraph, list[Edge], float]:
-    """One predicate pass: the graph after it, the removed edges and the seconds.
+) -> tuple[BifilteredGraph, tuple[np.ndarray, ...], float]:
+    """One predicate pass: the graph after it, its removals and the seconds.
 
     With a mirror, a hit leaves the mirror only and the survivors become a
     new graph; without one, a hit leaves graph, the run's row copy, in place.
@@ -108,10 +117,11 @@ def _run_pass(
     particular a filtration dominator, so the expensive per-grade check
     only runs on strong failures.
     """
-    ordered = sort_edges(graph, order)
-    removed: list[Edge] = []
+    positions = sort_edges(graph, order)
+    columns = graph.edge_arrays()  # kept: removing from the rows drops the graph's arrays
+    hits = np.zeros(len(positions), dtype=bool)
     start = time.perf_counter()
-    for e in ordered:
+    for i, e in enumerate(_as_edges(*(x[positions] for x in columns))):
         hit = is_strongly_dominated(graph, e, engine) is not None
         if not hit and mode == "full":
             hit = is_filtration_dominated(graph, e, engine)
@@ -120,12 +130,11 @@ def _run_pass(
                 graph.remove_edge(e.u, e.v)
             else:
                 engine.remove(e.u, e.v)
-            removed.append(e)
+            hits[i] = True
     if engine is not None:
-        u, v, s, t = graph.edge_arrays()
-        kept = engine.M[u, 0, v] != _ABSENT
-        graph = graph_from_arrays(graph.n, u[kept], v[kept], s[kept], t[kept])
-    return graph, removed, time.perf_counter() - start
+        kept = engine.M[columns[0], 0, columns[1]] != _ABSENT
+        graph = graph_from_arrays(graph.n, *(x[kept] for x in columns))
+    return graph, tuple(x[positions[hits]] for x in columns), time.perf_counter() - start
 
 
 def collapse_iterated(
@@ -146,16 +155,11 @@ def collapse_iterated(
         raise ValueError("iteration count must be >= 1")
     engine = _DenseStrongEngine(graph) if graph.n <= DENSE_LIMIT else None
     out = graph if engine is not None else graph.copy()
-    report = CollapseReport(
-        edges_before=graph.edge_count(),
-        wall_time_per_iteration=[],
-        mode=mode,
-        order=order,
-    )
+    report = CollapseReport(graph.edge_count(), [], mode, order)
     for _ in range(iterations):
         out, removed, elapsed = _run_pass(out, order, mode, engine)
         report.wall_time_per_iteration.append(elapsed)
-        report.removal_log.append(removed)
-        if not removed:
+        report.removed_arrays.append(removed)
+        if not len(removed[0]):
             break
     return out, report

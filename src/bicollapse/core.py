@@ -12,9 +12,10 @@ Symmetric adjacency rows, one dict per vertex from neighbor id to edge
 grade with keys in ascending id, are built on first use of adj, for the
 row-form pass, the oracles and remove_edge: looking up, testing or
 deleting an edge then takes constant time.  Edge is the one record type:
-edges() and edge_list() give the edges as Edge(u, v, grade) named tuples,
-while edge_neighborhood, on the hot path of every row-form domination
-check, intersects two rows' key views into plain (w, entry) tuples.
+edges() and edge_list() give the edges as Edge(u, v, grade) named tuples
+(the collapse pass calls neither), while edge_neighborhood, on the hot path
+of every row-form domination check, intersects two rows' key views into
+plain (w, entry) tuples.
 Every text reader, read_edge_list here and those of build and expand,
 takes a path or a text stream through _text_lines, which strips each line
 and skips blank and # lines.
@@ -94,18 +95,18 @@ class BifilteredGraph:
         return len(self.edge_arrays()[0])
 
     def grade_of(self, u: int, v: int) -> Grade:
-        """Critical grade of edge {u, v}, or NEVER if the edge is absent."""
-        return self.adj[u].get(v, NEVER)
+        """Critical grade of edge {u, v}, or NEVER if the edge is absent; an id
+        outside 0..n-1 names no edge, though a negative one indexes a row."""
+        return self.adj[u].get(v, NEVER) if 0 <= u < self.n else NEVER
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return 0 <= u < self.n and v in self.adj[u]
 
     def edges(self) -> Iterator[Edge]:
         """All edges as Edge(u, v, grade) with u < v, sorted by (u, v); once
         the rows exist, walked from them, sharing their grade tuples."""
-        if "adj" not in vars(self):  # tuple.__new__ skips Edge.__new__'s Python frame
-            u, v, s, t = (x.tolist() for x in self._arrays)
-            return map(tuple.__new__, repeat(Edge), zip(u, v, zip(s, t)))
+        if "adj" not in vars(self):
+            return _as_edges(*self._arrays)
         return (Edge(u, v, g) for u, row in enumerate(self.adj) for v, g in row.items() if v > u)
 
     def edge_list(self) -> list[Edge]:
@@ -127,12 +128,10 @@ class BifilteredGraph:
     # -- mutation --------------------------------------------------------
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete edge {u, v} from the rows in place; they keep their order.
-        Ids are checked first: a negative one would index a row from the end."""
-        rows = self.adj
-        if not (0 <= u < self.n and 0 <= v < self.n and v in rows[u]):
+        """Delete edge {u, v} from the rows in place; they keep their order."""
+        if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not in graph")
-        del rows[u][v], rows[v][u]
+        del self.adj[u][v], self.adj[v][u]
         self._arrays = None
 
     def copy(self) -> "BifilteredGraph":
@@ -151,6 +150,13 @@ class BifilteredGraph:
 
     def __repr__(self) -> str:
         return f"BifilteredGraph(n={self.n}, m={self.edge_count()})"
+
+
+def _as_edges(u: np.ndarray, v: np.ndarray, s: np.ndarray, t: np.ndarray) -> Iterator[Edge]:
+    """The columns' edges in turn as Edges with Python int and float fields,
+    each built when it is reached; tuple.__new__ skips Edge.__new__'s frame."""
+    rows = zip(u.tolist(), v.tolist(), zip(s.tolist(), t.tolist()))
+    return map(tuple.__new__, repeat(Edge), rows)
 
 
 def _frozen(*arrays) -> tuple[np.ndarray, ...]:

@@ -4,9 +4,8 @@ Four dictionary orders on the grade plane plus a seeded random shuffle.  The
 reverse kinds are exact element-wise reversals of their forward counterparts,
 tie-break included, so benchmark runs are replayable from the order name (and
 seed) alone.  Each order is one stable np.lexsort of graph.edge_arrays()'s
-grade columns, or one permutation, applied to graph.edge_list(), so the
-result holds the Edges that edge_list() built: from the stored arrays on
-the dense pass, sharing the rows' grade tuples on the row form.
+grade columns, or one permutation, returned as positions into those
+arrays, so no Edge is built to sort.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BifilteredGraph, Edge
+from .core import BifilteredGraph
 
 ORDER_KINDS = ("lex", "colex", "revlex", "revcolex", "random")
 
@@ -38,22 +37,21 @@ class EdgeOrder:
             raise ValueError("random order requires a seed")
 
 
-def sort_edges(graph: BifilteredGraph, order: EdgeOrder) -> list[Edge]:
-    """The graph's edge_list() as a new list arranged in the given order.
+def sort_edges(graph: BifilteredGraph, order: EdgeOrder) -> np.ndarray:
+    """The edge_list() index of each edge in the given order, as an int64
+    array of positions into graph.edge_arrays().
 
-    lex is one stable np.lexsort((t, s)) over the grade columns of
-    edge_arrays(), colex swaps s and t.  Both lists are in (u, v) order, so
-    the stable sort breaks grade ties by (u, v): the (s, t, u, v) order.
-    Coordinates that compare equal (0.0 and -0.0 included) fall through to
-    the next key, as in a sort on that tuple.  random permutes the
-    (u, v)-ordered edges with default_rng(seed).
+    lex is one stable np.lexsort((t, s)) over the grade columns, colex
+    swaps s and t.  The columns are in (u, v) order, so the stable sort
+    breaks grade ties by (u, v): the (s, t, u, v) order.  Coordinates that
+    compare equal (0.0 and -0.0 included) fall through to the next key, as
+    in a sort on that tuple.  random permutes them with default_rng(seed).
     """
-    edges = graph.edge_list()
+    _, _, s, t = graph.edge_arrays()
     if order.kind == "random":
-        perm = np.random.default_rng(order.seed).permutation(len(edges))
+        perm = np.random.default_rng(order.seed).permutation(len(s))
     else:
-        _, _, s, t = graph.edge_arrays()
         perm = np.lexsort((t, s) if order.kind in ("lex", "revlex") else (s, t))
     if order.kind in ("revlex", "revcolex"):
         perm = perm[::-1]
-    return list(map(edges.__getitem__, perm.tolist()))
+    return perm.astype(np.int64, copy=False)

@@ -6,6 +6,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,13 @@ from bicollapse.build import (
     kde_density,
     pairwise_distances,
 )
-from bicollapse.collapse import apply_grade_mode, collapse_iterated
+from bicollapse.collapse import MODES, apply_grade_mode, collapse_iterated
 from bicollapse.core import BifilteredGraph, Edge, graph_from_arrays, graph_from_edges
-from bicollapse.domination import _DenseStrongEngine, is_strongly_dominated
+from bicollapse.domination import (
+    _DenseStrongEngine,
+    is_filtration_dominated,
+    is_strongly_dominated,
+)
 from bicollapse.expand import count_triangles, enumerate_triangles, export_scc2020
 from bicollapse.oracle import (
     brute_force_filtration_dominated,
@@ -229,7 +234,8 @@ def test_returned_vertex_agrees_during_a_pass_on_ties_and_extreme_floats(g):
     for kind in ("lex", "revlex"):
         h = g.copy()
         engine = _DenseStrongEngine(h)
-        for e in sort_edges(h, EdgeOrder(kind)):
+        edges = h.edge_list()
+        for e in map(edges.__getitem__, sort_edges(h, EdgeOrder(kind)).tolist()):
             expected = brute_force_strong_dominator(h, e)
             listed, dense = is_strongly_dominated(h, e), is_strongly_dominated(h, e, engine)
             assert listed == dense == expected
@@ -378,16 +384,99 @@ def test_dense_engine_never_returns_an_endpoint():
     assert _DenseStrongEngine(single).strong_dominator(edge_of(single, 0, 1)) is None
 
 
+# -- the removal log, held as arrays until read ---------------------------------
+
+
+def _reference_log(graph, order, mode, iterations):
+    """The removal log by definition: each pass walks g.edge_list() in
+    sort_edges order and removes every edge the mode's predicate holds for
+    from a row copy, until a pass removes nothing."""
+    g, log = graph.copy(), []
+    for _ in range(iterations):
+        edges, removed = g.edge_list(), []
+        for e in map(edges.__getitem__, sort_edges(g, order).tolist()):
+            if mode == "full":
+                hit = is_filtration_dominated(g, e)
+            else:
+                hit = is_strongly_dominated(g, e) is not None
+            if hit:
+                g.remove_edge(e.u, e.v)
+                removed.append(e)
+        log.append(removed)
+        if not removed:
+            break
+    return log
+
+
+def _exact_log(log):
+    # repr tells -0.0 from 0.0, which == does not.
+    return [[(e.u, e.v, repr(e.grade[0]), repr(e.grade[1])) for e in p] for p in log]
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_extreme_graphs(), iterations=st.integers(1, 3), kind=st.sampled_from(ORDER_KINDS))
+def test_removal_log_equals_the_reference_loop(g, iterations, kind):
+    for mode in MODES:
+        expected = _exact_log(_reference_log(g, _order(kind), mode, iterations))
+        for limit in (collapse.DENSE_LIMIT, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(collapse, "DENSE_LIMIT", limit)
+                _, report = collapse_iterated(g, _order(kind), mode, iterations)
+            assert _exact_log(report.removal_log) == expected
+            assert report.removed_per_iteration == [len(p) for p in expected]
+
+
+def test_removal_log_is_python_typed_cached_and_built_on_first_read(monkeypatch):
+    points = generate_dataset("torus", 40, seed=4)
+    g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
+    for limit in (collapse.DENSE_LIMIT, 0):
+        monkeypatch.setattr(collapse, "DENSE_LIMIT", limit)
+        out, report = collapse_iterated(g, EdgeOrder("revlex"), "full", 3)
+        counts = report.removed_per_iteration
+        assert report.removed_total == sum(counts) > 0
+        assert report.edges_after == out.edge_count() and report.removed_fraction > 0
+        assert "removal_log" not in vars(report)
+        log = report.removal_log
+        assert log is report.removal_log
+        assert [len(p) for p in log] == counts
+        for e in (e for p in log for e in p):
+            assert type(e) is Edge and type(e.grade) is tuple
+            assert [type(x) for x in (e.u, e.v, *e.grade)] == [int, int, float, float]
+        popped = log[0].pop()
+        assert popped not in report.removal_log[0]
+        assert len(report.removal_log[0]) == counts[0] - 1
+        assert report.removed_per_iteration == counts
+
+
+def test_dense_run_keeps_about_32_bytes_per_input_edge():
+    # The output graph and the unread report hold one (u, v, s, t) row of
+    # arrays, 32 bytes, per input edge: kept edges in the graph, removed ones
+    # in the report.  A Python object per edge would cost 150 bytes or more.
+    points = generate_dataset("torus", 150, seed=1)
+    g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
+    assert g.n <= collapse.DENSE_LIMIT and g.edge_count() == 150 * 149 // 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, report = collapse_iterated(g, EdgeOrder("revlex"), "strong")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.removed_total > 0 and out.edge_count() > 0
+    assert held < 48 * g.edge_count()
+
+
 # -- the per-layer trace contract ----------------------------------------------
 
 
 def test_pass_calls_are_countable_by_wrappers(monkeypatch):
     # perfbench's --trace counts the pass through collapse's module-level
     # names and BifilteredGraph.copy / edge_list, patched on the class: one
-    # sort and one edge_list per pass, one strong call per examined edge and
-    # one full call per strong miss, in both storage forms.  The row form
-    # works on one private copy per run; the mirror never copies its input.
-    # Wrap them the same way and check.
+    # sort per pass, whose positions are as many as the edges the pass
+    # examines, one strong call per examined edge and one full call per
+    # strong miss, in both storage forms.  The pass reads the edge arrays,
+    # never edge_list().  The row form works on one private copy per run;
+    # the mirror never copies its input.  Wrap them the same way and check.
     points = generate_dataset("torus", 40, seed=1)
     g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
     logs = []
@@ -419,15 +508,14 @@ def test_pass_calls_are_countable_by_wrappers(monkeypatch):
         logs.append(passes)
         assert len(passes) >= 2
         assert len(calls["copy"]) == copies
-        assert len(calls["sort"]) == len(calls["edge_list"]) == len(passes)
-        for ordered, listed in zip(calls["sort"], calls["edge_list"]):
-            assert sorted(map(id, ordered)) == sorted(map(id, listed))
+        assert len(calls["sort"]) == len(passes)
+        assert calls["edge_list"] == []
         remaining = report.edges_before
-        for ordered, removed in zip(calls["sort"], passes):
-            assert len(ordered) == remaining
-            assert all(type(e) is Edge for e in ordered)
+        for positions, removed in zip(calls["sort"], passes):
+            assert isinstance(positions, np.ndarray) and positions.dtype == np.int64
+            assert len(positions) == remaining
             remaining -= len(removed)
-        assert len(calls["strong"]) == sum(len(ordered) for ordered in calls["sort"])
+        assert len(calls["strong"]) == sum(len(positions) for positions in calls["sort"])
         misses = sum(v is None for v in calls["strong"])
         assert len(calls["full"]) == misses > 0
         hits = len(calls["strong"]) - misses + sum(calls["full"])

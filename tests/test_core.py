@@ -88,6 +88,17 @@ def test_grade_of_missing_edge_is_never():
     assert g.grade_of(0, 2) == (math.inf, math.inf)
 
 
+def test_ids_outside_the_vertex_range_name_no_edge():
+    # Row -1 is the last row, which holds the edge (3, 1); the accessors must
+    # not read it for (-1, 1).
+    pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+    g = graph_from_edges(4, [(u, v, (1.0, 1.0)) for u, v in pairs])
+    assert g.grade_of(3, 1) == (1.0, 1.0) and g.has_edge(3, 1)
+    for u, v in ((-1, 1), (1, -1), (-4, 0), (4, 1), (1, 4)):
+        assert g.grade_of(u, v) == NEVER
+        assert not g.has_edge(u, v)
+
+
 def test_edge_neighborhood_k3():
     g = make_k3()
     nbhd = edge_neighborhood(g, edge_of(g, 0, 1))

@@ -168,11 +168,15 @@ def test_full_empty_neighborhood():
         Edge(0, 1, (7.0, 7.0)),
         Edge(1, 1, (1.0, 1.0)),
         Edge(0, 4, (1.0, 1.0)),
+        Edge(-1, 1, (1.0, 1.0)),
+        Edge(1, -1, (1.0, 1.0)),
     ],
-    ids=["missing-pair", "wrong-grade", "loop", "id-past-n"],
+    ids=["missing-pair", "wrong-grade", "loop", "id-past-n", "negative-u", "negative-v"],
 )
 def test_predicates_reject_an_edge_not_in_the_graph(e, predicate, dense):
     # Both storage forms answer only for edges of the graph, with one message.
+    # Row -1 is row 3, which holds the edge (3, 1) at (1.0, 1.0): the row
+    # form must not answer for (-1, 1) as if it were that edge.
     pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
     g = graph_from_edges(4, [(u, v, (1.0, 1.0)) for u, v in pairs])
     engine = _DenseStrongEngine(g) if dense else None
@@ -391,7 +395,7 @@ def test_full_check_memory_flat_on_large_neighborhood():
     # neighbors; counting all of them at once would take about 180 MB.
     g = density_rips("uniform", 200, 1)
     engine = _DenseStrongEngine(g)
-    e = sort_edges(g, EdgeOrder("lex"))[0]
+    e = g.edge_list()[sort_edges(g, EdgeOrder("lex"))[0]]
     assert len(edge_neighborhood(g, e)) == 198
     for form in (None, engine):
         tracemalloc.start()

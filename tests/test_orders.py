@@ -17,18 +17,24 @@ def _path(grades):
 SAMPLE_GRADES = [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0)]
 
 
+def _sorted(g, order: EdgeOrder) -> list[Edge]:
+    """g.edge_list() in the order sort_edges gives, by indexing with its positions."""
+    edges = g.edge_list()
+    return [edges[i] for i in sort_edges(g, order).tolist()]
+
+
 def test_lex_example():
-    got = sort_edges(_path(SAMPLE_GRADES), EdgeOrder("lex"))
+    got = _sorted(_path(SAMPLE_GRADES), EdgeOrder("lex"))
     assert [e.grade for e in got] == [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
 
 
 def test_colex_example():
-    got = sort_edges(_path(SAMPLE_GRADES), EdgeOrder("colex"))
+    got = _sorted(_path(SAMPLE_GRADES), EdgeOrder("colex"))
     assert [e.grade for e in got] == [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]
 
 
 def test_revlex_example():
-    got = sort_edges(_path(SAMPLE_GRADES), EdgeOrder("revlex"))
+    got = _sorted(_path(SAMPLE_GRADES), EdgeOrder("revlex"))
     assert [e.grade for e in got] == [(2.0, 1.0), (1.0, 2.0), (1.0, 1.0)]
 
 
@@ -38,22 +44,25 @@ def test_reverse_kinds_are_exact_reversals():
     for fwd, rev in (("lex", "revlex"), ("colex", "revcolex")):
         a = sort_edges(g, EdgeOrder(fwd))
         b = sort_edges(g, EdgeOrder(rev))
-        assert b == list(reversed(a))
+        assert b.tolist() == a.tolist()[::-1]
 
 
 def test_tie_break_by_vertex_pair():
     edges = [Edge(2, 3, (0.0, 0.0)), Edge(0, 1, (0.0, 0.0)), Edge(0, 2, (0.0, 0.0))]
-    got = sort_edges(graph_from_edges(4, edges), EdgeOrder("lex"))
+    got = _sorted(graph_from_edges(4, edges), EdgeOrder("lex"))
     assert [(e.u, e.v) for e in got] == [(0, 1), (0, 2), (2, 3)]
 
 
 def test_every_kind_is_a_permutation():
+    # The positions index edge_arrays(): each edge once, and the permuted
+    # columns build the same graph back.
     rng = np.random.default_rng(4)
     g = random_grid_graph(10, 0.6, rng)
-    edges = g.edge_list()
     for kind in ORDER_KINDS:
-        order = EdgeOrder(kind, seed=7 if kind == "random" else None)
-        assert sorted(sort_edges(g, order)) == sorted(edges)
+        positions = sort_edges(g, EdgeOrder(kind, seed=7 if kind == "random" else None))
+        assert positions.dtype == np.int64
+        assert sorted(positions.tolist()) == list(range(g.edge_count()))
+        assert graph_from_arrays(g.n, *(x[positions] for x in g.edge_arrays())) == g
 
 
 def test_random_seed_reproducible():
@@ -62,8 +71,8 @@ def test_random_seed_reproducible():
     a = sort_edges(g, EdgeOrder("random", seed=123))
     b = sort_edges(g, EdgeOrder("random", seed=123))
     c = sort_edges(g, EdgeOrder("random", seed=124))
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_random_requires_seed():
@@ -128,6 +137,4 @@ def test_array_order_matches_key_sort(drawn, seed):
     assert graph_from_arrays(g.n, *g.edge_arrays()) == g
     for kind in ORDER_KINDS:
         order = EdgeOrder(kind, seed=seed if kind == "random" else None)
-        got = sort_edges(g, order)
-        assert all(type(e) is Edge for e in got)
-        assert _exact(got) == _exact(_key_sorted(edges, order))
+        assert _exact(_sorted(g, order)) == _exact(_key_sorted(edges, order))
