@@ -7,13 +7,13 @@ positions orders.sort_edges gives, one short-lived Edge per predicate call,
 and CollapseReport keeps its removals as columns, so a run holds no Python
 object per edge.  apply_grade_mode rewrites first grade coordinates before
 a run, for the grade-structure experiments.  This module decides the
-storage form: for graphs up to DENSE_LIMIT vertices (complete density-Rips
-graphs in the hundreds of vertices) the pass runs on the dense mirror of
-grade ranks alone, never copying or changing its input and never building
-adjacency rows, and reads each pass's survivors off the mirror into a new
-graph; above it, where the int32 (n, 2, n) mirror (8 n^2 bytes) costs more
-memory than it saves time, it removes edges from the rows of a private
-copy.  Both forms remove the same edges.
+storage form of the run's private store: for graphs up to DENSE_LIMIT
+vertices (complete density-Rips graphs in the hundreds of vertices) the
+dense mirror of grade ranks, so no adjacency rows are built; above it,
+where the int32 (n, 2, n) mirror (8 n^2 bytes) costs more memory than it
+saves time, rows built for the run alone.  A hit leaves the store only;
+each pass's survivors become a new graph, graph_from_arrays over a keep
+mask, and the input never changes.  Both forms remove the same edges.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import BifilteredGraph, Edge, _as_edges, graph_from_arrays
-from .domination import _ABSENT, _DenseStrongEngine, is_filtration_dominated, is_strongly_dominated
+from .domination import _DenseStrongEngine, _RowStore
+from .domination import is_filtration_dominated, is_strongly_dominated
 from .orders import EdgeOrder, sort_edges
 
 MODES = ("strong", "full")
@@ -107,34 +108,31 @@ def apply_grade_mode(
 
 
 def _run_pass(
-    graph: BifilteredGraph, order: EdgeOrder, mode: str, engine: _DenseStrongEngine | None
+    graph: BifilteredGraph, order: EdgeOrder, mode: str, store: _DenseStrongEngine | _RowStore
 ) -> tuple[BifilteredGraph, tuple[np.ndarray, ...], float]:
     """One predicate pass: the graph after it, its removals and the seconds.
 
-    With a mirror, a hit leaves the mirror only and the survivors become a
-    new graph; without one, a hit leaves graph, the run's row copy, in place.
-    In full mode the cheap strong check runs first: a strong dominator is in
-    particular a filtration dominator, so the expensive per-grade check
-    only runs on strong failures.
+    store holds graph's edges; a hit leaves the store only, and the
+    survivors become a new graph.  In full mode the cheap strong check runs
+    first: a strong dominator is in particular a filtration dominator, so
+    the expensive per-grade check only runs on strong failures.
     """
     positions = sort_edges(graph, order)
-    columns = graph.edge_arrays()  # kept: removing from the rows drops the graph's arrays
+    columns = graph.edge_arrays()
     hits = np.zeros(len(positions), dtype=bool)
     start = time.perf_counter()
     for i, e in enumerate(_as_edges(*(x[positions] for x in columns))):
-        hit = is_strongly_dominated(graph, e, engine) is not None
+        hit = is_strongly_dominated(graph, e, store) is not None
         if not hit and mode == "full":
-            hit = is_filtration_dominated(graph, e, engine)
+            hit = is_filtration_dominated(graph, e, store)
         if hit:
-            if engine is None:
-                graph.remove_edge(e.u, e.v)
-            else:
-                engine.remove(e.u, e.v)
+            store.remove(e.u, e.v)
             hits[i] = True
-    if engine is not None:
-        kept = engine.M[columns[0], 0, columns[1]] != _ABSENT
-        graph = graph_from_arrays(graph.n, *(x[kept] for x in columns))
-    return graph, tuple(x[positions[hits]] for x in columns), time.perf_counter() - start
+    removed = positions[hits]
+    kept = np.ones(len(positions), dtype=bool)
+    kept[removed] = False
+    graph = graph_from_arrays(graph.n, *(x[kept] for x in columns))
+    return graph, tuple(x[removed] for x in columns), time.perf_counter() - start
 
 
 def collapse_iterated(
@@ -153,11 +151,11 @@ def collapse_iterated(
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if iterations < 1:
         raise ValueError("iteration count must be >= 1")
-    engine = _DenseStrongEngine(graph) if graph.n <= DENSE_LIMIT else None
-    out = graph if engine is not None else graph.copy()
+    store = _DenseStrongEngine(graph) if graph.n <= DENSE_LIMIT else _RowStore(graph._rows())
+    out = graph
     report = CollapseReport(graph.edge_count(), [], mode, order)
     for _ in range(iterations):
-        out, removed, elapsed = _run_pass(out, order, mode, engine)
+        out, removed, elapsed = _run_pass(out, order, mode, store)
         report.wall_time_per_iteration.append(elapsed)
         report.removed_arrays.append(removed)
         if not len(removed[0]):

@@ -2,30 +2,30 @@
 
 A grade is a point (s, t) in the plane, partially ordered coordinate-wise.
 Every edge of a bifiltered graph carries a unique critical grade at which it
-enters the filtration; vertices are present at all grades.  The graph is
-stored as its checked edge arrays (u, v, s, t), u < v, sorted by (u, v):
-graph_from_arrays checks parallel arrays with vectorized tests and keeps
-them, and graph_from_edges and read_edge_list (one bulk np.loadtxt parse)
-both feed it, so the checks exist once.  edge_arrays(), count_triangles,
-the mirror of the dense pass and the writers read them as they are.
-Symmetric adjacency rows, one dict per vertex from neighbor id to edge
-grade with keys in ascending id, are built on first use of adj, for the
-row-form pass, the oracles and remove_edge: looking up, testing or
-deleting an edge then takes constant time.  Edge is the one record type:
-edges() and edge_list() give the edges as Edge(u, v, grade) named tuples
-(the collapse pass calls neither), while edge_neighborhood, on the hot path
-of every row-form domination check, intersects two rows' key views into
-plain (w, entry) tuples.
+enters the filtration; vertices are present at all grades.  A graph is its
+checked edge arrays (u, v, s, t), u < v, sorted by (u, v), and never
+changes: graph_from_arrays checks parallel arrays with vectorized tests and
+keeps them, and graph_from_edges and read_edge_list (one bulk np.loadtxt
+parse) both feed it, so the checks exist once.  edge_arrays(),
+count_triangles, the mirror of the dense pass and the writers read them as
+they are.  Symmetric adjacency rows, one dict per vertex from neighbor id
+to edge grade with keys in ascending id, in which looking up an edge takes
+constant time, are a read-only index built on first use of adj, for one-off
+domination queries and the oracles; the row-form pass builds its own rows.
+Edge is the one record type: edges() and edge_list() give the edges as
+Edge(u, v, grade) named tuples (the collapse pass calls neither), while
+edge_neighborhood, on the hot path of every row-form domination check,
+intersects two rows' key views into plain (w, entry) tuples.
 Every text reader, read_edge_list here and those of build and expand,
-takes a path or a text stream through _text_lines, which strips each line
-and skips blank and # lines.
+takes a path or a text stream through _text_lines, which strips each line,
+skips blank and # lines and refuses a data line that is not ASCII.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -61,25 +61,23 @@ class BifilteredGraph:
     sorted by (u, v), read-only and shared by copies.  adj, the adjacency
     rows, is built from them on first use: adj[u] maps each neighbor of u
     to the grade of their edge, with keys in ascending id, and both halves
-    of an edge share one grade tuple.  Once built, the rows are the graph:
-    edges() walks them, remove_edge deletes from them (deleting a key keeps
-    the others in order) and drops the arrays, which edge_arrays() then
-    rebuilds from the rows.  Instances are safe to share read-only;
-    mutation (edge removal) must be exclusive.
+    of an edge share one grade tuple.  No method changes a graph, and the
+    rows are an index that must not be written: a pass that removes edges
+    builds its own rows with _rows() or its own mirror.
     """
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self.n = n
-        self._arrays: tuple[np.ndarray, ...] | None = _frozen([], [], [], [])
+        self._arrays = _frozen([], [], [], [])
 
     @cached_property  # once built, a plain instance attribute: no call per access
     def adj(self) -> list[dict[int, Grade]]:
         return self._rows()
 
     def _rows(self) -> list[dict[int, Grade]]:
-        """The adjacency rows of the stored arrays, each filled in ascending
+        """New adjacency rows of the stored arrays, each filled in ascending
         id from the sorted half-edges."""
         u, v, s, t = self._arrays
         m, n = len(u), self.n
@@ -103,11 +101,8 @@ class BifilteredGraph:
         return 0 <= u < self.n and v in self.adj[u]
 
     def edges(self) -> Iterator[Edge]:
-        """All edges as Edge(u, v, grade) with u < v, sorted by (u, v); once
-        the rows exist, walked from them, sharing their grade tuples."""
-        if "adj" not in vars(self):
-            return _as_edges(*self._arrays)
-        return (Edge(u, v, g) for u, row in enumerate(self.adj) for v, g in row.items() if v > u)
+        """All edges as Edge(u, v, grade) with u < v, sorted by (u, v)."""
+        return _as_edges(*self._arrays)
 
     def edge_list(self) -> list[Edge]:
         return list(self.edges())
@@ -116,30 +111,12 @@ class BifilteredGraph:
         """The edges as the read-only parallel arrays (u, v, s, t) that
         graph_from_arrays takes, u < v, in edge_list() order:
         graph_from_arrays(n, *edge_arrays()) equals the graph."""
-        if self._arrays is None:  # from the rows: both halves of each edge, then the upper
-            u = np.repeat(np.arange(self.n), [len(row) for row in self.adj])
-            v = np.fromiter(chain.from_iterable(self.adj), np.int64, len(u))
-            flat = chain.from_iterable(chain.from_iterable(row.values() for row in self.adj))
-            grades = np.fromiter(flat, float, 2 * len(u)).reshape(-1, 2)
-            up = u < v
-            self._arrays = _frozen(u[up], v[up], grades[up, 0], grades[up, 1])
         return self._arrays
 
-    # -- mutation --------------------------------------------------------
-
-    def remove_edge(self, u: int, v: int) -> None:
-        """Delete edge {u, v} from the rows in place; they keep their order."""
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) not in graph")
-        del self.adj[u][v], self.adj[v][u]
-        self._arrays = None
-
     def copy(self) -> "BifilteredGraph":
-        """An independent graph with its own rows, built here from the
-        shared arrays when self has none."""
+        """A graph over the same read-only arrays."""
         g = BifilteredGraph(self.n)
         g._arrays = self._arrays
-        g.adj = [dict(row) for row in self.adj] if "adj" in vars(self) else g._rows()
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -221,22 +198,23 @@ def graph_from_edges(n: int, edges: Iterable[Edge | tuple]) -> BifilteredGraph:
     return graph_from_arrays(n, u, v, *np.reshape(grades, (-1, 2)).T)
 
 
-def _require_edge(graph: BifilteredGraph, e: Edge) -> None:
-    """Raise ValueError unless e is an edge of graph with exactly e's grade."""
-    if graph.grade_of(e.u, e.v) != e.grade:
+def _require_edge(adj: list[dict[int, Grade]], e: Edge) -> None:
+    """Raise ValueError unless the rows adj hold e with exactly e's grade;
+    an id outside 0..n-1 names no edge, though a negative one indexes a row."""
+    if not 0 <= e.u < len(adj) or adj[e.u].get(e.v, NEVER) != e.grade:
         raise ValueError(f"edge ({e.u}, {e.v}) with grade {e.grade} not in graph")
 
 
-def edge_neighborhood(graph: BifilteredGraph, e: Edge) -> list[tuple[int, Grade]]:
-    """Common neighbors w of e's endpoints as plain (w, entry) tuples.
+def edge_neighborhood(adj: list[dict[int, Grade]], e: Edge) -> list[tuple[int, Grade]]:
+    """Common neighbors w of e's endpoints in the rows adj as plain (w, entry) tuples.
 
     Intersects the two rows' key views; output sorted by vertex id.  entry
     is the grade at which w becomes an edge neighbor, join(crit({a,w}),
     crit({b,w}), crit(e)), and is e.grade itself when that join is crit(e).
     """
-    _require_edge(graph, e)
+    _require_edge(adj, e)
     es, et = grade = e.grade
-    ra, rb = graph.adj[e.u], graph.adj[e.v]
+    ra, rb = adj[e.u], adj[e.v]
     out: list[tuple[int, Grade]] = []
     for w in sorted(ra.keys() & rb.keys()):
         (s1, t1), (s2, t2) = ra[w], rb[w]
@@ -262,14 +240,18 @@ def subgraph_at(graph: BifilteredGraph, g: Grade) -> list[set[int]]:
 
 def _text_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
     """Each line of source, stripped, that is neither blank nor a # comment.
-    A str or Path is opened here, and closed when the generator ends or is dropped."""
+    A str or Path is opened here, and closed when the generator ends or is dropped.
+    A data line must be ASCII: int, float and str.isdecimal read other
+    scripts' digits, such as '٣', as numbers."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             yield from _text_lines(fh)
         return
     for raw in source:
-        line = raw.strip()
+        line = raw.strip(" \t\n\r\v\f")  # str.strip() would drop non-ASCII spaces unseen
         if line and not line.startswith("#"):
+            if not line.isascii():
+                raise ValueError(f"non-ASCII character in line {line!r}")
             yield line
 
 

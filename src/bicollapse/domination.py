@@ -10,8 +10,11 @@ candidates one batched comparison tests the rest.  The checks use grades
 only through <= and the join, which a strictly increasing map keeps, so
 the mirror is one int32 (n, 2, n) array of each coordinate's rank among
 the edge grades on its axis, the largest int32 for absent edges and -1
-on the diagonal.  Both forms return the same vertex, a Python int, and
-is_strongly_dominated runs the dense form when it is handed the mirror.
+on the diagonal.  Both forms return the same vertex, a Python int.  Each
+form is a store with one interface, _RowStore over rows and the engine over
+the mirror: remove(u, v), strong_dominator(e) and neighbor_grades(e).  A
+collapse pass owns one store and removes from it; a one-off query reads
+graph.adj through a _RowStore and removes nothing.
 The full check lets the dominating vertex change with the grade.  It
 counts, for every edge neighbor at once, where that neighbor dominates on a
 grid of grades built from the neighbors' entry coordinates
@@ -20,9 +23,9 @@ searchsorted per axis, bincount and cumsum.  The edge is dominated iff every
 grid grade is covered.  Two cheaper tests reject most misses before the grid
 is built: no neighbor enters at crit(e), or at some neighbor's entry grade
 no present neighbor is joined to every other present one by then.  It runs
-in the mirror's ranks when there is one, else on float grades from the
-adjacency rows.  Handed the mirror, neither predicate reads the graph, and
-both reject an edge the mirror (else the graph) does not hold with that grade.
+in the mirror's ranks or on the rows' float grades.  Handed a store, neither
+predicate reads the graph, and both reject an edge the store does not hold
+with that grade.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ import numpy as np
 
 from .core import NEVER, BifilteredGraph, Edge, Grade, edge_neighborhood
 
-# -- strong filtration-domination --------------------------------------------
+# -- the two stores and strong filtration-domination -------------------------
 
 
 def is_strongly_dominated(
-    graph: BifilteredGraph, e: Edge, engine: _DenseStrongEngine | None = None
+    graph: BifilteredGraph, e: Edge, engine: _DenseStrongEngine | _RowStore | None = None
 ) -> int | None:
     """Smallest vertex that alone dominates e at every grade, if any.
 
@@ -47,24 +50,52 @@ def is_strongly_dominated(
     crit(e)) and must reach every other edge neighbor w no later than w's
     entry grade.  Each trial is one row lookup per edge neighbor, so a hit
     on an early candidate costs O(min(deg(a), deg(b))).  engine, when
-    given, is the dense mirror of graph, and runs the same trial on it
-    without reading graph.
+    given, is the store of graph that a pass works on, its rows or its
+    dense mirror, and runs the trial without reading graph; otherwise the
+    trial reads graph.adj.
     """
-    if engine is not None:
-        return engine.strong_dominator(e)
-    nbhd = edge_neighborhood(graph, e)
-    for v, entry in nbhd:
-        # entry(v) always dominates crit(e), with equality iff both edge
-        # grades are <= crit(e): exactly the potential-strong-dominator test.
-        if entry == e.grade:
-            row = graph.adj[v]
-            for w, (s, t) in nbhd:
-                g = row.get(w, NEVER)
-                if (g[0] > s or g[1] > t) and w != v:
-                    break
-            else:
-                return v
-    return None
+    return (engine or _RowStore(graph.adj)).strong_dominator(e)
+
+
+class _RowStore:
+    """Adjacency rows answering both checks by lookups.
+
+    A pass above DENSE_LIMIT owns its rows and removes from them; a one-off
+    query wraps graph.adj, which it only reads.
+    """
+
+    def __init__(self, adj: list[dict[int, Grade]]):
+        self.adj = adj
+
+    def remove(self, u: int, v: int) -> None:
+        del self.adj[u][v], self.adj[v][u]  # deleting a key keeps the others in order
+
+    def strong_dominator(self, e: Edge) -> int | None:
+        nbhd = edge_neighborhood(self.adj, e)
+        for v, entry in nbhd:
+            # entry(v) always dominates crit(e), with equality iff both edge
+            # grades are <= crit(e): exactly the potential-strong-dominator test.
+            if entry == e.grade:
+                row = self.adj[v]
+                for w, (s, t) in nbhd:
+                    g = row.get(w, NEVER)
+                    if (g[0] > s or g[1] > t) and w != v:
+                        break
+                else:
+                    return v
+        return None
+
+    def neighbor_grades(self, e: Edge) -> tuple[Grade | np.ndarray, ...]:
+        """_DenseStrongEngine.neighbor_grades in float grades, the diagonal
+        -inf: each pair of neighbors is looked up in the rows."""
+        nbhd = edge_neighborhood(self.adj, e)
+        k = len(nbhd)
+        ids = [w for w, _ in nbhd]
+        grades = chain.from_iterable(self.adj[v].get(w, NEVER) for v in ids for w in ids)
+        block = np.fromiter(grades, float, 2 * k * k).reshape(k, k, 2)
+        block[np.arange(k), np.arange(k)] = -np.inf
+        entries = np.reshape([entry for _, entry in nbhd], (k, 2))
+        return e.grade, entries[:, 0], entries[:, 1], block[..., 0], block[..., 1]
 
 
 # A rank above every edge's: the mirror's entry for an absent edge.
@@ -137,30 +168,17 @@ class _DenseStrongEngine:
         hits = (self.M[rest] <= entry).all(axis=(1, 2)).nonzero()[0]
         return int(rest[hits[0]]) if hits.size else None
 
+    def neighbor_grades(self, e: Edge) -> tuple[np.ndarray, ...]:
+        """crit(e), entry grades of e's edge neighbors, grades of edges among them.
 
-# -- full filtration-domination ----------------------------------------------
-
-# Cells per chunk of the full check's broadcasts: about 2 MB of the grid's
-# int64 counts, 256 KB per boolean array of the entry-grade probe, so the
-# check's memory stays flat however large the neighborhood.
-_CHUNK_CELLS = 1 << 18
-
-
-def _neighbor_grades(
-    graph: BifilteredGraph, e: Edge, engine: _DenseStrongEngine | None
-) -> tuple[Grade | np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """crit(e), entry grades of e's edge neighbors, grades of edges among them.
-
-    Returns crit, entry_s, entry_t (length k, neighbors in ascending id) and
-    block_s, block_t (k x k, absent edges above every grade and the diagonal
-    below every grade: -inf in the row form, -1 in the dense form).  So a
-    neighbor is always joined to itself, and the entry-grade probe of
-    is_filtration_dominated needs no mask for it.  The dense form slices the
-    engine's mirror, in ranks; the row form looks each pair of neighbors up
-    in the adjacency rows.
-    """
-    if engine is not None:
-        crit, M = engine.crit(e), engine.M
+        Returns crit, entry_s, entry_t (length k, neighbors in ascending id)
+        and block_s, block_t (k x k, absent edges above every grade and the
+        diagonal below every grade: -1 here, in ranks sliced from the mirror,
+        and -inf in _RowStore's float grades).  So a neighbor is always
+        joined to itself, and the entry-grade probe of
+        is_filtration_dominated needs no mask for it.
+        """
+        crit, M = self.crit(e), self.M
         # Column w holds the join of the grades of uw and vw: below _ABSENT
         # iff w is adjacent to both, and entry(w) once joined with crit(e).
         joined = np.maximum(M[e.u], M[e.v])
@@ -170,21 +188,21 @@ def _neighbor_grades(
         entry = np.maximum(joined[:, ids], crit[:, None])
         block = M[ids][:, :, ids]
         return crit, entry[0], entry[1], block[:, 0], block[:, 1]
-    nbhd = edge_neighborhood(graph, e)
-    k = len(nbhd)
-    ids = [w for w, _ in nbhd]
-    grades = chain.from_iterable(graph.adj[v].get(w, NEVER) for v in ids for w in ids)
-    block = np.fromiter(grades, float, 2 * k * k).reshape(k, k, 2)
-    block[np.arange(k), np.arange(k)] = -np.inf
-    entries = np.reshape([entry for _, entry in nbhd], (k, 2))
-    return e.grade, entries[:, 0], entries[:, 1], block[..., 0], block[..., 1]
+
+
+# -- full filtration-domination ----------------------------------------------
+
+# Cells per chunk of the full check's broadcasts: about 2 MB of the grid's
+# int64 counts, 256 KB per boolean array of the entry-grade probe, so the
+# check's memory stays flat however large the neighborhood.
+_CHUNK_CELLS = 1 << 18
 
 
 class _DominationGrid:
     """Where each edge neighbor dominates e, on the grid xs x ys.
 
     xs and ys are the distinct entry coordinates.  Preconditions, which
-    _neighbor_grades and the early exit of is_filtration_dominated ensure:
+    neighbor_grades and the early exit of is_filtration_dominated ensure:
     the block's diagonal is below every grade, and some neighbor enters at
     crit(e), so crit(e) is the grid's lowest grade.  Entries are >= crit(e),
     so every grid grade is >= crit(e), and the grid holds crit(e) joined
@@ -237,7 +255,7 @@ class _DominationGrid:
 
 
 def is_filtration_dominated(
-    graph: BifilteredGraph, e: Edge, engine: _DenseStrongEngine | None = None
+    graph: BifilteredGraph, e: Edge, engine: _DenseStrongEngine | _RowStore | None = None
 ) -> bool:
     """Is e dominated at every grade at which it is present?
 
@@ -250,10 +268,10 @@ def is_filtration_dominated(
     Entry grades and grid candidates are taken in chunks of ascending id,
     sized so one chunk's work arrays stay within _CHUNK_CELLS cells; the
     probe stops at the first uncovered entry grade and the grid as soon as
-    it is covered.  engine, when given, is the dense mirror of graph to
-    gather the grades from, in ranks.
+    it is covered.  engine, when given, is the store of graph to gather the
+    grades from, as in is_strongly_dominated; the mirror gives them in ranks.
     """
-    crit, entry_s, entry_t, block_s, block_t = _neighbor_grades(graph, e, engine)
+    crit, entry_s, entry_t, block_s, block_t = (engine or _RowStore(graph.adj)).neighbor_grades(e)
     # Entries are >= crit(e), so <= here means equal.
     if not ((entry_s <= crit[0]) & (entry_t <= crit[1])).any():
         return False

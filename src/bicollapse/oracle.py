@@ -66,7 +66,7 @@ def plain_dominators(adj: list[set[int]], a: int, b: int) -> set[int]:
 
 def dominators_by_grade(graph: BifilteredGraph, e: Edge) -> dict[Grade, set[int]]:
     """plain_dominators of e at every critical grid grade >= crit(e), in grid order."""
-    _require_edge(graph, e)
+    _require_edge(graph.adj, e)
     grades = [g for g in CriticalGrid.of_graph(graph).points() if leq(e.grade, g)]
     return {g: plain_dominators(subgraph_at(graph, g), e.u, e.v) for g in grades}
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bicollapse.core import BifilteredGraph, Edge, graph_from_edges
+from bicollapse.core import BifilteredGraph, Edge, graph_from_arrays, graph_from_edges
 
 # Canonical 6-vertex fixture: an edge (A, B) that is filtration-dominated but
 # not strongly so.  Vertex ids: a=0, b=1, v=2, w=3, x=4, y=5; (v, y) absent.
@@ -57,6 +57,17 @@ def k3() -> BifilteredGraph:
 
 def edge_of(graph: BifilteredGraph, u: int, v: int) -> Edge:
     return Edge(u, v, graph.grade_of(u, v))
+
+
+def without(graph: BifilteredGraph, pairs) -> BifilteredGraph:
+    """A new graph of graph's edges but the pairs (u, v), each of which must
+    be an edge, built through graph_from_arrays: a reference for removals
+    that shares no code with either store of the collapse pass."""
+    gone = {(min(u, v), max(u, v)) for u, v in pairs}
+    u, v, s, t = graph.edge_arrays()
+    keep = np.array([pair not in gone for pair in zip(u.tolist(), v.tolist())], dtype=bool)
+    assert len(keep) - np.count_nonzero(keep) == len(gone), "a pair is not an edge"
+    return graph_from_arrays(graph.n, u[keep], v[keep], s[keep], t[keep])
 
 
 def decoded(engine, axis: int, ranks) -> np.ndarray:

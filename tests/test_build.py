@@ -283,7 +283,7 @@ def test_load_points_rejects_non_finite_coordinates(text):
         load_points(io.StringIO(text))
 
 
-@pytest.mark.parametrize("text, line", [("0 0\n1 x\n", "1 x"), ("0,0\n1,2,\u00bd\n", "1,2,\u00bd")])
+@pytest.mark.parametrize("text, line", [("0 0\n1 x\n", "1 x")])
 def test_load_points_quotes_a_line_with_a_token_that_is_not_a_number(text, line):
     message = f"point line holds a token that is not a number: {line!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

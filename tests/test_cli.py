@@ -205,6 +205,15 @@ def test_unreadable_input_exits_2(capsys, tmp_path):
     assert not cloud.exists()
 
 
+def test_non_ascii_digit_in_an_edge_list_header_exits_2(capsys, tmp_path):
+    # int() reads the Arabic-Indic three as 3, so the header read as n = 3.
+    path = tmp_path / "arabic.edges"
+    path.write_text("٣ 2\n0 1 0 0\n1 2 1 1\n", encoding="utf-8")
+    rc, out, err = run(capsys, "collapse", "--edges", str(path))
+    assert (rc, out) == (2, "")
+    assert "input error: non-ASCII character in line '٣ 2'" in err
+
+
 @pytest.mark.parametrize("copies, sites, rc_expected", [(2, 3, 2), (20, 5, 0)])
 def test_kde_bandwidth_rule_on_repeated_sites(capsys, tmp_path, copies, sites, rc_expected):
     # Exit 2 exactly when 0 is among at most 5 distinct distances: 3 sites give

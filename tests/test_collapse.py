@@ -25,6 +25,7 @@ from bicollapse.collapse import MODES, apply_grade_mode, collapse_iterated
 from bicollapse.core import BifilteredGraph, Edge, graph_from_arrays, graph_from_edges
 from bicollapse.domination import (
     _DenseStrongEngine,
+    _RowStore,
     is_filtration_dominated,
     is_strongly_dominated,
 )
@@ -37,7 +38,7 @@ from bicollapse.oracle import (
 )
 from bicollapse.orders import ORDER_KINDS, EdgeOrder, sort_edges
 
-from conftest import A, B, decoded, edge_of, make_gap6, make_k3
+from conftest import A, B, decoded, edge_of, make_gap6, make_k3, without
 
 
 def _order(kind: str) -> EdgeOrder:
@@ -103,10 +104,7 @@ def test_iterated_k1_equals_once():
     out_a, rep_a = collapse_iterated(g, EdgeOrder("revlex"), "strong", 1)
     _, rep_b = collapse_iterated(g, EdgeOrder("revlex"), "strong", 3)
     assert rep_a.removal_log == rep_b.removal_log[:1]
-    replay = g.copy()
-    for e in rep_b.removal_log[0]:
-        replay.remove_edge(e.u, e.v)
-    assert out_a == replay
+    assert out_a == without(g, [(e.u, e.v) for e in rep_b.removal_log[0]])
 
 
 def test_mode_and_iteration_validation():
@@ -134,13 +132,13 @@ def test_removals_were_legal_at_their_moment():
     for mode in ("strong", "full"):
         g = random_grid_graph(8, 0.6, rng)
         _, report = collapse_iterated(g, EdgeOrder("revlex"), mode, 2)
-        state = g.copy()
+        state = g
         for iteration in report.removal_log:
             for e in iteration:
                 if mode == "strong":
                     assert is_strongly_dominated(state, e) is not None
                 assert brute_force_filtration_dominated(state, e)
-                state.remove_edge(e.u, e.v)
+                state = without(state, [(e.u, e.v)])
 
 
 def test_homology_preserved_on_random_instances():
@@ -228,20 +226,24 @@ def test_storage_forms_agree_on_ties_and_extreme_floats(g):
 @settings(max_examples=40, deadline=None)
 @given(g=_extreme_graphs())
 def test_returned_vertex_agrees_during_a_pass_on_ties_and_extreme_floats(g):
-    # A strong pass in lex and revlex order: on every edge the row form, the
+    # A strong pass in lex and revlex order: on every edge the row store, the
     # mirror and the brute force name the same dominator, the smallest one,
-    # as a Python int; a hit removes the edge from the graph and the mirror.
+    # as a Python int, and give the same full verdict; a hit removes the edge
+    # from both stores, and the reference graph is rebuilt without it.
     for kind in ("lex", "revlex"):
-        h = g.copy()
-        engine = _DenseStrongEngine(h)
-        edges = h.edge_list()
-        for e in map(edges.__getitem__, sort_edges(h, EdgeOrder(kind)).tolist()):
+        h, rows, engine = g, _RowStore(g._rows()), _DenseStrongEngine(g)
+        edges = g.edge_list()
+        for e in map(edges.__getitem__, sort_edges(g, EdgeOrder(kind)).tolist()):
             expected = brute_force_strong_dominator(h, e)
-            listed, dense = is_strongly_dominated(h, e), is_strongly_dominated(h, e, engine)
+            listed, dense = is_strongly_dominated(h, e, rows), is_strongly_dominated(h, e, engine)
             assert listed == dense == expected
+            full = brute_force_filtration_dominated(h, e)
+            assert is_filtration_dominated(h, e, rows) == full
+            assert is_filtration_dominated(h, e, engine) == full
             if expected is not None:
                 assert type(listed) is int and type(dense) is int
-                h.remove_edge(e.u, e.v)
+                h = without(h, [(e.u, e.v)])
+                rows.remove(e.u, e.v)
                 engine.remove(e.u, e.v)
 
 
@@ -292,7 +294,8 @@ def test_dense_engine_matches_list_semantics():
 
 def test_dense_engine_batch_path():
     # Candidates 2..10 all fail (pairwise non-adjacent), candidate 11 succeeds
-    # after the serial budget is spent; then removing its edges yields none.
+    # after the serial budget is spent; then removing one of its edges from
+    # both stores leaves none, and on one grade no full domination either.
     sats = list(range(2, 11))
     hub = 11
     edges = [(0, 1, (0.0, 0.0))]
@@ -303,26 +306,30 @@ def test_dense_engine_batch_path():
     g = graph_from_edges(12, edges)
     e = g.edge_list()[0]
     assert (e.u, e.v) == (0, 1)
-    listed, dense = is_strongly_dominated(g, e), _DenseStrongEngine(g).strong_dominator(e)
+    rows, engine = _RowStore(g._rows()), _DenseStrongEngine(g)
+    listed, dense = rows.strong_dominator(e), engine.strong_dominator(e)
     assert listed == dense == hub
     assert type(listed) is int and type(dense) is int
-    g2 = g.copy()
-    g2.remove_edge(sats[0], hub)
-    e2 = g2.edge_list()[0]
-    assert is_strongly_dominated(g2, e2) is None
-    assert _DenseStrongEngine(g2).strong_dominator(e2) is None
+    rows.remove(sats[0], hub)
+    engine.remove(sats[0], hub)
+    assert rows.strong_dominator(e) is None and engine.strong_dominator(e) is None
+    assert not is_filtration_dominated(g, e, rows) and not is_filtration_dominated(g, e, engine)
 
 
 def test_dense_engine_tracks_removals():
+    # The same removals from both stores, in lockstep: on every edge left,
+    # the same strong dominator and the same full verdict.
     rng = np.random.default_rng(23)
     g = random_grid_graph(9, 0.7, rng)
-    engine = _DenseStrongEngine(g)
+    rows, engine = _RowStore(g._rows()), _DenseStrongEngine(g)
     edges = g.edge_list()
-    for e in edges[: len(edges) // 2]:
-        g.remove_edge(e.u, e.v)
+    for i, e in enumerate(edges[: len(edges) // 2]):
+        rows.remove(e.u, e.v)
         engine.remove(e.u, e.v)
-        for probe in g.edge_list():
-            assert engine.strong_dominator(probe) == is_strongly_dominated(g, probe)
+        for probe in edges[i + 1 :]:
+            assert engine.strong_dominator(probe) == rows.strong_dominator(probe)
+            full = is_filtration_dominated(g, probe, rows)
+            assert is_filtration_dominated(g, probe, engine) == full
 
 
 def _decoded_mirror(engine) -> np.ndarray:
@@ -373,15 +380,18 @@ def test_dense_engine_never_returns_an_endpoint():
     # With the -1 diagonal an endpoint would pass every test, so it must
     # be excluded from the candidates explicitly.
     g = make_k3()
-    engine = _DenseStrongEngine(g)
+    rows, engine = _RowStore(g._rows()), _DenseStrongEngine(g)
     for e in g.edge_list():
-        assert engine.strong_dominator(e) == 3 - e.u - e.v
-    g.remove_edge(0, 2)
+        assert engine.strong_dominator(e) == rows.strong_dominator(e) == 3 - e.u - e.v
+    rows.remove(0, 2)
     engine.remove(0, 2)
-    for e in g.edge_list():
-        assert engine.strong_dominator(e) is None
+    for e in (edge_of(g, 0, 1), edge_of(g, 1, 2)):
+        assert engine.strong_dominator(e) is None and rows.strong_dominator(e) is None
+        assert not is_filtration_dominated(g, e, engine) and not is_filtration_dominated(g, e, rows)
     single = graph_from_edges(2, [(0, 1, (0.0, 0.0))])
-    assert _DenseStrongEngine(single).strong_dominator(edge_of(single, 0, 1)) is None
+    e = edge_of(single, 0, 1)
+    assert _DenseStrongEngine(single).strong_dominator(e) is None
+    assert _RowStore(single._rows()).strong_dominator(e) is None
 
 
 # -- the removal log, held as arrays until read ---------------------------------
@@ -389,9 +399,9 @@ def test_dense_engine_never_returns_an_endpoint():
 
 def _reference_log(graph, order, mode, iterations):
     """The removal log by definition: each pass walks g.edge_list() in
-    sort_edges order and removes every edge the mode's predicate holds for
-    from a row copy, until a pass removes nothing."""
-    g, log = graph.copy(), []
+    sort_edges order and rebuilds g without every edge the mode's predicate
+    holds for, until a pass removes nothing."""
+    g, log = graph, []
     for _ in range(iterations):
         edges, removed = g.edge_list(), []
         for e in map(edges.__getitem__, sort_edges(g, order).tolist()):
@@ -400,7 +410,7 @@ def _reference_log(graph, order, mode, iterations):
             else:
                 hit = is_strongly_dominated(g, e) is not None
             if hit:
-                g.remove_edge(e.u, e.v)
+                g = without(g, [(e.u, e.v)])
                 removed.append(e)
         log.append(removed)
         if not removed:
@@ -466,6 +476,19 @@ def test_dense_run_keeps_about_32_bytes_per_input_edge():
     assert held < 48 * g.edge_count()
 
 
+def test_row_form_run_leaves_the_input_rows_alone(monkeypatch):
+    # The row-form pass removes from rows of its own: the input's adj, built
+    # before the run, is a read-only index that still holds every edge.
+    points = generate_dataset("torus", 40, seed=1)
+    g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
+    rows = g.adj
+    monkeypatch.setattr(collapse, "DENSE_LIMIT", 0)
+    _, report = collapse_iterated(g, EdgeOrder("revlex"), "full", 2)
+    assert report.removed_total > 0
+    assert g.adj is rows and rows == g._rows()
+    assert all(rows[e.u][e.v] == rows[e.v][e.u] == e.grade for p in report.removal_log for e in p)
+
+
 # -- the per-layer trace contract ----------------------------------------------
 
 
@@ -475,12 +498,12 @@ def test_pass_calls_are_countable_by_wrappers(monkeypatch):
     # sort per pass, whose positions are as many as the edges the pass
     # examines, one strong call per examined edge and one full call per
     # strong miss, in both storage forms.  The pass reads the edge arrays,
-    # never edge_list().  The row form works on one private copy per run;
-    # the mirror never copies its input.  Wrap them the same way and check.
+    # never edge_list(), and copies no graph: each form builds its own store.
+    # Wrap them the same way and check.
     points = generate_dataset("torus", 40, seed=1)
     g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
     logs = []
-    for limit, copies in ((collapse.DENSE_LIMIT, 0), (0, 1)):
+    for limit in (collapse.DENSE_LIMIT, 0):
         calls: dict[str, list] = {"sort": [], "strong": [], "full": [], "copy": [], "edge_list": []}
 
         def counting(name, fn):
@@ -507,7 +530,7 @@ def test_pass_calls_are_countable_by_wrappers(monkeypatch):
         passes = report.removal_log
         logs.append(passes)
         assert len(passes) >= 2
-        assert len(calls["copy"]) == copies
+        assert calls["copy"] == []
         assert len(calls["sort"]) == len(passes)
         assert calls["edge_list"] == []
         remaining = report.edges_before
@@ -526,8 +549,9 @@ def test_pass_calls_are_countable_by_wrappers(monkeypatch):
 
 def test_dense_runs_never_build_rows_nor_change_their_input(monkeypatch):
     # On the mirror the pass, the triangle count and list and the export all
-    # read the stored edge arrays; the row form builds rows on its private
-    # copy only.  In both forms the input keeps every edge.
+    # read the stored edge arrays; the row form builds one set of rows, its
+    # private store, and never fills the input's adj.  In both forms the
+    # input keeps every edge.
     points = generate_dataset("torus", 60, seed=3)
     g = density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
     before = graph_from_arrays(g.n, *g.edge_arrays())
@@ -544,7 +568,7 @@ def test_dense_runs_never_build_rows_nor_change_their_input(monkeypatch):
         export_scc2020(collapsed, enumerate_triangles(collapsed), sink)
         assert count_triangles(collapsed) > 0
         assert len(builds) == expected_builds
-        assert all(b is not g for b in builds)
+        assert "adj" not in vars(g)
         assert g == before and g.edge_count() == before.edge_count()
         outputs.append((collapsed, report.removal_log, sink.getvalue()))
         builds.clear()

@@ -24,7 +24,7 @@ from bicollapse.core import Edge, edge_neighborhood, graph_from_edges, join, leq
 from bicollapse.domination import (
     _DenseStrongEngine,
     _DominationGrid,
-    _neighbor_grades,
+    _RowStore,
     is_filtration_dominated,
     is_strongly_dominated,
 )
@@ -40,7 +40,7 @@ from conftest import A, B, V, W, decoded, edge_of, make_k3, make_path3
 
 
 def grid_of(graph, e, engine=None) -> _DominationGrid:
-    return _DominationGrid(*_neighbor_grades(graph, e, engine)[1:])
+    return _DominationGrid(*(engine or _RowStore(graph.adj)).neighbor_grades(e)[1:])
 
 
 def grid_grades(grid: _DominationGrid) -> set:
@@ -49,7 +49,7 @@ def grid_grades(grid: _DominationGrid) -> set:
 
 def dominated_cells(graph, e, v) -> dict:
     """Grid grade -> does neighbor v dominate e there."""
-    ids = [w for w, _ in edge_neighborhood(graph, e)]
+    ids = [w for w, _ in edge_neighborhood(graph.adj, e)]
     grid = grid_of(graph, e)
     i = ids.index(v)
     dom = grid.dominates(i, i + 1)[0]
@@ -233,7 +233,7 @@ _BLOCK_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, math.inf, -math.
 @given(k=st.integers(1, 7), data=st.data())
 def test_grid_ranks_match_four_searchsorted(k, data):
     crit = (data.draw(_TIE_FLOATS), data.draw(_TIE_FLOATS))
-    # Entries are joined with crit(e), as _neighbor_grades returns them, and
+    # Entries are joined with crit(e), as neighbor_grades returns them, and
     # attain it in s and in t, as the full check's early exit ensures.
     entry = np.maximum(np.array(data.draw(st.lists(
         st.tuples(_TIE_FLOATS, _TIE_FLOATS), min_size=k, max_size=k))).reshape(k, 2), crit)
@@ -241,7 +241,7 @@ def test_grid_ranks_match_four_searchsorted(k, data):
     entry[data.draw(st.integers(0, k - 1)), 1] = crit[1]
     block = np.array(data.draw(st.lists(
         _BLOCK_FLOATS, min_size=2 * k * k, max_size=2 * k * k))).reshape(k, k, 2)
-    # The diagonal is below every grade, as _neighbor_grades returns it.
+    # The diagonal is below every grade, as neighbor_grades returns it.
     block[np.arange(k), np.arange(k)] = -math.inf
     args = (crit, entry[:, 0], entry[:, 1], block[..., 0], block[..., 1])
     grid = _DominationGrid(*args[1:])
@@ -350,11 +350,11 @@ def test_region_query_matches_plain_domination():
         g = random_grid_graph(8, 0.55, rng)
         engine = _DenseStrongEngine(g)
         for e in g.edge_list():
-            nbhd = edge_neighborhood(g, e)
+            nbhd = edge_neighborhood(g.adj, e)
             grid = grid_of(g, e)
             dense = grid_of(g, e, engine)
             # Both forms return the same grades, the diagonal below every grade.
-            rows, mirror = _neighbor_grades(g, e, None)[1:], _neighbor_grades(g, e, engine)[1:]
+            rows, mirror = _RowStore(g.adj).neighbor_grades(e)[1:], engine.neighbor_grades(e)[1:]
             for i, (r, m) in enumerate(zip(rows, mirror)):
                 assert np.array_equal(r, decoded(engine, i % 2, m))
             assert np.array_equal(grid.xs, decoded(engine, 0, dense.xs))
@@ -396,7 +396,7 @@ def test_full_check_memory_flat_on_large_neighborhood():
     g = density_rips("uniform", 200, 1)
     engine = _DenseStrongEngine(g)
     e = g.edge_list()[sort_edges(g, EdgeOrder("lex"))[0]]
-    assert len(edge_neighborhood(g, e)) == 198
+    assert len(edge_neighborhood(g.adj, e)) == 198
     for form in (None, engine):
         tracemalloc.start()
         try:

@@ -26,7 +26,9 @@ from bicollapse.oracle import (
     verify_collapse,
 )
 
-from conftest import A, B, V, W, X, Y, edge_of, make_cycle4, make_gap6, make_k3, make_path3
+from conftest import (
+    A, B, V, W, X, Y, edge_of, make_cycle4, make_gap6, make_k3, make_path3, without,
+)
 
 
 # -- plain-graph domination ---------------------------------------------------
@@ -80,8 +82,7 @@ def test_gap6_per_grade_witnesses():
 
 def test_gap6_removal_preserves_homology():
     g = make_gap6()
-    reduced = g.copy()
-    reduced.remove_edge(A, B)
+    reduced = without(g, [(A, B)])
     assert verify_collapse(g, reduced).ok
 
 
@@ -89,8 +90,7 @@ def test_k3_edge_dominated_and_removable():
     g = make_k3()
     assert brute_force_filtration_dominated(g, edge_of(g, 0, 1))
     assert brute_force_strong_dominator(g, edge_of(g, 0, 1)) == 2
-    reduced = g.copy()
-    reduced.remove_edge(0, 1)
+    reduced = without(g, [(0, 1)])
     assert verify_collapse(g, reduced).ok
 
 
@@ -102,8 +102,7 @@ def test_path_edge_not_dominated():
 def test_cycle4_removal_flagged():
     g = make_cycle4()
     assert not brute_force_filtration_dominated(g, edge_of(g, 0, 1))
-    mutated = g.copy()
-    mutated.remove_edge(0, 1)
+    mutated = without(g, [(0, 1)])
     report = verify_collapse(g, mutated)
     assert not report.ok
     assert "barcode mismatch" in report.detail
