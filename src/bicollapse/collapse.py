@@ -2,18 +2,18 @@
 
 One pass visits each edge exactly once in a chosen order and removes it when
 the mode's predicate holds on the current reduced graph; iterations repeat
-the pass on the survivors.  The pass walks the edge columns at the
-positions orders.sort_edges gives, one short-lived Edge per predicate call,
-and CollapseReport keeps its removals as columns, so a run holds no Python
-object per edge.  apply_grade_mode rewrites first grade coordinates before
-a run, for the grade-structure experiments.  This module decides the
-storage form of the run's private store: for graphs up to DENSE_LIMIT
-vertices (complete density-Rips graphs in the hundreds of vertices) the
-dense mirror of grade ranks, so no adjacency rows are built; above it,
-where the int32 (n, 2, n) mirror (8 n^2 bytes) costs more memory than it
-saves time, rows built for the run alone.  A hit leaves the store only;
-each pass's survivors become a new graph, graph_from_arrays over a keep
-mask, and the input never changes.  Both forms remove the same edges.
+the pass on the survivors.  The pass walks the edge columns at the positions
+orders.sort_edges gives, _PASS_SLICE at a time, one Edge per predicate call,
+and CollapseReport keeps its removals as columns: neither holds a list of
+the edges or a Python object per edge.  apply_grade_mode rewrites first grade
+coordinates before a run, for the grade-structure experiments.  This module
+decides the storage form of the run's private store: for graphs up to
+DENSE_LIMIT vertices (complete density-Rips graphs in the hundreds of
+vertices) the dense mirror of grade ranks, so no adjacency rows are built;
+above it, where the int32 (n, 2, n) mirror (8 n^2 bytes) costs more memory
+than it saves time, rows built for the run alone.  A hit leaves the store
+only; each pass's survivors become a new graph, graph_from_arrays over a
+keep mask, and the input never changes.  Both forms remove the same edges.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +34,8 @@ MODES = ("strong", "full")
 
 # Above this vertex count the (n, 2, n) mirror is not worth its memory.
 DENSE_LIMIT = 2048
+# Edges of the pass order that a pass holds as Python objects at once.
+_PASS_SLICE = 1 << 12
 
 
 # -- reports and grade modes --------------------------------------------------
@@ -121,7 +124,8 @@ def _run_pass(
     columns = graph.edge_arrays()
     hits = np.zeros(len(positions), dtype=bool)
     start = time.perf_counter()
-    for i, e in enumerate(_as_edges(*(x[positions] for x in columns))):
+    parts = np.split(positions, range(_PASS_SLICE, len(positions), _PASS_SLICE))
+    for i, e in enumerate(chain.from_iterable(_as_edges(*(x[p] for x in columns)) for p in parts)):
         hit = is_strongly_dominated(graph, e, store) is not None
         if not hit and mode == "full":
             hit = is_filtration_dominated(graph, e, store)

@@ -37,6 +37,9 @@ Grade = tuple[float, float]
 #: Valid as a query result, never as a stored edge grade.
 NEVER: Grade = (math.inf, math.inf)
 
+#: Half-edges per group of rows whose Python objects BifilteredGraph._rows makes at once.
+_ROW_SLICE = 1 << 12
+
 
 def leq(g1: Grade, g2: Grade) -> bool:
     """Coordinate-wise partial order on grades."""
@@ -60,10 +63,10 @@ class BifilteredGraph:
     The store is edge_arrays(): the checked upper edges (u, v, s, t), u < v,
     sorted by (u, v), read-only and shared by copies.  adj, the adjacency
     rows, is built from them on first use: adj[u] maps each neighbor of u
-    to the grade of their edge, with keys in ascending id, and both halves
-    of an edge share one grade tuple.  No method changes a graph, and the
-    rows are an index that must not be written: a pass that removes edges
-    builds its own rows with _rows() or its own mirror.
+    to the grade of their edge, keys ascending; all rows share one int per
+    id, and both rows of an edge one grade tuple.  No method changes a
+    graph, and the rows are an index that must not be written: a pass that
+    removes edges builds its own rows with _rows() or its own mirror.
     """
 
     def __init__(self, n: int):
@@ -77,15 +80,23 @@ class BifilteredGraph:
         return self._rows()
 
     def _rows(self) -> list[dict[int, Grade]]:
-        """New adjacency rows of the stored arrays, each filled in ascending
-        id from the sorted half-edges."""
+        """New adjacency rows, built in groups of whole rows of at most
+        _ROW_SLICE half-edges (or one longer row): row r takes its edges
+        (w, r) in a stable sort by r, then its edges (r, w), so keys ascend."""
         u, v, s, t = self._arrays
-        m, n = len(u), self.n
-        grades = list(zip(s.tolist(), t.tolist()))
-        rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
-        half = np.argsort(rows * n + cols)
-        cells = zip(cols[half].tolist(), [grades[i] for i in (half % m).tolist()])
-        return [dict(islice(cells, k)) for k in np.bincount(rows, minlength=n).tolist()]
+        ids, grades = list(range(self.n)), list(zip(s.tolist(), t.tolist()))
+        below = np.argsort(v, kind="stable")
+        up, down = (np.searchsorted(x, np.arange(self.n + 1)) for x in (u, v[below]))
+        reach, rows = up + down, []  # reach[r]: the half-edges of rows before r
+        while (lo := len(rows)) < self.n:
+            hi = max(int(np.searchsorted(reach, reach[lo] + _ROW_SLICE, "right")) - 1, lo + 1)
+            lower, upper = below[down[lo] : down[hi]], np.arange(up[lo], up[hi])
+            order = np.argsort(np.concatenate((v[lower], u[upper])), kind="stable")
+            other = np.concatenate((u[lower], v[upper]))[order].tolist()
+            edge = np.concatenate((lower, upper))[order].tolist()
+            cells = zip(map(ids.__getitem__, other), map(grades.__getitem__, edge))
+            rows += [dict(islice(cells, k)) for k in np.diff(reach[lo : hi + 1]).tolist()]
+        return rows
 
     # -- queries ---------------------------------------------------------
 
@@ -295,4 +306,4 @@ def _is_edge_line(line: str) -> bool:
         int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
     except (IndexError, ValueError):
         return False
-    return len(parts) == 4
+    return len(parts) == 4 and "_" not in line  # np.loadtxt refuses 1_0, int() reads 10

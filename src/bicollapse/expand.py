@@ -51,8 +51,8 @@ def _closed_wedges(n: int, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.nd
     Each upper edge (u, v) extends to the wedges u < v < w over v's higher
     neighbors w, and a wedge closes a triangle iff {u, w} is an edge.  The
     rows u go in groups: a group marks its upper edges in a (rows x n)
-    table of at most 2**20 cells, holding 1 + the edge's index, gathers at
-    most 2**18 wedges, unless one row alone holds more, and yields the
+    table of at most 2**18 cells, holding 1 + the edge's index, gathers at
+    most 2**18 wedges, unless one row alone is longer, and yields the
     wedges that land on a mark.  Wedges are walked in (u, v, w) order.
     """
     deg = np.bincount(a, minlength=n)
@@ -61,7 +61,7 @@ def _closed_wedges(n: int, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.nd
     cumfan = np.concatenate(([0], np.cumsum(fan)))
     bounds = np.append(start, len(a))  # row r's upper edges: bounds[r]:bounds[r + 1]
     reach = cumfan[bounds]  # wedges before row r
-    rows = max(1, (1 << 20) // max(n, 1))
+    rows = max(1, (1 << 18) // max(n, 1))
     mark_type = np.min_scalar_type(len(a))  # holds the largest mark, len(a)
     lo = 0
     while lo < n:

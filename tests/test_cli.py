@@ -214,6 +214,16 @@ def test_non_ascii_digit_in_an_edge_list_header_exits_2(capsys, tmp_path):
     assert "input error: non-ASCII character in line '٣ 2'" in err
 
 
+def test_underscore_in_an_edge_line_exits_2_quoting_the_line(capsys, tmp_path):
+    # np.loadtxt refuses 1_0, which int() and float() read as 10.
+    path = tmp_path / "underscore.edges"
+    for line in ("0 1_0 0 0", "0 1 0 1_0"):
+        path.write_text(f"11 2\n0 1 0 0\n{line}\n")
+        rc, out, err = run(capsys, "collapse", "--edges", str(path))
+        assert (rc, out) == (2, "")
+        assert f"input error: malformed edge line '{line}', expected 'u v s t'" in err
+
+
 @pytest.mark.parametrize("copies, sites, rc_expected", [(2, 3, 2), (20, 5, 0)])
 def test_kde_bandwidth_rule_on_repeated_sites(capsys, tmp_path, copies, sites, rc_expected):
     # Exit 2 exactly when 0 is among at most 5 distinct distances: 3 sites give

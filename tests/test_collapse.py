@@ -429,11 +429,13 @@ def test_removal_log_equals_the_reference_loop(g, iterations, kind):
     for mode in MODES:
         expected = _exact_log(_reference_log(g, _order(kind), mode, iterations))
         for limit in (collapse.DENSE_LIMIT, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(collapse, "DENSE_LIMIT", limit)
-                _, report = collapse_iterated(g, _order(kind), mode, iterations)
-            assert _exact_log(report.removal_log) == expected
-            assert report.removed_per_iteration == [len(p) for p in expected]
+            for pass_slice in (1, 3, collapse._PASS_SLICE):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(collapse, "DENSE_LIMIT", limit)
+                    mp.setattr(collapse, "_PASS_SLICE", pass_slice)
+                    _, report = collapse_iterated(g, _order(kind), mode, iterations)
+                assert _exact_log(report.removal_log) == expected
+                assert report.removed_per_iteration == [len(p) for p in expected]
 
 
 def test_removal_log_is_python_typed_cached_and_built_on_first_read(monkeypatch):
@@ -474,6 +476,30 @@ def test_dense_run_keeps_about_32_bytes_per_input_edge():
         tracemalloc.stop()
     assert report.removed_total > 0 and out.edge_count() > 0
     assert held < 48 * g.edge_count()
+
+
+def test_row_form_run_peak_per_edge(monkeypatch):
+    # The 20,000 shortest pairs of 1000 points, graded density-Rips style.
+    # The rows hold a dict entry and a shared grade tuple of two floats per
+    # edge; built in slices with one key per vertex, and walked in slices,
+    # the run peaks near 230 bytes per input edge (about 400 with full-length
+    # lists of Python objects and a fresh key per half-edge).
+    n = 1000
+    points = np.random.default_rng(3).uniform(0.0, 1.0, (n, 2))
+    dist = pairwise_distances(points)
+    density = kde_density(points, kde_bandwidth(dist))
+    keep = np.sort(np.argsort(dist, kind="stable")[:20000])
+    u, v = (x[keep] for x in np.triu_indices(n, 1))
+    g = graph_from_arrays(n, u, v, -np.minimum(density[u], density[v]), dist[keep])
+    monkeypatch.setattr(collapse, "DENSE_LIMIT", 0)
+    tracemalloc.start()
+    try:
+        _, report = collapse_iterated(g, EdgeOrder("revlex"), "strong")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.removed_total > 0
+    assert peak < 300 * g.edge_count()
 
 
 def test_row_form_run_leaves_the_input_rows_alone(monkeypatch):

@@ -7,9 +7,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bicollapse import core
 from bicollapse.build import load_lower_distance_matrix, load_points
 from bicollapse.core import (
     NEVER,
@@ -197,6 +198,42 @@ def _assert_sorted_symmetric(g: BifilteredGraph):
     pairs = [(e.u, e.v) for e in g.edges()]
     assert pairs == sorted(pairs)
     assert all(u < v for u, v in pairs)
+
+
+@st.composite
+def _graphs_over_spread_ids(draw):
+    # Up to 12 vertices with edges among up to 600, most of them isolated;
+    # ids above 256, whose ints CPython does not cache, carry edges.
+    n = draw(st.integers(0, 600))
+    ends = draw(st.lists(st.integers(0, n - 1), max_size=12, unique=True)) if n else []
+    pairs = [(u, v) for u in ends for v in ends if u < v and draw(st.booleans())]
+    grades = [draw(st.tuples(*[st.sampled_from([0.0, 1.0, 2.5])] * 2)) for _ in pairs]
+    return graph_from_edges(n, [(u, v, grade) for (u, v), grade in zip(pairs, grades)])
+
+
+# Vertex 300's row holds 20 half-edges, lower and upper neighbors both.
+_STAR = graph_from_edges(320, [(300, w, (0.0, float(w))) for w in range(290, 311) if w != 300])
+
+
+@pytest.mark.parametrize("row_slice", [1, 3, core._ROW_SLICE])
+@settings(max_examples=60, deadline=None)
+@given(g=_graphs_over_spread_ids())
+@example(g=BifilteredGraph(0))
+@example(g=_STAR)
+def test_rows_equal_a_plain_loop(row_slice, g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_ROW_SLICE", row_slice)
+        rows = g._rows()
+    expected: list[dict] = [{} for _ in range(g.n)]
+    for u, v, grade in g.edges():
+        expected[u][v] = expected[v][u] = grade
+    assert rows == expected
+    keys: dict[int, int] = {}
+    for u, row in enumerate(rows):
+        assert list(row) == sorted(row)
+        for w, grade in row.items():
+            assert rows[w][u] is grade  # both halves share one tuple
+            assert keys.setdefault(w, w) is w  # one key object per vertex
 
 
 def test_adjacency_invariants_after_removals():
@@ -429,6 +466,9 @@ def test_edge_list_round_trip_shuffled(drawn, data):
         ("0 1 x 0\n", None, "malformed edge line '0 1 x 0'"),
         ("0.5 1 0 0\n", None, "malformed edge line '0.5 1 0 0'"),
         ("0 1 0 0\n0 1 0\n0.5 1 0 0\n", None, "malformed edge line '0 1 0'"),
+        # int() and float() read 1_0 as 10, np.loadtxt refuses it.
+        ("0 1_0 0 0\n", None, "malformed edge line '0 1_0 0 0'"),
+        ("0 1 0 1_0\n", None, "malformed edge line '0 1 0 1_0'"),
         ("0 1 nan 0\n2 2 0 0\n", [(0, 1, (math.nan, 0.0)), (2, 2, (0.0, 0.0))],
          r"edge \(0, 1\) has non-finite grade \(nan, 0.0\)"),
         ("2 2 0 0\n0 1 nan 0\n", [(2, 2, (0.0, 0.0)), (0, 1, (math.nan, 0.0))],
