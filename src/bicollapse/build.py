@@ -11,20 +11,18 @@ Distances are computed with numpy in scipy's summation order, so they are
 bit-identical to scipy.spatial.distance.pdist, and the graph is built from
 the grade arrays in one graph_from_arrays call.  load_points and
 load_lower_distance_matrix read a path or a text stream through
-core._text_lines, refuse a line holding an underscore (float() would read
-1_0 as 10) or a token that is not a number by quoting it, and convert one
-row at a time.
+core._text_lines and convert one row at a time through core._numbers.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
-from .core import BifilteredGraph, _text_lines, graph_from_arrays
+from .core import BifilteredGraph, _numbers, _text_lines, graph_from_arrays
 
 DATASET_KINDS = ("sphere", "uniform", "circle", "torus", "swiss-roll")
 
@@ -169,25 +167,11 @@ def generate_dataset(
 # -- text inputs -------------------------------------------------------------------
 
 
-def _number_rows(source: str | Path | IO[str], what: str, convert) -> Iterator:
-    """convert applied to the comma- or space-separated tokens of each line
-    of core._text_lines; a line with an underscore, which float() would
-    read as a digit separator (1_0 as 10), or with a token convert cannot
-    read as a number is refused by quoting it."""
-    for ln in _text_lines(source):
-        if "_" in ln:
-            raise ValueError(f"{what} line holds an underscore: {ln!r}")
-        try:
-            row = convert(ln.replace(",", " ").split())
-        except ValueError:
-            raise ValueError(f"{what} line holds a token that is not a number: {ln!r}") from None
-        yield row
-
-
 def load_points(source: str | Path | IO[str]) -> np.ndarray:
     """Point cloud from text: one point per line, 2 or 3 columns, CSV or
     whitespace separated; blank lines and # comments skipped."""
-    rows = list(_number_rows(source, "point", lambda tokens: [float(x) for x in tokens]))
+    rows = [_numbers(ln, "f", "point line holds {}: {!r}", ln.replace(",", " "))
+            for ln in _text_lines(source)]
     if not rows:
         raise ValueError("empty point file")
     dims = {len(r) for r in rows}
@@ -205,7 +189,8 @@ def load_lower_distance_matrix(source: str | Path | IO[str]) -> np.ndarray:
     Line i carries the i finite, non-negative distances to earlier points;
     a leading empty row (zero entries for the first point) may be omitted.
     """
-    rows = list(_number_rows(source, "distance", lambda tokens: np.array(tokens, dtype=float)))
+    rows = [_numbers(ln, "f", "distance line holds {}: {!r}", ln.replace(",", " "))
+            for ln in _text_lines(source)]
     if rows and len(rows[0]) == 1:
         rows.insert(0, [])
     if not rows:

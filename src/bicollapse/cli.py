@@ -38,7 +38,7 @@ from .build import (
     square_form,
 )
 from .collapse import GRADE_MODES, MODES, CollapseReport, apply_grade_mode, collapse_iterated
-from .core import BifilteredGraph, read_edge_list, write_edge_list
+from .core import BifilteredGraph, _numbers, read_edge_list, write_edge_list
 from .domination import _DenseStrongEngine, is_filtration_dominated, is_strongly_dominated
 from .expand import count_triangles, enumerate_triangles, export_scc2020
 from .oracle import (
@@ -72,14 +72,15 @@ class _Parser(argparse.ArgumentParser):
 # -- small helpers ----------------------------------------------------------------
 
 
-def _checked(convert, ok, expected: str):
-    """An argparse type: ``convert(text)``, refused (exit 64) unless ``ok`` holds."""
+def _checked(kind: str, ok, expected: str):
+    """An argparse type: text read by the number grammar as one token of
+    kind 'i' or 'f' (core._numbers), refused (exit 64) unless ``ok`` holds."""
 
     def parse(text: str):
         try:
-            value = convert(text)
+            [value] = _numbers(text, kind, "")
             if ok(value):  # the comparisons in ok are false for NaN
-                return value
+                return value.item() if kind == "f" else value
         except ValueError:
             pass
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
@@ -87,10 +88,10 @@ def _checked(convert, ok, expected: str):
     return parse
 
 
-_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
-_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
-_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a fraction in [0, 1]")
-_noise_level = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite non-negative number")
+_count = _checked("i", lambda v: True, "a non-negative integer")
+_positive_int = _checked("i", lambda v: v >= 1, "a positive integer")
+_fraction = _checked("f", lambda v: 0.0 <= v <= 1.0, "a fraction in [0, 1]")
+_noise_level = _checked("f", lambda v: 0.0 <= v < math.inf, "a finite non-negative number")
 
 
 @contextlib.contextmanager
@@ -366,7 +367,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=0, help="seed recorded in every report")
+    common.add_argument("--seed", type=_count, default=0, help="seed recorded in every report")
     common.add_argument("--output", help="output file (written atomically)")
 
     run = _Parser(add_help=False)
@@ -381,7 +382,7 @@ def build_parser() -> _Parser:
     group.add_argument("--distances", help="lower-distance-matrix file")
     group.add_argument("--edges", help="graded edge-list file")
     group.add_argument("--dataset", choices=DATASET_KINDS, help="generated dataset (needs --n)")
-    inputs.add_argument("--n", type=int, help="point count for --dataset")
+    inputs.add_argument("--n", type=_count, help="point count for --dataset")
 
     p = sub.add_parser("collapse", parents=[common, run, inputs], help="remove dominated edges")
     p.add_argument("--order", choices=ORDER_KINDS, default="revlex")
@@ -407,7 +408,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", parents=[common], help="write a synthetic point cloud")
     p.add_argument("--dataset", choices=DATASET_KINDS, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--noise", type=_noise_level, default=0.0, help="gaussian noise for circle")
     p.add_argument("--outliers", type=_fraction, default=0.1, help="outlier fraction for sphere")
     p.set_defaults(func=cmd_generate)

@@ -1,4 +1,4 @@
-"""Grade arithmetic and the 1-critical bifiltered graph representation.
+"""The 1-critical bifiltered graph representation and its text formats.
 
 A grade is a point (s, t) in the plane, partially ordered coordinate-wise.
 Every edge of a bifiltered graph carries a unique critical grade at which it
@@ -18,7 +18,9 @@ edge_neighborhood, on the hot path of every row-form domination check,
 intersects two rows' key views into plain (w, entry) tuples.
 Every text reader, read_edge_list here and those of build and expand,
 takes a path or a text stream through _text_lines, which strips each line,
-skips blank and # lines and refuses a data line that is not ASCII.
+skips blank and # lines and refuses a data line that is not ASCII, and
+reads its numbers through _numbers, the one number grammar, which the
+CLI's numeric flags follow too.
 """
 
 from __future__ import annotations
@@ -33,22 +35,12 @@ import numpy as np
 
 Grade = tuple[float, float]
 
-#: Grade of a missing edge: above every finite grade, absorbing under join.
+#: Grade of a missing edge: above every finite grade, absorbing under oracle.join.
 #: Valid as a query result, never as a stored edge grade.
 NEVER: Grade = (math.inf, math.inf)
 
 #: Half-edges per group of rows whose Python objects BifilteredGraph._rows makes at once.
 _ROW_SLICE = 1 << 12
-
-
-def leq(g1: Grade, g2: Grade) -> bool:
-    """Coordinate-wise partial order on grades."""
-    return g1[0] <= g2[0] and g1[1] <= g2[1]
-
-
-def join(g1: Grade, g2: Grade) -> Grade:
-    """Least upper bound: the coordinate-wise maximum.  NEVER absorbs."""
-    return (max(g1[0], g2[0]), max(g1[1], g2[1]))
 
 
 class Edge(NamedTuple):
@@ -236,24 +228,46 @@ def edge_neighborhood(adj: list[dict[int, Grade]], e: Edge) -> list[tuple[int, G
     return out
 
 
-def subgraph_at(graph: BifilteredGraph, g: Grade) -> list[set[int]]:
-    """Plain graph at grade g: adjacency sets containing exactly the edges
-    with crit(e) <= g.  Vertices are present at all grades."""
-    gs, gt = g
-    return [{v for v, (s, t) in row.items() if s <= gs and t <= gt} for row in graph.adj]
-
-
 # -- text formats ---------------------------------------------------------
 #
 # Edge list: header line "n m", then m lines "u v s t" (whitespace-separated,
 # 0-based ids, grades as decimal floats).  Input and output of collapse runs.
 
 
+def _numbers(line: str, kinds: str, refusal: str, text: str | None = None) -> list | np.ndarray:
+    """The number grammar: the whitespace-separated tokens of text (the line
+    itself by default), read as kinds names them, one letter per token or
+    one letter for every token.  An 'i' token, a count or an id, is ASCII
+    digits, read by int().  An 'f' token is ASCII float text, inf and nan
+    included, with no '_' and a '+' only right after e or E, read as float()
+    reads it.  kinds 'f' returns a float array, converted in one numpy call;
+    other kinds return a list.  A token the grammar refuses raises
+    ValueError(refusal.format(reason, line)), reason being 'an underscore'
+    if text holds one, else 'a token that is not a number'."""
+    text = line if text is None else text
+    plus = "+" in text and "+" in text.replace("e+", "").replace("E+", "")
+    if text.isascii() and "_" not in text and not plus:
+        tokens = text.split()
+        try:
+            if kinds == "f":
+                return np.array(tokens, dtype=float)
+            if kinds == "i" and all(map(str.isdecimal, tokens)):
+                return list(map(int, tokens))
+            if len(tokens) == len(kinds) and all(
+                t.isdecimal() for t, k in zip(tokens, kinds) if k == "i"
+            ):
+                return [int(t) if k == "i" else float(t) for t, k in zip(tokens, kinds)]
+        except ValueError:
+            pass
+    reason = "an underscore" if "_" in text else "a token that is not a number"
+    raise ValueError(refusal.format(reason, line))
+
+
 def _text_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
     """Each line of source, stripped, that is neither blank nor a # comment.
     A str or Path is opened here, and closed when the generator ends or is dropped.
-    A data line must be ASCII: int, float and str.isdecimal read other
-    scripts' digits, such as '٣', as numbers."""
+    A data line must be ASCII: int() and float() read other scripts'
+    digits, such as '٣', as numbers."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             yield from _text_lines(fh)
@@ -275,35 +289,27 @@ def write_edge_list(graph: BifilteredGraph, sink: TextIO) -> None:
 def read_edge_list(source: str | Path | Iterable[str]) -> BifilteredGraph:
     """Parse the edge-list text format; the header is checked before the body
     is read, and the body is parsed in one np.loadtxt call, which reads the
-    same floats as float() does."""
+    same floats as float() does.  np.loadtxt also reads a leading +, so a
+    line holding one goes through _numbers first, as every line does when
+    np.loadtxt refuses the body."""
     lines = _text_lines(source)
     header = next(lines, None)
     if header is None:
         raise ValueError("empty edge-list input")
-    head = header.split()
-    if len(head) != 2 or not all(h.isdecimal() for h in head):  # no sign, point or exponent
-        raise ValueError(f"malformed header {header!r}, expected 'n m'")
-    n, m = map(int, head)
+    n, m = _numbers(header, "ii", "malformed header {1!r}, expected 'n m'")
     body = list(lines)
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, found {len(body)}")
     if not body:
         return graph_from_arrays(n, [], [], [], [])
     columns = [("u", np.int64), ("v", np.int64), ("s", float), ("t", float)]
+    malformed = "malformed edge line {1!r}, expected 'u v s t'"
     try:
+        for ln in [ln for ln in body if "+" in ln]:
+            _numbers(ln, "iiff", malformed)
         table = np.loadtxt(body, dtype=columns, comments=None, ndmin=1)
     except ValueError:
-        for ln in body:
-            if not _is_edge_line(ln):
-                raise ValueError(f"malformed edge line {ln!r}, expected 'u v s t'") from None
+        for ln in body:  # the first line the grammar refuses, else numpy's error
+            _numbers(ln, "iiff", malformed)
         raise
     return graph_from_arrays(n, table["u"], table["v"], table["s"], table["t"])
-
-
-def _is_edge_line(line: str) -> bool:
-    parts = line.split()
-    try:
-        int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
-    except (IndexError, ValueError):
-        return False
-    return len(parts) == 4 and "_" not in line  # np.loadtxt refuses 1_0, int() reads 10

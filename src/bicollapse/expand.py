@@ -15,8 +15,8 @@ enumerate_triangles returns them and runs every check (the array's order,
 the facet lookup by searchsorted, the finiteness of each shifted grade)
 before it writes a byte; then it writes the text in slices of _CHUNK_LINES
 lines, so its memory grows with the triangle array, not with the text.
-parse_scc2020 reads the layout back, through core._text_lines, and refuses
-what the exporter never writes.
+parse_scc2020 reads the layout back, through core._text_lines and
+core._numbers, and refuses what the exporter never writes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .core import BifilteredGraph, Grade, _text_lines
+from .core import BifilteredGraph, Grade, _numbers, _text_lines
 
 FORMAT_TAG = "scc2020"
 
@@ -235,9 +235,8 @@ class SccComplex:
 
 def parse_scc2020(source: str | Path | IO[str]) -> SccComplex:
     """Round-trip reader for files produced by export_scc2020.  Refuses what
-    the exporter never writes: block sizes and facet indices that are not
-    plain decimal digits, and grades that hold an underscore or a token
-    that is not a number, or are not finite."""
+    the exporter never writes: block sizes, facet indices and grades outside
+    the number grammar (core._numbers), and grades that are not finite."""
     rows = list(_text_lines(source))
     if not rows or rows[0] != FORMAT_TAG:
         raise ValueError(f"missing {FORMAT_TAG} format tag")
@@ -245,10 +244,7 @@ def parse_scc2020(source: str | Path | IO[str]) -> SccComplex:
         raise ValueError("expected 2 filtration parameters")
     if len(rows) < 3:
         raise ValueError("missing the block-size line")
-    counts = rows[2].split()
-    if len(counts) != 3 or not all(k.isdecimal() for k in counts):  # no sign or underscore
-        raise ValueError(f"expected three block sizes, got {rows[2]!r}")
-    sizes = [int(k) for k in counts]
+    sizes = _numbers(rows[2], "iii", "expected three block sizes, got {1!r}")
     body = rows[3:]
     if len(body) != sum(sizes):
         raise ValueError(f"expected {sum(sizes)} generator lines, got {len(body)}")
@@ -262,20 +258,12 @@ def parse_scc2020(source: str | Path | IO[str]) -> SccComplex:
             head, sep, tail = ln.partition(";")
             if not sep:
                 raise ValueError(f"generator line lacks ';': {ln!r}")
-            if "_" in head:  # float() reads 1_0 as 10
-                raise ValueError(f"grade holds an underscore: {ln!r}")
-            try:
-                coords = [float(tok) for tok in head.split()]
-            except ValueError:
-                raise ValueError(f"grade holds a token that is not a number: {ln!r}") from None
+            coords = _numbers(ln, "f", "grade holds {}: {!r}", head).tolist()
             if len(coords) != 2:
                 raise ValueError(f"expected two grade coordinates: {ln!r}")
             if not all(map(math.isfinite, coords)):
                 raise ValueError(f"grade is not finite: {ln!r}")
-            indices = tail.split()
-            if not all(f.isdecimal() for f in indices):
-                raise ValueError(f"facet index is not a plain decimal: {ln!r}")
-            faces = tuple(int(f) for f in indices)
+            faces = tuple(_numbers(ln, "i", "facet index is not a plain decimal: {1!r}", tail))
             if any(f >= next_size for f in faces):
                 raise ValueError(f"facet index out of range: {ln!r}")
             gens.append(((coords[0], coords[1]), faces))

@@ -22,9 +22,27 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (
-    BifilteredGraph, Edge, Grade, _require_edge, graph_from_edges, join, leq, subgraph_at
-)
+from .core import BifilteredGraph, Edge, Grade, _require_edge, graph_from_edges
+
+
+# -- grades and plain graphs -------------------------------------------------
+
+
+def leq(g1: Grade, g2: Grade) -> bool:
+    """Coordinate-wise partial order on grades."""
+    return g1[0] <= g2[0] and g1[1] <= g2[1]
+
+
+def join(g1: Grade, g2: Grade) -> Grade:
+    """Least upper bound: the coordinate-wise maximum.  core.NEVER absorbs."""
+    return (max(g1[0], g2[0]), max(g1[1], g2[1]))
+
+
+def subgraph_at(graph: BifilteredGraph, g: Grade) -> list[set[int]]:
+    """Plain graph at grade g: adjacency sets containing exactly the edges
+    with crit(e) <= g.  Vertices are present at all grades."""
+    gs, gt = g
+    return [{v for v, (s, t) in row.items() if s <= gs and t <= gt} for row in graph.adj]
 
 
 # -- critical grid ---------------------------------------------------------

@@ -26,12 +26,13 @@ from bicollapse.collapse import (
     apply_grade_mode,
     collapse_iterated,
 )
-from bicollapse.core import graph_from_edges, join
+from bicollapse.core import graph_from_edges
 from bicollapse.domination import is_filtration_dominated, is_strongly_dominated
 from bicollapse.expand import count_triangles, enumerate_triangles, export_scc2020, parse_scc2020
 from bicollapse.oracle import (
     brute_force_filtration_dominated,
     brute_force_strong_dominator,
+    join,
     random_grid_graph,
     verify_collapse,
 )

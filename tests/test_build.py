@@ -283,14 +283,16 @@ def test_load_points_rejects_non_finite_coordinates(text):
         load_points(io.StringIO(text))
 
 
-@pytest.mark.parametrize("text, line", [("0 0\n1 x\n", "1 x")])
+@pytest.mark.parametrize("text, line", [("0 0\n1 x\n", "1 x"), ("+0 0\n1 2\n", "+0 0")])
 def test_load_points_quotes_a_line_with_a_token_that_is_not_a_number(text, line):
     message = f"point line holds a token that is not a number: {line!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_points(io.StringIO(text))
 
 
-@pytest.mark.parametrize("text, line", [("1\n2 x\n", "2 x"), ("1\n2,3\n0x1 1 1\n", "0x1 1 1")])
+@pytest.mark.parametrize(
+    "text, line", [("1\n2 x\n", "2 x"), ("1\n2,3\n0x1 1 1\n", "0x1 1 1"), ("1\n+2 3\n", "+2 3")]
+)
 def test_load_lower_distance_matrix_quotes_a_line_with_a_token_that_is_not_a_number(text, line):
     message = f"distance line holds a token that is not a number: {line!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

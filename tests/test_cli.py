@@ -160,6 +160,19 @@ def test_usage_errors_exit_64(capsys, gap6_file):
         ["generate", "--dataset", "circle", "--n", "5", "--seed", "-1", "--output", "x.csv"],
         ["collapse", "--edges", gap6_file, "--seed", "1.5"],
     ]
+    # Every numeric flag follows the number grammar: ASCII digits, no '_',
+    # and a '+' only in an exponent.
+    flags = [
+        ["collapse", "--dataset", "circle", "--n"],
+        ["generate", "--dataset", "circle", "--output", "x.csv", "--n"],
+        ["collapse", "--edges", gap6_file, "--seed"],
+        ["collapse", "--edges", gap6_file, "--iterations"],
+        ["verify", "--oracle", "domination", "--instances"],
+        ["expand", "--edges", gap6_file, "--output", "x.scc", "--max-simplices"],
+        ["generate", "--dataset", "circle", "--n", "5", "--output", "x.csv", "--noise"],
+        ["generate", "--dataset", "sphere", "--n", "5", "--output", "x.csv", "--outliers"],
+    ]
+    cases += [[*argv, text] for argv in flags for text in ("\u0663", "1_0", "+2")]
     expected = {
         "--iterations": "a positive integer",
         "--max-simplices": "a positive integer",

@@ -19,16 +19,13 @@ from bicollapse.core import (
     edge_neighborhood,
     graph_from_arrays,
     graph_from_edges,
-    join,
-    leq,
     read_edge_list,
-    subgraph_at,
     write_edge_list,
 )
 from bicollapse.collapse import collapse_iterated
 from bicollapse.domination import _RowStore
 from bicollapse.expand import parse_scc2020
-from bicollapse.oracle import random_grid_graph
+from bicollapse.oracle import join, leq, random_grid_graph, subgraph_at
 from bicollapse.orders import EdgeOrder
 
 from conftest import A, B, V, W, X, Y, edge_of, make_gap6, make_k3, make_path3, without
@@ -420,6 +417,107 @@ def test_text_readers_refuse_a_non_ascii_data_line(read, text, line):
     read(io.StringIO(text.translate(to_ascii)))
 
 
+# The number grammar, restated for the tests: a count or an id is ASCII
+# digits; a number is ASCII float text with no '_' and a '+' only right
+# after e or E.  inf and nan are numbers, refused later as non-finite.
+_GRAMMAR = {
+    "i": re.compile(r"[0-9]+"),
+    "f": re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?|inf(?:inity)?|nan)", re.I),
+}
+
+# What goes into a valid file at each digit, inserted before it or put in
+# its place: only the '+' of 3e+2 and a lone inf or nan can stay in the grammar.
+_INSERTS = ["_", "+", "\u0663", "\u00a0", "x", "nan", "inf"]
+
+# Number texts for the valid files: the writers' repr forms, 1e+16 among
+# them, and forms such as 3e2 and .5 that the grammar also reads.
+_NUMBER_TEXTS = st.sampled_from(["0", "7", "1.5", "0.125", "1e+16", "3e2", "2.5e-3", ".5", "4."])
+
+
+def _kinds(read, index: int, tokens: list[str]) -> str | None:
+    """The kind of each token of a format's data line, or None for a line
+    that holds no numbers (the scc2020 tag and parameter count)."""
+    if read is read_edge_list:
+        return "ii" if index == 0 else "iiff"
+    if read is parse_scc2020:
+        if index < 2:
+            return None
+        if index == 2:
+            return "iii"
+        cut = tokens.index(";")
+        return "f" * cut + ";" + "i" * (len(tokens) - cut - 1)
+    return "f" * len(tokens)
+
+
+def _canonical(text: str, read) -> str | None:
+    """text with each number written as the writers write it, or None if a
+    token is outside the grammar; a reader must read both texts alike."""
+    out = []
+    for index, line in enumerate(ln for ln in text.splitlines() if ln):
+        tokens = re.split("[ ,]+", line)
+        kinds = _kinds(read, index, tokens)
+        if kinds is None:
+            out.append(line)
+            continue
+        if not line.isascii():
+            return None
+        for i, (token, kind) in enumerate(zip(tokens, kinds)):
+            if kind in _GRAMMAR:
+                if not _GRAMMAR[kind].fullmatch(token):
+                    return None
+                tokens[i] = str(int(token)) if kind == "i" else repr(float(token))
+        out.append(" ".join(tokens))
+    return "\n".join(out) + "\n"
+
+
+def _outcome(read, text: str):
+    try:
+        value = read(io.StringIO(text))
+    except ValueError as exc:
+        return "refused", str(exc)
+    return "read", value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@st.composite
+def _valid_texts(draw, read):
+    number = lambda: draw(_NUMBER_TEXTS)  # noqa: E731
+    if read is read_edge_list:
+        return f"4 3\n0 1 {number()} {number()}\n2 1 {number()} {number()}\n1 3 {number()} {number()}\n"
+    if read is load_points:
+        return "".join(f"{number()},{number()}\n{number()} {number()}\n" for _ in range(2))
+    if read is load_lower_distance_matrix:
+        return f"{number()}\n{number()}, {number()}\n{number()} {number()} {number()}\n"
+    grades = [f"{number()} {number()}" for _ in range(4)]
+    return (f"scc2020\n2\n1 3 3\n{grades[0]} ; 0 1 2\n{grades[1]} ; 0 1\n"
+            f"{grades[2]} ; 1 2\n{grades[3]} ; 0 2\n0 0 ;\n0 0 ;\n0 0 ;\n")
+
+
+_READERS = [read_edge_list, load_points, load_lower_distance_matrix, parse_scc2020]
+
+
+@pytest.mark.parametrize("read", _READERS, ids=[r.__name__ for r in _READERS])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_every_reader_follows_the_number_grammar(read, data):
+    text = data.draw(_valid_texts(read))
+    assert _canonical(text, read) is not None and _outcome(read, text)[0] == "read", text
+    start = text.index("\n2\n") + 3 if read is parse_scc2020 else 0  # skip the tag and count
+    digits = [i for i in range(start, len(text)) if text[i].isdigit()]
+    for i in digits:
+        for token in _INSERTS:
+            for mutant in (text[:i] + token + text[i:], text[:i] + token + text[i + 1 :]):
+                line = mutant[mutant.rfind("\n", 0, i) + 1 : mutant.find("\n", i)]
+                canonical = _canonical(mutant, read)
+                outcome = _outcome(read, mutant)
+                if canonical is None:  # refused, quoting the line that holds the token
+                    assert outcome[0] == "refused" and repr(line) in outcome[1], (mutant, outcome)
+                else:  # read, or refused, as the writers' text of the same numbers
+                    expected = _outcome(read, canonical)
+                    if outcome != expected:  # a refusal may quote the line as written
+                        assert expected[0] == outcome[0] == "refused", (mutant, outcome)
+                        assert repr(line) in outcome[1], (mutant, outcome)
+
+
 # Few distinct values, so grades tie often; both signs of zero, subnormals,
 # values near the float range ends, and integral floats.
 _EXTREME_FLOATS = st.sampled_from(
@@ -469,6 +567,9 @@ def test_edge_list_round_trip_shuffled(drawn, data):
         # int() and float() read 1_0 as 10, np.loadtxt refuses it.
         ("0 1_0 0 0\n", None, "malformed edge line '0 1_0 0 0'"),
         ("0 1 0 1_0\n", None, "malformed edge line '0 1 0 1_0'"),
+        # np.loadtxt reads a leading +, the grammar allows one only after e or E.
+        ("0 +1 0.5 +0.5\n", None, r"malformed edge line '0 \+1 0.5 \+0.5'"),
+        ("0 1 x 0\n+0 1 0 0\n", None, "malformed edge line '0 1 x 0'"),
         ("0 1 nan 0\n2 2 0 0\n", [(0, 1, (math.nan, 0.0)), (2, 2, (0.0, 0.0))],
          r"edge \(0, 1\) has non-finite grade \(nan, 0.0\)"),
         ("2 2 0 0\n0 1 nan 0\n", [(2, 2, (0.0, 0.0)), (0, 1, (math.nan, 0.0))],

@@ -20,7 +20,7 @@ from bicollapse.build import (
     pairwise_distances,
 )
 from bicollapse.collapse import collapse_iterated
-from bicollapse.core import Edge, edge_neighborhood, graph_from_edges, join, leq, subgraph_at
+from bicollapse.core import Edge, edge_neighborhood, graph_from_edges
 from bicollapse.domination import (
     _DenseStrongEngine,
     _DominationGrid,
@@ -32,7 +32,10 @@ from bicollapse.oracle import (
     CriticalGrid,
     brute_force_filtration_dominated,
     brute_force_strong_dominator,
+    join,
+    leq,
     random_grid_graph,
+    subgraph_at,
 )
 from bicollapse.orders import EdgeOrder, sort_edges
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bicollapse import expand
 from bicollapse.collapse import collapse_iterated
 from bicollapse.orders import EdgeOrder
-from bicollapse.core import graph_from_edges, leq
+from bicollapse.core import graph_from_edges
 from bicollapse.expand import (
     GradedTriangle,
     SccComplex,
@@ -24,7 +24,7 @@ from bicollapse.expand import (
     export_scc2020,
     parse_scc2020,
 )
-from bicollapse.oracle import graded_cliques, random_grid_graph
+from bicollapse.oracle import graded_cliques, leq, random_grid_graph
 
 from conftest import make_gap6, make_k3
 
@@ -475,7 +475,7 @@ def test_parse_rejects_block_sizes_that_are_not_three_plain_decimals(sizes):
         parse_scc2020(io.StringIO(text))
 
 
-@pytest.mark.parametrize("line", ["0 x ; 0 1", "0x1 0 ; 0 1"])
+@pytest.mark.parametrize("line", ["0 x ; 0 1", "0x1 0 ; 0 1", "+0 0 ; 0 1"])
 def test_parse_quotes_a_grade_with_a_token_that_is_not_a_number(line):
     text = f"scc2020\n2\n0 1 2\n{line}\n0 0 ;\n0 0 ;\n"
     message = f"grade holds a token that is not a number: {line!r}"

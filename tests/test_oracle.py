@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bicollapse.core import Edge, graph_from_edges, leq, subgraph_at
+from bicollapse.core import Edge, graph_from_edges
 from bicollapse.oracle import (
     CriticalGrid,
     SimplexBudgetExceeded,
@@ -21,8 +21,10 @@ from bicollapse.oracle import (
     dominators_by_grade,
     graded_cliques,
     grid_barcodes,
+    leq,
     plain_dominators,
     random_grid_graph,
+    subgraph_at,
     verify_collapse,
 )
 
