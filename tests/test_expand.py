@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bicollapse import expand
 from bicollapse.collapse import collapse_iterated
 from bicollapse.orders import EdgeOrder
-from bicollapse.core import graph_from_edges
+from bicollapse.core import _numbers, graph_from_edges
 from bicollapse.expand import (
     GradedTriangle,
     SccComplex,
@@ -137,20 +137,48 @@ def test_count_triangles_memory_linear_in_edges():
     assert peak < 2**20
 
 
-def test_export_memory_bounded_by_the_triangles(tmp_path):
-    # Complete on 130 vertices: 357,760 triangles at distinct grades (u, v),
-    # an 8 MB file.  The export writes it in slices, so its peak stays
-    # within a small multiple of the triangle array, not of the text.
+@pytest.fixture(scope="module")
+def k130():
+    # Complete on 130 vertices, 8,385 edges at distinct grades (u, v): 357,760
+    # triangles, a 13.6 MB array and an 8 MB file.
     n = 130
     g = graph_from_edges(n, [(u, v, (u, v)) for u in range(n) for v in range(u + 1, n)])
-    triangles = enumerate_triangles(g)
+    return g, enumerate_triangles(g)
+
+
+def traced_peak(call) -> tuple[object, int]:
+    """call()'s result and the peak of the memory it allocated."""
     tracemalloc.start()
     try:
-        export_scc2020(g, triangles, tmp_path / "k130.scc")
-        _, peak = tracemalloc.get_traced_memory()
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * triangles.nbytes
+
+
+def test_count_triangles_memory_bounded_on_k130(k130):
+    # The wedge walk gathers at most _WEDGES wedges a group; a group of
+    # 2**18 wedges peaks near 12.6 MB here.
+    g, triangles = k130
+    count, peak = traced_peak(lambda: count_triangles(g))
+    assert count == len(triangles) and peak < 6 * 2**20
+
+
+def test_enumerate_memory_bounded_by_its_array(k130):
+    # The groups keep their edge indices in 2 bytes each, and the array is
+    # filled group by group: int64 indices concatenated and gathered whole
+    # peak near 2.8 times the array.
+    g, triangles = k130
+    out, peak = traced_peak(lambda: enumerate_triangles(g))
+    assert np.array_equal(out, triangles) and peak < 1.5 * out.nbytes
+
+
+def test_export_memory_bounded_by_the_triangles(k130, tmp_path):
+    # The export holds the triangle array, the facets in 2 bytes an index
+    # and one slice of _CHUNK_LINES triangles or lines, never the text.
+    g, triangles = k130
+    _, peak = traced_peak(lambda: export_scc2020(g, triangles, tmp_path / "k130.scc"))
+    assert peak < triangles.nbytes // 2
 
 
 def test_collapse_never_adds_triangles():
@@ -293,6 +321,14 @@ def test_export_bytes_do_not_depend_on_the_slice_size(monkeypatch, gap6, lines):
     monkeypatch.setattr(expand, "_CHUNK_LINES", lines)
     for (g, tris), text in zip(graphs, expected):
         assert export_text(g, tris) == text == _tuple_export(g, as_tuples(tris))
+    # A repeat or a step back between the last row of one slice and the
+    # first of the next is refused.
+    tris = graphs[0][1]
+    swapped = tris.copy()
+    swapped[[lines - 1, lines]] = tris[[lines, lines - 1]]
+    for other in (np.insert(tris, lines, tris[lines - 1]), swapped):
+        with pytest.raises(ValueError, match=_NOT_ENUMERATED):
+            export_text(gap6, other)
     # The first missing facet is still the first in order across slices.
     pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4)]
     g = graph_from_edges(5, [(u, v, (0.0, 0.0)) for u, v in pairs])
@@ -306,19 +342,31 @@ def test_export_bytes_do_not_depend_on_the_slice_size(monkeypatch, gap6, lines):
 
 
 def _tuple_export(graph, triangles) -> str:
-    """Reference: sorted() tuples, facets by dict lookup, one line each."""
+    """Reference: sorted() tuples, facets by dict lookup, one line each.  It
+    refuses the first triangle with a missing facet, then, s before t, the
+    least coordinate (nan last) of any triangle or edge that is not finite
+    after the shift."""
     edges = graph.edge_list()
     shift_s = min((e.grade[0] for e in edges), default=0.0)
     shift_t = min((e.grade[1] for e in edges), default=0.0)
     edge_index = {(e.u, e.v): i for i, e in enumerate(edges)}
-    lines = ["scc2020", "2", f"{len(triangles)} {len(edges)} {graph.n}"]
-    for u, v, w, (s, t) in sorted(triangles):
+    triangles = sorted(triangles)
+    facets = []
+    for u, v, w, _ in triangles:
         try:
-            facets = f"{edge_index[u, v]} {edge_index[u, w]} {edge_index[v, w]}"
+            facets.append(f"{edge_index[u, v]} {edge_index[u, w]} {edge_index[v, w]}")
         except KeyError as missing:
             pair = missing.args[0]
             raise ValueError(f"triangle {(u, v, w)} references missing edge {pair}") from None
-        lines.append(f"{_fmt(s - shift_s)} {_fmt(t - shift_t)} ; {facets}")
+    grades = [grade for *_, grade in triangles] + [e.grade for e in edges]
+    for axis, name, shift in ((0, "s", shift_s), (1, "t", shift_t)):
+        bad = [g[axis] for g in grades if not math.isfinite(g[axis] - shift)]
+        if bad:
+            c = min(bad, key=lambda c: (math.isnan(c), c))
+            raise ValueError(f"grade coordinate {name} = {c!r} minus the shift {shift!r} is not finite")
+    lines = ["scc2020", "2", f"{len(triangles)} {len(edges)} {graph.n}"]
+    for (_, _, _, (s, t)), faces in zip(triangles, facets):
+        lines.append(f"{_fmt(s - shift_s)} {_fmt(t - shift_t)} ; {faces}")
     for u, v, (s, t) in edges:
         lines.append(f"{_fmt(s - shift_s)} {_fmt(t - shift_t)} ; {u} {v}")
     lines.extend("0 0 ;" for _ in range(graph.n))
@@ -375,6 +423,53 @@ def test_triangle_stage_matches_tuple_reference(g, data):
     for other in rejected:
         with pytest.raises(ValueError, match=_NOT_ENUMERATED):
             export_text(g, as_array(other))
+
+
+# Extreme magnitudes and subnormals next to 0.0 and -0.0: a graph holding
+# 1e308 and -1e308 on one axis overflows the shift.
+_EXTREME_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5, -2.0, 1e308, -1e308]
+    + [1.7976931348623157e308, -1.7976931348623157e308]
+)
+# A hand-edited triangle coordinate off the edge table: not finite, or on no edge.
+_OFF_TABLE = st.sampled_from([math.inf, -math.inf, math.nan, 0.375, -7.25])
+
+
+@st.composite
+def _extreme_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = draw(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=36))
+    grade = st.tuples(_EXTREME_FLOATS, _EXTREME_FLOATS)
+    return graph_from_edges(n, [(u, v, draw(grade)) for u, v in sorted(pairs) if u < v < n])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_extreme_graphs(), data=st.data())
+def test_export_matches_the_tuple_reference_in_small_groups(g, data):
+    # The wedge walk in groups of at most 3 wedges and the export in slices
+    # of 2 lines write what the reference writes, or refuse with its message;
+    # so do hand-edited arrays whose grades are off the edge table.
+    reference = clique_triangles(g)
+    written = {(u, v, w): grade for u, v, w, grade in reference}
+    for key in data.draw(st.sets(st.sampled_from(sorted(written)), max_size=3)) if written else ():
+        grade = list(written[key])
+        grade[data.draw(st.integers(0, 1))] = data.draw(_OFF_TABLE)
+        written[key] = tuple(grade)
+    written = [(*key, grade) for key, grade in sorted(written.items())]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expand, "_WEDGES", 3)
+        patch.setattr(expand, "_CHUNK_LINES", 2)
+        tris = enumerate_triangles(g)
+        assert as_tuples(tris) == reference and count_triangles(g) == len(tris)
+        for array, tuples in ((tris, reference), (as_array(written), written)):
+            try:
+                expected = _tuple_export(g, tuples)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    export_text(g, array)
+                assert str(raised.value) == str(exc)
+            else:
+                assert export_text(g, array) == expected
 
 
 def test_export_first_missing_facet_in_sorted_order():
@@ -437,6 +532,78 @@ def test_round_trip_random():
         assert len(faces) == 2
 
 
+def test_parse_reads_lines_the_export_never_writes_alike():
+    # Blocks that are not read at once (no spaces around ';', tabs, mixed
+    # facet counts, a grade as an exponent) read as they read line by line.
+    text = "scc2020\n2\n1 2 3\n1e0 0;0\t1\n0 0 ; 0\n2.5  0 ;0 2\n0 0 ;\n0 0;\n0 0 ;\n"
+    parsed = parse_scc2020(io.StringIO(text))
+    assert parsed.blocks == (
+        (((1.0, 0.0), (0, 1)),),
+        (((0.0, 0.0), (0,)), ((2.5, 0.0), (0, 2))),
+        (((0.0, 0.0), ()),) * 3,
+    )
+    assert all(type(x) is float for block in parsed.blocks for (grade, _) in block for x in grade)
+
+
+def _line_reader(lines, next_size) -> tuple:
+    """Reference: each generator line read on its own, as parse_scc2020 did
+    before it read whole blocks."""
+    gens = []
+    for ln in lines:
+        head, sep, tail = ln.partition(";")
+        if not sep:
+            raise ValueError(f"generator line lacks ';': {ln!r}")
+        coords = _numbers(ln, "f", "grade holds {}: {!r}", head).tolist()
+        if len(coords) != 2:
+            raise ValueError(f"expected two grade coordinates: {ln!r}")
+        if not all(map(math.isfinite, coords)):
+            raise ValueError(f"grade is not finite: {ln!r}")
+        faces = tuple(_numbers(ln, "i", "facet index is not a plain decimal: {1!r}", tail))
+        if any(f >= next_size for f in faces):
+            raise ValueError(f"facet index out of range: {ln!r}")
+        gens.append(((coords[0], coords[1]), faces))
+    return tuple(gens)
+
+
+# Mostly well-formed generator lines, and now and then a token or a
+# separator that one reader or the other must refuse.
+_GRADE_TOKENS = st.sampled_from(["0", "1", "2.5", "-0", "1e-5", "1e+5", "inf", "nan", "1_0", "+1", "x"])
+_FACET_TOKENS = st.sampled_from(["0", "1", "2", "7", "01", "-1", "+1", "1_0", ";", "9" * 30])
+
+
+@st.composite
+def _generator_lines(draw):
+    well_formed = draw(st.booleans())
+    width = draw(st.integers(0, 3))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        grade = [draw(st.sampled_from(["0", "1", "2.5", "1e-5"])) for _ in range(2)]
+        facets = [draw(st.sampled_from(["0", "1", "2"])) for _ in range(width)]
+        if not well_formed:
+            grade = draw(st.lists(_GRADE_TOKENS, min_size=1, max_size=3))
+            facets = draw(st.lists(_FACET_TOKENS, max_size=4))
+        sep = draw(st.sampled_from([" ; ", ";", " ;\t", " "]) if not well_formed else st.just(" ; "))
+        lines.append((" ".join(grade) + sep + " ".join(facets)).strip())
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_generator_lines(), next_size=st.integers(0, 3))
+def test_block_reader_matches_the_line_reader(lines, next_size):
+    try:
+        expected = _line_reader(lines, next_size)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            expand._block(lines, next_size)
+        assert str(raised.value) == str(exc)
+    else:
+        got = expand._block(lines, next_size)
+        assert got == expected
+        assert [type(x) for gen in got for x in (*gen[0], *gen[1])] == [
+            type(x) for gen in expected for x in (*gen[0], *gen[1])
+        ]
+
+
 def test_parse_rejects_bad_tag():
     with pytest.raises(ValueError, match="format tag"):
         parse_scc2020(io.StringIO("firep\n2\n0 0 0\n"))
@@ -456,6 +623,14 @@ def test_parse_rejects_a_missing_block_size_line():
 def test_parse_rejects_line_count_mismatch():
     with pytest.raises(ValueError, match="generator lines"):
         parse_scc2020(io.StringIO("scc2020\n2\n0 1 2\n0 0 ; 0 1\n0 0 ;\n"))
+
+
+def test_parse_rejects_a_vertex_line_without_its_separator():
+    # Every other line of the block holds one ';', so only the line count
+    # tells the block apart from one read at once.
+    text = "scc2020\n2\n0 0 3\n0 0 ;\n0 0\n0 0 ;\n"
+    with pytest.raises(ValueError, match=r"^generator line lacks ';': '0 0'$"):
+        parse_scc2020(io.StringIO(text))
 
 
 def test_parse_rejects_out_of_range_facet():
@@ -496,6 +671,7 @@ def test_parse_quotes_a_grade_with_a_token_that_is_not_a_number(line):
         ("0 0 ; +0 1", "facet index is not a plain decimal"),
         ("0 0 ; 0 -1", "facet index is not a plain decimal"),
         ("0 0 ; 0 1_0", "facet index is not a plain decimal"),
+        ("0 0 ; 0 ; 1", "facet index is not a plain decimal"),
     ],
 )
 def test_parse_rejects_a_generator_line_export_never_writes(line, message):
