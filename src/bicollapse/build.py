@@ -8,8 +8,14 @@ whose bandwidth is the nearest-rank 20th percentile of the distinct pairwise
 distances; any strictly monotone rescaling of densities yields the same graph
 up to axis relabeling, so the normalization constant is omitted.
 Distances are computed with numpy in scipy's summation order, so they are
-bit-identical to scipy.spatial.distance.pdist, and the graph is built from
-the grade arrays in one graph_from_arrays call.  load_points and
+bit-identical to scipy.spatial.distance.pdist.  Every stage walks the
+strict upper triangle, or the KDE the matrix's rows, in blocks of whole
+rows of at most _BLOCK cells (_blocks), so no stage holds an index pair or
+a temporary as long as the triangle: each element sees the same operations
+in the same order as one numpy expression over the whole, and each KDE row
+is summed over one contiguous length-n row.  The points paths read the
+condensed distances, which become the graph's distance column as they
+are, and build no n x n matrix.  load_points and
 load_lower_distance_matrix read a path or a text stream through
 core._text_lines and convert one row at a time through core._numbers.
 """
@@ -18,16 +24,62 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
-from .core import BifilteredGraph, _numbers, _text_lines, graph_from_arrays
+from .core import BifilteredGraph, _graph_from_new_arrays, _numbers, _text_lines
 
 DATASET_KINDS = ("sphere", "uniform", "circle", "torus", "swiss-roll")
 
 
 # -- distances and densities ---------------------------------------------------
+
+#: Cells one block of the build holds at once: pairs of the strict upper
+#: triangle, or matrix entries for the KDE's full rows.
+_BLOCK = 1 << 16
+
+
+def _blocks(reach: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Row ranges [lo, hi) of at most _BLOCK cells, or one longer row, that
+    cover every row; reach[r] is the cells of the rows before row r."""
+    lo, rows = 0, len(reach) - 1
+    while lo < rows:
+        hi = max(int(np.searchsorted(reach, reach[lo] + _BLOCK, "right")) - 1, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _upper_blocks(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The pairs (i, j), i < j < n, in condensed order, as (start, i, j):
+    whole rows of at most _BLOCK pairs, start being the first pair's
+    condensed position."""
+    r = np.arange(n)
+    reach = r * (2 * n - r - 1) // 2  # condensed position of row r's first pair
+    for lo, hi in _blocks(reach):
+        i = np.repeat(r[lo:hi], np.diff(reach[lo : hi + 1]))
+        yield int(reach[lo]), i, np.arange(reach[lo], reach[hi]) - reach[i] + i + 1
+
+
+def _kde(n: int, h: float, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Gaussian kernel sums of the n x n distance matrix whose rows lo..hi-1
+    rows(lo, hi) gives, taken in blocks of whole rows: each row is summed
+    over its contiguous length-n row, as the one-shot matrix sum does."""
+    if h <= 0:
+        raise ValueError("bandwidth must be positive")
+    out = np.empty(n)
+    for lo, hi in _blocks(np.arange(n + 1) * n):
+        out[lo:hi] = np.exp(-(rows(lo, hi) ** 2) / (2.0 * h * h)).sum(axis=1)
+    return out
+
+
+def _condensed(dist: np.ndarray) -> np.ndarray:
+    """The strict upper triangle of a square matrix, row by row."""
+    n = len(dist)
+    out = np.empty(n * (n - 1) // 2)
+    for start, i, j in _upper_blocks(n):
+        out[start : start + len(i)] = dist[i, j]
+    return out
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
@@ -40,12 +92,15 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or len(points) < 2:
         raise ValueError("need at least 2 points of uniform dimension")
-    i, j = np.triu_indices(len(points), k=1)
-    total = np.zeros(len(i))
-    for column in points.T:
-        diff = column[i] - column[j]
-        total += diff * diff
-    return np.sqrt(total)
+    n = len(points)
+    out = np.empty(n * (n - 1) // 2)
+    for start, i, j in _upper_blocks(n):
+        total = np.zeros(len(i))
+        for column in points.T:
+            diff = column[i] - column[j]
+            total += diff * diff
+        out[start : start + len(i)] = np.sqrt(total)
+    return out
 
 
 def square_form(condensed: np.ndarray) -> np.ndarray:
@@ -55,21 +110,19 @@ def square_form(condensed: np.ndarray) -> np.ndarray:
     n = int(round((1 + math.sqrt(1 + 8 * len(condensed))) / 2))
     if n * (n - 1) // 2 != len(condensed):
         raise ValueError(f"{len(condensed)} distances are not n(n-1)/2 for any n")
-    i, j = np.triu_indices(n, k=1)
     out = np.zeros((n, n))
-    out[i, j] = out[j, i] = condensed
+    for start, i, j in _upper_blocks(n):
+        out[i, j] = out[j, i] = condensed[start : start + len(i)]
     return out
 
 
 def kde_bandwidth(distances: np.ndarray) -> float:
-    """Nearest-rank 20th percentile of the distinct distance values."""
+    """Nearest-rank 20th percentile of the distinct positive distance values."""
     distinct = np.unique(np.asarray(distances, dtype=float))
-    if distinct.size == 0 or distinct[-1] == 0.0:
+    distinct = distinct[distinct > 0.0]
+    if distinct.size == 0:
         raise ValueError("degenerate cloud: all pairwise distances are zero")
-    h = float(distinct[math.ceil(0.2 * distinct.size) - 1])
-    if h == 0.0:
-        raise ValueError("degenerate cloud: zero bandwidth at the 20th percentile")
-    return h
+    return float(distinct[math.ceil(0.2 * distinct.size) - 1])
 
 
 def kde_density_from_matrix(dist: np.ndarray, h: float) -> np.ndarray:
@@ -77,23 +130,47 @@ def kde_density_from_matrix(dist: np.ndarray, h: float) -> np.ndarray:
 
     Row sums include the self term exp(0) = 1, so values are >= 1.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
     dist = np.asarray(dist, dtype=float)
-    return np.exp(-(dist**2) / (2.0 * h * h)).sum(axis=1)
+    return _kde(len(dist), h, lambda lo, hi: dist[lo:hi])
 
 
 def kde_density(points: np.ndarray, h: float) -> np.ndarray:
-    """Per-point unnormalized Gaussian KDE values."""
+    """Per-point unnormalized Gaussian KDE values, read from the condensed
+    distances: no n x n matrix is built."""
     points = np.asarray(points, dtype=float)
     if len(points) == 1:
         if h <= 0:
             raise ValueError("bandwidth must be positive")
         return np.ones(1)
-    return kde_density_from_matrix(square_form(pairwise_distances(points)), h)
+    return _condensed_kde(pairwise_distances(points), len(points), h)
+
+
+def _condensed_kde(condensed: np.ndarray, n: int, h: float) -> np.ndarray:
+    """kde_density_from_matrix(square_form(condensed), h), bit for bit,
+    with the matrix's rows gathered from condensed one block at a time."""
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        r, c = np.arange(lo, hi)[:, None], np.arange(n)
+        a, b = np.minimum(r, c), np.maximum(r, c)
+        out = condensed[a * (2 * n - a - 1) // 2 + b - a - 1]  # a == b reads a stand-in
+        out[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        return out
+
+    return _kde(n, h, rows)
 
 
 # -- density-Rips construction --------------------------------------------------
+
+
+def _density_rips(condensed: np.ndarray, densities: np.ndarray) -> BifilteredGraph:
+    """The complete graph graded by (-min endpoint density, distance) whose
+    t column is the condensed distances themselves, in (u, v) order."""
+    n, m, neg = len(densities), len(condensed), -densities
+    u, v, s = np.empty(m, np.int64), np.empty(m, np.int64), np.empty(m)
+    for start, i, j in _upper_blocks(n):
+        block = slice(start, start + len(i))
+        u[block], v[block], s[block] = i, j, np.maximum(neg[i], neg[j])
+    return _graph_from_new_arrays(n, u, v, s, condensed)
 
 
 def density_rips_from_distances(
@@ -105,18 +182,17 @@ def density_rips_from_distances(
     n = len(densities)
     if dist.shape != (n, n):
         raise ValueError(f"distance matrix shape {dist.shape} does not match {n} densities")
-    neg = -densities
-    u, v = np.triu_indices(n, k=1)
-    return graph_from_arrays(n, u, v, np.maximum(neg[u], neg[v]), dist[u, v])
+    return _density_rips(_condensed(dist), densities)
 
 
 def density_rips_graph(points: np.ndarray, densities: np.ndarray) -> BifilteredGraph:
-    """Density-Rips bifiltered complete graph of a point cloud."""
+    """Density-Rips bifiltered complete graph of a point cloud, built from
+    the condensed distances: no n x n matrix is built."""
     points = np.asarray(points, dtype=float)
     densities = np.asarray(densities, dtype=float)
     if len(points) != len(densities):
         raise ValueError("densities length does not match point count")
-    return density_rips_from_distances(square_form(pairwise_distances(points)), densities)
+    return _density_rips(pairwise_distances(points), densities)
 
 
 # -- synthetic datasets ----------------------------------------------------------

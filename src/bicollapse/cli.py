@@ -28,14 +28,15 @@ import numpy as np
 from . import __version__
 from .build import (
     DATASET_KINDS,
-    density_rips_from_distances,
+    _condensed,
+    _condensed_kde,
+    _density_rips,
     generate_dataset,
     kde_bandwidth,
     kde_density_from_matrix,
     load_lower_distance_matrix,
     load_points,
     pairwise_distances,
-    square_form,
 )
 from .collapse import GRADE_MODES, MODES, CollapseReport, apply_grade_mode, collapse_iterated
 from .core import BifilteredGraph, _numbers, read_edge_list, write_edge_list
@@ -143,12 +144,14 @@ def _ms_since(start: float) -> str:
 
 
 def _graph_from_distances(dist: np.ndarray) -> BifilteredGraph:
-    h = kde_bandwidth(dist[np.triu_indices(dist.shape[0], k=1)])
-    return density_rips_from_distances(dist, kde_density_from_matrix(dist, h))
+    condensed = _condensed(dist)
+    return _density_rips(condensed, kde_density_from_matrix(dist, kde_bandwidth(condensed)))
 
 
 def _graph_from_points(points: np.ndarray) -> BifilteredGraph:
-    return _graph_from_distances(square_form(pairwise_distances(points)))
+    # The density and the graph read the condensed distances: no n x n matrix.
+    condensed = pairwise_distances(points)
+    return _density_rips(condensed, _condensed_kde(condensed, len(points), kde_bandwidth(condensed)))
 
 
 def _input_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:

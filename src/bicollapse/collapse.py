@@ -4,16 +4,17 @@ One pass visits each edge exactly once in a chosen order and removes it when
 the mode's predicate holds on the current reduced graph; iterations repeat
 the pass on the survivors.  The pass walks the edge columns at the positions
 orders.sort_edges gives, _PASS_SLICE at a time, one Edge per predicate call,
-and CollapseReport keeps its removals as columns: neither holds a list of
-the edges or a Python object per edge.  apply_grade_mode rewrites first grade
-coordinates before a run, for the grade-structure experiments.  This module
+and CollapseReport keeps its removals as positions into the input graph's
+arrays: neither holds a list of the edges or a Python object per edge.
+apply_grade_mode rewrites first grade coordinates before a run, for the
+grade-structure experiments.  This module
 decides the storage form of the run's private store: for graphs up to
 DENSE_LIMIT vertices (complete density-Rips graphs in the hundreds of
 vertices) the dense mirror of grade ranks, so no adjacency rows are built;
 above it, where the int32 (n, 2, n) mirror (8 n^2 bytes) costs more memory
 than it saves time, rows built for the run alone.  A hit leaves the store
-only; each pass's survivors become a new graph, graph_from_arrays over a
-keep mask, and the input never changes.  Both forms remove the same edges.
+only; each pass's survivors become a new graph over the arrays a keep
+mask gathers, and the input never changes.  Both forms remove the same edges.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import BifilteredGraph, Edge, _as_edges, graph_from_arrays
+from .core import BifilteredGraph, Edge, _as_edges, _graph_from_new_arrays
 from .domination import _DenseStrongEngine, _RowStore
 from .domination import is_filtration_dominated, is_strongly_dominated
 from .orders import EdgeOrder, sort_edges
@@ -45,24 +46,33 @@ _PASS_SLICE = 1 << 12
 class CollapseReport:
     """What a run removed, per iteration, and how long the passes took.
 
-    removed_arrays holds each pass's removals as (u, v, s, t) arrays in pass
-    order, which the counts read; removal_log, the same edges as Edges, is
-    built on first read and cached, so later reads see any change made to it.
+    removed_positions holds each pass's removals in pass order as read-only
+    int64 positions into source.edge_arrays(), 8 bytes per removed edge, so
+    the report keeps its input graph alive.  removed_arrays, the same
+    edges as (u, v, s, t) arrays, is gathered from them on each read;
+    removal_log, the same edges as Edges, is built on first read and
+    cached, so later reads see any change made to it.
     """
 
     edges_before: int
     wall_time_per_iteration: list[float]
     mode: str
     order: EdgeOrder
-    removed_arrays: list[tuple[np.ndarray, ...]] = field(default_factory=list, compare=False)
+    source: BifilteredGraph = field(compare=False, repr=False)
+    removed_positions: list[np.ndarray] = field(default_factory=list, compare=False)
+
+    @property
+    def removed_arrays(self) -> list[tuple[np.ndarray, ...]]:
+        columns = self.source.edge_arrays()
+        return [tuple(x[p] for x in columns) for p in self.removed_positions]
 
     @cached_property
     def removal_log(self) -> list[list[Edge]]:
-        return [list(_as_edges(*columns)) for columns in self.removed_arrays]
+        return [list(_as_edges(*removed)) for removed in self.removed_arrays]
 
     @property
     def removed_per_iteration(self) -> list[int]:
-        return [len(columns[0]) for columns in self.removed_arrays]
+        return [len(p) for p in self.removed_positions]
 
     @property
     def removed_total(self) -> int:
@@ -104,7 +114,7 @@ def apply_grade_mode(
         s = np.zeros(len(u))
     elif kind == "random":
         s = np.random.default_rng(seed).uniform(0.0, 1.0, len(u))
-    return graph_from_arrays(graph.n, u, v, s, t)
+    return _graph_from_new_arrays(graph.n, u, v, s, t)
 
 
 # -- greedy passes -------------------------------------------------------------
@@ -112,8 +122,9 @@ def apply_grade_mode(
 
 def _run_pass(
     graph: BifilteredGraph, order: EdgeOrder, mode: str, store: _DenseStrongEngine | _RowStore
-) -> tuple[BifilteredGraph, tuple[np.ndarray, ...], float]:
-    """One predicate pass: the graph after it, its removals and the seconds.
+) -> tuple[BifilteredGraph, np.ndarray, float]:
+    """One predicate pass: the graph after it, the positions of its removals
+    in graph.edge_arrays() and the seconds.
 
     store holds graph's edges; a hit leaves the store only, and the
     survivors become a new graph.  In full mode the cheap strong check runs
@@ -135,8 +146,8 @@ def _run_pass(
     removed = positions[hits]
     kept = np.ones(len(positions), dtype=bool)
     kept[removed] = False
-    graph = graph_from_arrays(graph.n, *(x[kept] for x in columns))
-    return graph, tuple(x[removed] for x in columns), time.perf_counter() - start
+    graph = _graph_from_new_arrays(graph.n, *(x[kept] for x in columns))
+    return graph, removed, time.perf_counter() - start
 
 
 def collapse_iterated(
@@ -156,12 +167,15 @@ def collapse_iterated(
     if iterations < 1:
         raise ValueError("iteration count must be >= 1")
     store = _DenseStrongEngine(graph) if graph.n <= DENSE_LIMIT else _RowStore(graph._rows())
-    out = graph
-    report = CollapseReport(graph.edge_count(), [], mode, order)
-    for _ in range(iterations):
+    out, origin = graph, None  # origin: graph's position of each edge of out, once they differ
+    report = CollapseReport(graph.edge_count(), [], mode, order, graph)
+    for i in range(iterations):
         out, removed, elapsed = _run_pass(out, order, mode, store)
         report.wall_time_per_iteration.append(elapsed)
-        report.removed_arrays.append(removed)
-        if not len(removed[0]):
+        positions = removed if origin is None else origin[removed]
+        positions.flags.writeable = False
+        report.removed_positions.append(positions)
+        if not len(removed) or i == iterations - 1:
             break
+        origin = np.delete(np.arange(graph.edge_count()) if origin is None else origin, removed)
     return out, report

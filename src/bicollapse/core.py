@@ -5,8 +5,10 @@ Every edge of a bifiltered graph carries a unique critical grade at which it
 enters the filtration; vertices are present at all grades.  A graph is its
 checked edge arrays (u, v, s, t), u < v, sorted by (u, v), and never
 changes: graph_from_arrays checks parallel arrays with vectorized tests and
-keeps them, and graph_from_edges and read_edge_list (one bulk np.loadtxt
-parse) both feed it, so the checks exist once.  edge_arrays(),
+keeps copies of them, sorting only pairs that do not already increase;
+graph_from_edges, read_edge_list (one bulk np.loadtxt parse) and the
+builders of build and collapse pass arrays they just made through the same
+checks, which keep them uncopied, so the checks exist once.  edge_arrays(),
 count_triangles, the mirror of the dense pass and the writers read them as
 they are.  Symmetric adjacency rows, one dict per vertex from neighbor id
 to edge grade with keys in ascending id, in which looking up an edge takes
@@ -155,8 +157,16 @@ def graph_from_arrays(n: int, u, v, s, t) -> BifilteredGraph:
     0..n-1, non-finite grades and duplicate unordered pairs, all checked
     with numpy; the first offending edge in input order is reported.  The
     graph keeps the edges as (min, max) pairs sorted by that pair, the
-    order of the sort that finds the duplicates.
+    order of the sort that finds the duplicates; it keeps copies of the
+    arrays, so it never shares memory that its caller can write.
     """
+    return _graph_from_new_arrays(n, *(np.array(x) for x in (u, v, s, t)))
+
+
+def _graph_from_new_arrays(n: int, u, v, s, t) -> BifilteredGraph:
+    """graph_from_arrays for arrays that the library just made and holds no
+    other writeable reference to: arrays already in the form the graph
+    keeps are kept, not copied."""
     g = BifilteredGraph(n)
     u, v = np.asarray(u), np.asarray(v)
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
@@ -165,29 +175,34 @@ def graph_from_arrays(n: int, u, v, s, t) -> BifilteredGraph:
         return g
     if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
         raise ValueError(f"vertex ids must be integers, got {u.dtype} and {v.dtype}")
-    u, v = u.astype(np.int64), v.astype(np.int64)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    loop = u == v
+    u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+    # Pairs with u < v that strictly increase hold no loop and no duplicate,
+    # and are already in the order the graph keeps: no sort, no gathers.
+    ascending = bool((u < v).all()) and bool(
+        np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1])))
+    )
+    lo, hi = (u, v) if ascending else (np.minimum(u, v), np.maximum(u, v))
     outside = (lo < 0) | (hi >= n)
-    nonfinite = ~(np.isfinite(s) & np.isfinite(t))
-    # Out-of-range pairs get distinct negative keys, so they never collide.
-    key = np.where(outside, -1 - np.arange(m), lo * n + hi)
-    order = np.argsort(key, kind="stable")
-    later = order[1:][key[order[1:]] == key[order[:-1]]]
-    duplicate = np.zeros(m, dtype=bool)
-    duplicate[later] = True
-    bad = loop | outside | nonfinite | duplicate
+    bad = outside | ~(np.isfinite(s) & np.isfinite(t))
+    if not ascending:
+        # Out-of-range pairs get distinct negative keys, so they never collide.
+        key = np.where(outside, -1 - np.arange(m), lo * n + hi)
+        order = np.argsort(key, kind="stable")
+        bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # the later of two equal pairs
+        bad |= u == v
     if bad.any():
         i = int(np.argmax(bad))
         a, b = u[i].item(), v[i].item()
-        if loop[i]:
+        if a == b:
             raise ValueError(f"self-loop at vertex {a}")
         if outside[i]:
             raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
-        if nonfinite[i]:
+        if not (np.isfinite(s[i]) and np.isfinite(t[i])):
             raise ValueError(f"edge ({a}, {b}) has non-finite grade {(float(s[i]), float(t[i]))}")
         raise ValueError(f"duplicate edge pair ({min(a, b)}, {max(a, b)})")
-    g._arrays = _frozen(lo[order], hi[order], s[order], t[order])
+    if not ascending:
+        u, v, s, t = lo[order], hi[order], s[order], t[order]
+    g._arrays = _frozen(u, v, s, t)
     return g
 
 
@@ -198,7 +213,7 @@ def graph_from_edges(n: int, edges: Iterable[Edge | tuple]) -> BifilteredGraph:
     the checks.
     """
     u, v, grades = list(zip(*edges)) or ((), (), ())
-    return graph_from_arrays(n, u, v, *np.reshape(grades, (-1, 2)).T)
+    return _graph_from_new_arrays(n, u, v, *np.reshape(grades, (-1, 2)).T)
 
 
 def _require_edge(adj: list[dict[int, Grade]], e: Edge) -> None:
@@ -289,9 +304,10 @@ def write_edge_list(graph: BifilteredGraph, sink: TextIO) -> None:
 def read_edge_list(source: str | Path | Iterable[str]) -> BifilteredGraph:
     """Parse the edge-list text format; the header is checked before the body
     is read, and the body is parsed in one np.loadtxt call, which reads the
-    same floats as float() does.  np.loadtxt also reads a leading +, so a
-    line holding one goes through _numbers first, as every line does when
-    np.loadtxt refuses the body."""
+    same floats as float() does.  np.loadtxt also reads a leading + and an
+    id written -0 (as 0), so a line holding a + or an id read as 0 or less
+    goes through _numbers afterwards, as every line does when np.loadtxt
+    refuses the body.  The graph keeps the parsed columns."""
     lines = _text_lines(source)
     header = next(lines, None)
     if header is None:
@@ -305,11 +321,13 @@ def read_edge_list(source: str | Path | Iterable[str]) -> BifilteredGraph:
     columns = [("u", np.int64), ("v", np.int64), ("s", float), ("t", float)]
     malformed = "malformed edge line {1!r}, expected 'u v s t'"
     try:
-        for ln in [ln for ln in body if "+" in ln]:
-            _numbers(ln, "iiff", malformed)
         table = np.loadtxt(body, dtype=columns, comments=None, ndmin=1)
     except ValueError:
         for ln in body:  # the first line the grammar refuses, else numpy's error
             _numbers(ln, "iiff", malformed)
         raise
-    return graph_from_arrays(n, table["u"], table["v"], table["s"], table["t"])
+    u, v = table["u"], table["v"]
+    nonpositive = np.flatnonzero((u <= 0) | (v <= 0)).tolist()
+    for k in sorted({*nonpositive, *(k for k, ln in enumerate(body) if "+" in ln)}):
+        _numbers(body[k], "iiff", malformed)
+    return _graph_from_new_arrays(n, u, v, table["s"], table["t"])

@@ -5,12 +5,14 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
+from bicollapse import build, cli
 from bicollapse.build import (
     DATASET_KINDS,
     density_rips_from_distances,
@@ -103,6 +105,17 @@ def test_bandwidth_degenerate():
         kde_bandwidth(np.zeros(10))
 
 
+def test_bandwidth_ignores_the_zero_distances_of_duplicate_points():
+    # The percentile is over the distinct positive distances, so a duplicated
+    # point gives the bandwidth of the cloud without it.
+    cloud = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    with_duplicate = np.vstack([cloud[:1], cloud])
+    assert kde_bandwidth(pairwise_distances(with_duplicate)) == 1.0
+    assert kde_bandwidth(pairwise_distances(cloud)) == 1.0
+    with pytest.raises(ValueError, match="all pairwise distances are zero"):
+        kde_bandwidth(pairwise_distances(np.zeros((4, 2))))
+
+
 def test_density_single_point():
     assert kde_density(np.zeros((1, 2)), 1.0).tolist() == [1.0]
     with pytest.raises(ValueError, match="positive"):
@@ -186,6 +199,79 @@ def test_density_rips_length_mismatch():
         density_rips_graph(np.zeros((3, 2)), np.ones(2))
     with pytest.raises(ValueError, match="match"):
         density_rips_from_distances(np.zeros((3, 3)), np.ones(2))
+
+
+# -- blocks and memory -------------------------------------------------------------
+
+
+def _one_shot(points, h):
+    """The build as single numpy expressions over the whole strict upper
+    triangle and the whole matrix: the formulas the blocks must equal."""
+    n = len(points)
+    i, j = np.triu_indices(n, k=1)
+    total = np.zeros(len(i))
+    for column in points.T:
+        diff = column[i] - column[j]
+        total += diff * diff
+    condensed = np.sqrt(total)
+    dist = np.zeros((n, n))
+    dist[i, j] = dist[j, i] = condensed
+    density = np.exp(-(dist**2) / (2.0 * h * h)).sum(axis=1)
+    neg = -density
+    arrays = (i.astype(np.int64), j.astype(np.int64), np.maximum(neg[i], neg[j]), dist[i, j])
+    return condensed, dist, density, arrays
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("block", [1, 7, 300])
+@pytest.mark.parametrize("n", [2, 3, 5, 64])
+def test_blocks_give_the_one_shot_build_bit_for_bit(monkeypatch, block, n):
+    # A block of 1 holds one row at a time; 7 and 300 split the clouds' upper
+    # triangles and the KDE's rows at other row boundaries.
+    points = generate_dataset("torus", n, seed=n)
+    h = 0.4
+    condensed, dist, density, arrays = _one_shot(points, h)
+    monkeypatch.setattr(build, "_BLOCK", block)
+    assert _bits(pairwise_distances(points)) == _bits(condensed)
+    assert _bits(square_form(condensed)) == _bits(dist)
+    assert _bits(kde_density_from_matrix(dist, h)) == _bits(density)
+    assert _bits(kde_density(points, h)) == _bits(density)
+    for g in (density_rips_graph(points, density), density_rips_from_distances(dist, density)):
+        assert [_bits(x) for x in g.edge_arrays()] == [_bits(x) for x in arrays]
+
+
+def _build_peak_per_edge(build_graph, n=600):
+    points = generate_dataset("torus", n, seed=1)
+    tracemalloc.start()
+    try:
+        graph = build_graph(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count() == n * (n - 1) // 2
+    return peak / graph.edge_count()
+
+
+def test_library_build_peaks_near_what_it_keeps():
+    # The graph keeps 32 bytes per edge (ids, density, distance).  The build
+    # works in bounded blocks, hands the condensed distances over as the
+    # distance column and builds no n x n matrix, so at n = 600 it peaks near
+    # 53 bytes per edge, a few MB of block temporaries included.
+    def library(points):
+        return density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
+
+    assert _build_peak_per_edge(library) < 64
+
+
+def test_cli_build_peaks_near_what_it_keeps():
+    # The CLI's points path computes the condensed distances once and reads
+    # the bandwidth, the densities and the graph from them: near 47 bytes per
+    # edge at the peak.
+    assert _build_peak_per_edge(cli._graph_from_points) < 56
 
 
 # -- generators ------------------------------------------------------------------

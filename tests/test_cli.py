@@ -237,17 +237,27 @@ def test_underscore_in_an_edge_line_exits_2_quoting_the_line(capsys, tmp_path):
         assert f"input error: malformed edge line '{line}', expected 'u v s t'" in err
 
 
-@pytest.mark.parametrize("copies, sites, rc_expected", [(2, 3, 2), (20, 5, 0)])
+def test_signed_vertex_id_exits_2_quoting_the_line(capsys, tmp_path):
+    # np.loadtxt reads -0 as 0; an id is ASCII digits, so the line is refused.
+    path = tmp_path / "signed.edges"
+    for line in ("-0 1 0 0", "1 -0 0 0", "-1 2 0 0"):
+        path.write_text(f"3 2\n0 2 -0.5 1\n{line}\n")
+        rc, out, err = run(capsys, "collapse", "--edges", str(path))
+        assert (rc, out) == (2, "")
+        assert f"input error: malformed edge line '{line}', expected 'u v s t'" in err
+
+
+@pytest.mark.parametrize("copies, sites, rc_expected", [(2, 3, 0), (20, 5, 0), (4, 1, 2)])
 def test_kde_bandwidth_rule_on_repeated_sites(capsys, tmp_path, copies, sites, rc_expected):
-    # Exit 2 exactly when 0 is among at most 5 distinct distances: 3 sites give
-    # 4 distinct values, 5 sites give 11 (19 % of the 4950 distances zero).
+    # The bandwidth is taken over the distinct positive distances, so repeated
+    # sites read as the sites alone do; only a cloud of one site is refused.
     path = tmp_path / "sites.csv"
     coords = [(float(i), float(i * i)) for i in range(sites)]
     path.write_text("".join(f"{x},{y}\n" for x, y in coords * copies))
     rc, _, err = run(capsys, "collapse", "--points", str(path))
     assert rc == rc_expected
     if rc_expected == 2:
-        assert "zero bandwidth" in err
+        assert "all pairwise distances are zero" in err
 
 
 def test_simplex_budget_exits_3(capsys, tmp_path, gap6_file):

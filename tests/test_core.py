@@ -316,6 +316,32 @@ def test_edge_arrays_are_read_only_and_shared_by_copies():
     assert all(a is b for a, b in zip(g.copy().edge_arrays(), g.edge_arrays()))
 
 
+def test_graph_from_arrays_copies_the_arrays_its_caller_can_write():
+    # Sorted pairs skip the sort, but the graph still keeps copies.
+    u, v, s, t = np.array([0, 1]), np.array([1, 2]), np.zeros(2), np.ones(2)
+    g = graph_from_arrays(3, u, v, s, t)
+    assert not any(np.shares_memory(x, y) for x, y in zip((u, v, s, t), g.edge_arrays()))
+    u[0], s[:] = 2, 5.0
+    assert g.edge_list() == [Edge(0, 1, (0.0, 1.0)), Edge(1, 2, (0.0, 1.0))]
+
+
+@pytest.mark.parametrize(
+    "u, v, s, message",
+    [
+        ([0, 1], [1, 3], [0.0, 0.0], r"edge \(1, 3\) out of range for n=3"),
+        ([-1, 0], [0, 1], [0.0, 0.0], r"edge \(-1, 0\) out of range for n=3"),
+        ([0, 1], [1, 2], [math.inf, 0.0], r"edge \(0, 1\) has non-finite grade \(inf, 0.0\)"),
+    ],
+)
+def test_sorted_pairs_are_checked_as_unsorted_ones_are(u, v, s, message):
+    # Pairs that already increase take the path without a sort, and report
+    # the first bad edge as the sorting path does, in either input order.
+    for order in ([0, 1], [1, 0]):
+        with pytest.raises(ValueError, match=message):
+            graph_from_arrays(3, np.array(u)[order], np.array(v)[order], np.array(s)[order],
+                              np.zeros(2))
+
+
 def test_write_edge_list_formats_the_stored_arrays(monkeypatch):
     # Ids in decimal, grades by repr: both zeros, the smallest subnormal,
     # the largest finite floats and a long fraction, with no Edge built.
@@ -580,6 +606,13 @@ def test_edge_list_round_trip_shuffled(drawn, data):
         ("0 7 0 0\n0 1 0 0\n1 0 1 1\n",
          [(0, 7, (0.0, 0.0)), (0, 1, (0.0, 0.0)), (1, 0, (1.0, 1.0))],
          r"edge \(0, 7\) out of range for n=3"),
+        # np.loadtxt reads -0 as 0 and takes a sign on an id; the grammar refuses
+        # both, first in file order among the lines it reads after np.loadtxt.
+        ("-0 1 0 0\n", None, "malformed edge line '-0 1 0 0'"),
+        ("0 2 -0.5 -0\n1 -0 0 0\n", None, "malformed edge line '1 -0 0 0'"),
+        ("0 2 -1 0\n1 -0 0 0\n0 +1 0 0\n", None, "malformed edge line '1 -0 0 0'"),
+        ("0 +1 0 0\n1 -0 0 0\n", None, r"malformed edge line '0 \+1 0 0'"),
+        ("0 1 0 0\n-1 2 0 0\n", None, "malformed edge line '-1 2 0 0'"),
         # A well-formed line whose id overflows int64: numpy's own error stands.
         ("0 99999999999999999999 0 0\n", None, "could not convert string '99999999999999999999'"),
     ],
