@@ -66,6 +66,8 @@ class BifilteredGraph:
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
+        if 8 * (int(n) + 1) > np.iinfo(np.intp).max:  # an int64 array of n + 1 cells
+            raise ValueError(f"vertex count {n} is too large for an array of n + 1 cells")
         self.n = n
         self._arrays = _frozen([], [], [], [])
 
@@ -307,7 +309,7 @@ def read_edge_list(source: str | Path | Iterable[str]) -> BifilteredGraph:
     same floats as float() does.  np.loadtxt also reads a leading + and an
     id written -0 (as 0), so a line holding a + or an id read as 0 or less
     goes through _numbers afterwards, as every line does when np.loadtxt
-    refuses the body.  The graph keeps the parsed columns."""
+    refuses the body.  The graph keeps contiguous copies of the columns."""
     lines = _text_lines(source)
     header = next(lines, None)
     if header is None:
@@ -330,4 +332,4 @@ def read_edge_list(source: str | Path | Iterable[str]) -> BifilteredGraph:
     nonpositive = np.flatnonzero((u <= 0) | (v <= 0)).tolist()
     for k in sorted({*nonpositive, *(k for k, ln in enumerate(body) if "+" in ln)}):
         _numbers(body[k], "iiff", malformed)
-    return _graph_from_new_arrays(n, u, v, table["s"], table["t"])
+    return _graph_from_new_arrays(n, *(np.ascontiguousarray(table[c]) for c in "uvst"))

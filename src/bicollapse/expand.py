@@ -1,20 +1,19 @@
 """Triangle enumeration and scc2020 export of the dimension <= 2 clique bifiltration.
 
 A (k+1)-clique of the graph enters the clique complex when its last edge
-does, so every triangle carries the join of its three edge grades.  The
-triangle stage is array-native: one wedge walk over graph.edge_arrays(),
-the edges (u, v) with u < v, finds each triangle as the indices of its
-three edges, in groups of at most _WEDGES wedges, so count_triangles counts
-without listing and enumerate_triangles keeps compact indices and fills one
-numpy record array of dtype GradedTriangle, fields u < v < w and the join
-(s, t).  The exporter emits the standard scc2020 text layout (format tag,
-parameter count, block sizes for dimensions 2, 1, 0, then one generator
-line per simplex with its grade and facet indices) so the file can feed
-external minimal-presentation tools.  It takes the triangles as
-enumerate_triangles returns them and runs every check (the array's order,
-the facet lookup, the finiteness of each shifted grade) before it writes a
-byte.  Each stage holds its input, the triangle array, at most a compact
-copy of its indices and one bounded slice.
+does, so every triangle carries the join of its three edge grades.  One
+wedge walk over graph.edge_arrays(), the edges (u, v) with u < v, is the
+only place that finds triangles: it yields the triangles of each group of
+at most _WEDGES wedges as the compact indices of their three edges.
+count_triangles counts them, enumerate_triangles fills one numpy record
+array of dtype GradedTriangle, fields u < v < w and the join (s, t), and
+export_scc2020 writes each triangle line from the indices.  The exporter
+emits the standard scc2020 text layout (format tag, parameter count, block
+sizes for dimensions 2, 1, 0, then one generator line per simplex with its
+grade and facet indices) so the file can feed external minimal-presentation
+tools.  It takes the triangles only as enumerate_triangles returns them,
+and runs every check before it writes a byte.  Each stage holds its input,
+the triangle array, at most the walk's indices and one bounded slice.
 parse_scc2020 reads the layout back, through core._text_lines and
 core._numbers, and refuses what the exporter never writes.
 """
@@ -36,7 +35,7 @@ FORMAT_TAG = "scc2020"
 #: Lines per write, and triangles per check, in export_scc2020.
 _CHUNK_LINES = 1 << 12
 #: Wedges per group of the wedge walk, unless one row alone has more.
-_WEDGES = 1 << 16
+_WEDGES = 1 << 14
 
 
 #: Record of a 3-clique u < v < w, graded at (s, t), the join of its three
@@ -46,16 +45,18 @@ GradedTriangle = np.dtype(
 )
 
 
-def _closed_wedges(n: int, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+def _closed_wedges(n: int, a: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
     """Every triangle u < v < w once, as the indices uv, uw, vw of its three
-    edges among the upper edges (a, b), which are sorted by (a, b).
+    edges among the upper edges (a, b), which are sorted by (a, b): a
+    (3, L) array a group, in the smallest integer type that holds them.
 
     Each upper edge (u, v) extends to the wedges u < v < w over v's higher
     neighbors w, and a wedge closes a triangle iff {u, w} is an edge.  The
-    rows u go in groups: a group marks its upper edges in a (rows x n)
-    table of at most 2**18 cells, holding 1 + the edge's index, gathers at
-    most _WEDGES wedges, unless one row alone is longer, and yields the
-    wedges that land on a mark.  Wedges are walked in (u, v, w) order.
+    rows u go in groups: a group marks its upper edges, 1 + the edge's
+    index, in the walk's one (rows x n) table of at most 2**18 cells,
+    gathers at most _WEDGES wedges, unless one row alone is longer, keeps
+    the wedges that land on a mark and clears the cells it marked.  Wedges
+    are walked in (u, v, w) order.
     """
     deg = np.bincount(a, minlength=n)
     start = np.cumsum(deg) - deg
@@ -63,46 +64,56 @@ def _closed_wedges(n: int, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.nd
     cumfan = np.concatenate(([0], np.cumsum(fan)))
     bounds = np.append(start, len(a))  # row r's upper edges: bounds[r]:bounds[r + 1]
     reach = cumfan[bounds]  # wedges before row r
-    rows = max(1, (1 << 18) // max(n, 1))
-    mark_type = np.min_scalar_type(len(a))  # holds the largest mark, len(a)
+    rows = min(max(1, (1 << 18) // max(n, 1)), n)
+    mark = np.zeros(rows * n, dtype=np.min_scalar_type(len(a)))  # holds the largest mark, len(a)
+    index_type = np.min_scalar_type(len(a) - 1)
     lo = 0
     while lo < n:
         hi = int(np.searchsorted(reach, reach[lo] + _WEDGES, side="right")) - 1
         hi = min(max(hi, lo + 1), lo + rows)
         p, q = bounds[lo], bounds[hi]
-        cell = (a[p:q] - lo) * n
-        mark = np.zeros((hi - lo) * n, dtype=mark_type)
-        mark[cell + b[p:q]] = np.arange(p + 1, q + 1)
+        row = (a[p:q] - lo) * n
+        cell = row + b[p:q]
+        mark[cell] = np.arange(p + 1, q + 1)
         k = fan[p:q]
         ends = np.cumsum(k)
         vw = np.arange(cumfan[q] - cumfan[p]) + np.repeat(start[b[p:q]] - ends + k, k)
-        uw = mark[np.repeat(cell, k) + b[vw]]
+        uw = mark[np.repeat(row, k) + b[vw]]
+        mark[cell] = 0
         closed = np.flatnonzero(uw)
         uv = np.repeat(np.arange(p, q), k)
-        yield uv[closed], uw[closed] - 1, vw[closed]
+        yield np.array((uv[closed], uw[closed] - 1, vw[closed]), dtype=index_type)
         lo = hi
+
+
+def _fill(out: np.ndarray, facets: np.ndarray, edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """out, a GradedTriangle array, filled with the triangles whose edge
+    indices uv, uw, vw among edges, the graph's edge_arrays(), are the
+    columns of facets."""
+    a, b, s, t = edges
+    uv, uw, vw = facets.astype(np.intp)
+    out["u"], out["v"], out["w"] = a[uv], b[uv], b[uw]
+    out["s"] = np.maximum(np.maximum(s[uv], s[uw]), s[vw])
+    out["t"] = np.maximum(np.maximum(t[uv], t[uw]), t[vw])
+    return out
 
 
 def enumerate_triangles(graph: BifilteredGraph) -> np.ndarray:
     """Every 3-clique exactly once, sorted by (u, v, w), as a GradedTriangle
     array whose grade is the coordinate-wise max of its three edges'."""
-    a, b, s, t = graph.edge_arrays()
-    groups = [np.array(g, np.min_scalar_type(len(a) - 1)) for g in _closed_wedges(graph.n, a, b)]
+    edges = graph.edge_arrays()
+    groups = list(_closed_wedges(graph.n, *edges[:2]))
     out = np.empty(sum(g.shape[1] for g in groups), dtype=GradedTriangle)
     lo = 0
     for g in groups:
-        uv, uw, vw = g.astype(np.intp)
-        part, lo = out[lo : lo + len(uv)], lo + len(uv)
-        part["u"], part["v"], part["w"] = a[uv], b[uv], b[uw]
-        part["s"] = np.maximum(np.maximum(s[uv], s[uw]), s[vw])
-        part["t"] = np.maximum(np.maximum(t[uv], t[uw]), t[vw])
+        lo += len(_fill(out[lo : lo + g.shape[1]], g, edges))
     return out
 
 
 def count_triangles(graph: BifilteredGraph) -> int:
     """Number of 3-cliques, counted in memory linear in the edge count."""
     a, b, _, _ = graph.edge_arrays()
-    return sum(len(uv) for uv, _, _ in _closed_wedges(graph.n, a, b))
+    return sum(g.shape[1] for g in _closed_wedges(graph.n, a, b))
 
 
 def _fmt(x: float) -> str:
@@ -114,59 +125,20 @@ def _fmt(x: float) -> str:
 
 
 def _formatted(values: np.ndarray, shift: float, name: str) -> np.ndarray:
-    """_fmt(c - shift) for each coordinate c of values, as an object array;
-    ValueError names the least c (nan last) whose shifted value is not
-    finite, which a grade's overflow or a non-finite grade gives."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """_fmt(c - shift) for each coordinate c of values, finite, sorted and
+    none below the shift, as an object array; ValueError names the least c
+    whose shifted value overflows."""
+    with np.errstate(over="ignore"):
         shifted = values - shift
-    bad = values[~np.isfinite(shifted)]
+    bad = values[np.isinf(shifted)]
     if len(bad):
-        c = np.sort(bad)[0].item()
         raise ValueError(
-            f"grade coordinate {name} = {c!r} minus the shift {shift!r} is not finite"
+            f"grade coordinate {name} = {bad[0].item()!r} minus the shift {shift!r} is not finite"
         )
     return np.array([_fmt(c) for c in shifted.tolist()], dtype=object)
 
 
-def _require_enumerated(tri: np.ndarray) -> None:
-    """Raise ValueError unless tri is a GradedTriangle array as enumerate_triangles
-    returns it: u < v < w in every row, the rows strictly increasing in (u, v, w)."""
-    if not (isinstance(tri, np.ndarray) and tri.dtype == GradedTriangle and tri.ndim == 1):
-        raise ValueError("triangles must be a GradedTriangle array, as enumerate_triangles returns")
-    for lo in range(0, len(tri), _CHUNK_LINES):
-        part = tri[max(lo - 1, 0) : lo + _CHUNK_LINES]  # and the row before the slice
-        u, v, w = part["u"], part["v"], part["w"]
-        du, dv, dw = np.diff(u), np.diff(v), np.diff(w)
-        steps = (du > 0) | ((du == 0) & ((dv > 0) | ((dv == 0) & (dw > 0))))
-        if not (((u < v) & (v < w)).all() and steps.all()):
-            raise ValueError("triangles must have u < v < w and strictly increase in (u, v, w)")
-
-
-def _facets(n: int, a: np.ndarray, b: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """The indices among the edges (a, b) of each triangle's facets uv, uw,
-    vw, as a compact (3, k) array filled _CHUNK_LINES triangles at a time;
-    ValueError names the first triangle with a facet that is not an edge."""
-    # An edge's key is a * n + b; a facet that cannot be an edge gets n * n,
-    # which sits above every edge key and is appended to them, so every
-    # searchsorted position can be read.
-    keys = np.append(a * n + b, n * n)
-    facets = np.empty((3, len(tri)), dtype=np.min_scalar_type(len(a) - 1))
-    for lo in range(0, len(tri), _CHUNK_LINES):
-        part = tri[lo : lo + _CHUNK_LINES]
-        x = np.stack((part["u"], part["u"], part["v"]))
-        y = np.stack((part["v"], part["w"], part["w"]))
-        valid = (0 <= x) & (y < n)
-        key = np.where(valid, x * n + y, n * n)
-        found = facets[:, lo : lo + len(part)] = np.searchsorted(keys, key)
-        hit = valid & (keys[found] == key)
-        if not hit.all():
-            i = int(np.argmin(hit.all(axis=0)))
-            j = int(np.argmin(hit[:, i]))
-            corner = (int(x[0, i]), int(y[0, i]), int(y[2, i]))
-            raise ValueError(
-                f"triangle {corner} references missing edge {(int(x[j, i]), int(y[j, i]))}"
-            )
-    return facets
+_NOT_ENUMERATED = "triangles must be enumerate_triangles(graph), a GradedTriangle array"
 
 
 def export_scc2020(
@@ -174,51 +146,51 @@ def export_scc2020(
 ) -> None:
     """Write the dimension 0..2 clique bifiltration in scc2020 text form.
 
-    triangles is a GradedTriangle array as enumerate_triangles returns it,
-    anything else is rejected (_require_enumerated).  Grades are shifted so
+    triangles must equal enumerate_triangles(graph), and any other array
+    raises one ValueError: the export walks the wedges itself, compares the
+    array with the records it fills, _CHUNK_LINES rows at a time, and writes
+    each triangle line from the walk's edge indices.  Grades are shifted so
     the coordinate-wise minimum over edge grades lands at (0, 0); vertices
     sit at that global minimum.  Edges come in (u, v) order and triangles
-    in the order given, so output is byte-stable for a fixed input.  A
-    triangle whose facet edge is absent from the graph is rejected, the
-    first in order.  Each distinct edge coordinate is formatted once, and
-    a triangle's is its facets' largest (an edited array's others too); one
-    not finite after the shift (it overflowed, or a triangle's grade is not
-    finite) is rejected by name.  Every check runs before the first byte is
-    written, and a path sink is opened only after them.  Checks and text go
-    _CHUNK_LINES triangles or lines at a time: the export holds the triangle
-    array, its facets in a compact array and one slice, never the text.
+    in (u, v, w) order, so output is byte-stable for a fixed input.  Each
+    distinct edge coordinate is formatted once, and a triangle's is its
+    facets' largest; one that overflows after the shift is rejected by
+    name.  Every check runs before the first byte is written, and a path
+    sink is opened only after them.  The export holds the triangle array,
+    the walk's indices and one slice of _CHUNK_LINES lines, never the text.
     """
-    _require_enumerated(triangles)
-    n, k = graph.n, len(triangles)
-    a, b, es, et = graph.edge_arrays()
-    m = len(a)
-    facets = _facets(n, a, b, triangles)
-    spans = [(lo, min(lo + _CHUNK_LINES, k)) for lo in range(0, k, _CHUNK_LINES)]
-    axes = []  # per axis: the values' table, their texts, each edge's rank, edited
+    edges = a, b, es, et = graph.edge_arrays()
+    n, m = graph.n, len(a)
+    spans = [
+        g[:, lo : lo + _CHUNK_LINES]
+        for g in _closed_wedges(n, a, b)
+        for lo in range(0, g.shape[1], _CHUNK_LINES)
+    ]
+    k = sum(f.shape[1] for f in spans)
+    is_array = isinstance(triangles, np.ndarray) and triangles.dtype == GradedTriangle
+    if not (is_array and triangles.shape == (k,)):
+        raise ValueError(_NOT_ENUMERATED)
+    lo = 0
+    for f in spans:
+        filled = _fill(np.empty(f.shape[1], dtype=GradedTriangle), f, edges)
+        if not (filled == triangles[lo : lo + len(filled)]).all():
+            raise ValueError(_NOT_ENUMERATED)
+        lo += len(filled)
+    axes = []  # per axis: the edge coordinates' texts and each edge's rank among them
     for x, name in zip((es, et), "st"):
         values, rank = np.unique(x, return_inverse=True)
-        c = triangles[name]  # -0.0 may take the text of an edge's 0.0: _fmt drops the sign
-        odd = [c[lo:hi][c[lo:hi] != x[facets[:, lo:hi]].max(0)] for lo, hi in spans]
-        edited = any(map(len, odd))
-        if edited:  # the coordinates off the edge table join it
-            values, rank = np.unique(np.concatenate((x, *odd)), return_inverse=True)
-        shift = x.min().item() if m else 0.0
-        axes.append((values, _formatted(values, shift, name), rank[:m], edited))
+        axes.append((_formatted(values, x.min().item() if m else 0.0, name), rank))
     names = np.array([str(i) for i in range(m)], dtype=object)
 
     def slices() -> Iterator[str]:
         yield f"{FORMAT_TAG}\n2\n{k} {m} {n}\n"
-        for lo, hi in spans:
-            f = facets[:, lo:hi]
-            s, t = (
-                text[np.searchsorted(v, triangles[name][lo:hi]) if edited else rank[f].max(0)]
-                for (v, text, rank, edited), name in zip(axes, "st")
-            )
-            lines = zip(s.tolist(), t.tolist(), *names[f].tolist())
+        for f in spans:
+            s, t = (text[rank[f].max(0)].tolist() for text, rank in axes)
+            lines = zip(s, t, *names[f].tolist())
             yield "".join([f"{s} {t} ; {uv} {uw} {vw}\n" for s, t, uv, uw, vw in lines])
         for lo in range(0, m, _CHUNK_LINES):
             hi = min(lo + _CHUNK_LINES, m)
-            s, t = (text[rank[lo:hi]].tolist() for _, text, rank, _ in axes)
+            s, t = (text[rank[lo:hi]].tolist() for text, rank in axes)
             lines = zip(s, t, a[lo:hi].tolist(), b[lo:hi].tolist())
             yield "".join([f"{s} {t} ; {u} {v}\n" for s, t, u, v in lines])
         for lo in range(0, n, _CHUNK_LINES):

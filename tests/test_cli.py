@@ -341,6 +341,19 @@ def test_report_cells_are_quoted(capsys, tmp_path):
     assert row.startswith("| edges:" + pipe.replace("|", "\\|") + " | 14 | ")
 
 
+@pytest.mark.parametrize("n", [99999999999999999999, 1 << 62])
+def test_a_header_too_large_for_an_array_exits_2(capsys, tmp_path, n):
+    # Refused where the graph is made, before anything of n cells is sized.
+    path = tmp_path / "huge.edges"
+    path.write_text(f"{n} 1\n0 1 0 0\n")
+    scc = tmp_path / "huge.scc"
+    message = f"vertex count {n} is too large for an array of n + 1 cells"
+    for argv in (["collapse"], ["expand", "--output", str(scc)]):
+        rc, out, err = run(capsys, *argv, "--edges", str(path))
+        assert rc == 2 and out == "" and not scc.exists()
+        assert err == f"bicollapse: input error: {message}\n"
+
+
 @pytest.mark.parametrize("detail", ["Unable to allocate 37.3 GiB for an array", ""])
 def test_out_of_memory_exits_3(capsys, monkeypatch, detail):
     # Stands in for an input too big for memory, which is never built here.

@@ -308,6 +308,26 @@ def test_negative_vertex_count_rejected():
         BifilteredGraph(-1)
 
 
+# Vertex counts for which no int64 array of n + 1 cells can be sized; neither
+# is ever allocated, here or by the readers' refusals.
+_HUGE_COUNTS = [99999999999999999999, 1 << 62]
+
+
+@pytest.mark.parametrize("n", _HUGE_COUNTS)
+def test_a_vertex_count_too_large_for_an_array_is_refused(n):
+    message = f"^vertex count {n} is too large for an array of n \\+ 1 cells$"
+    with pytest.raises(ValueError, match=message):
+        graph_from_arrays(n, [0], [1], [0.0], [0.0])
+    with pytest.raises(ValueError, match=message):
+        read_edge_list([f"{n} 1", "0 1 0 0"])
+
+
+def test_read_edge_list_keeps_contiguous_columns():
+    # Views of the parsed table would stride 32 bytes and keep it alive.
+    g = read_edge_list(["4 3", "0 1 0 0", "1 2 0.5 1", "2 3 1 0.5"])
+    assert all(x.flags.c_contiguous and x.base is None for x in g.edge_arrays())
+
+
 def test_edge_arrays_are_read_only_and_shared_by_copies():
     g = random_grid_graph(6, 0.8, np.random.default_rng(2))
     for x in g.edge_arrays():

@@ -121,6 +121,19 @@ def test_count_triangles_across_row_groups():
     assert count_triangles(g) == len(enumerate_triangles(g)) >= 3900
 
 
+def test_each_group_clears_its_marks(monkeypatch):
+    # One wedge a group: row 0 closes (0, 2, 3), and the next group, rows 1
+    # and 2, reads the wedge (1, 2, 3) in the cell where row 0 marked
+    # (0, 3).  A mark left there would close the triple (1, 2, 3), which
+    # lacks the edge (1, 3).
+    monkeypatch.setattr(expand, "_WEDGES", 1)
+    pairs = [(0, 2), (0, 3), (1, 2), (2, 3)]
+    g = graph_from_edges(4, [(u, v, (float(u), float(v))) for u, v in pairs])
+    assert count_triangles(g) == 1
+    assert enumerate_triangles(g)[["u", "v", "w"]].tolist() == [(0, 2, 3)]
+    assert export_text(g, enumerate_triangles(g)) == _tuple_export(g, clique_triangles(g))
+
+
 def test_count_triangles_memory_linear_in_edges():
     # A dense n x n matrix of 3000 vertices alone would take 72 MB.  The
     # walk's mark table holds at most 2**18 one-byte cells here (4 edges),
@@ -234,23 +247,23 @@ def test_export_rejects_a_shift_that_overflows(k3):
     with pytest.raises(ValueError, match=r"coordinate s = 1e\+308 .* not finite"):
         export_scc2020(g, enumerate_triangles(g), sink)
     assert sink.getvalue() == ""
-    # A triangle array whose grade was edited to a non-finite value meets
-    # the same check.
-    for name, value in (("s", math.inf), ("t", math.nan)):
+    # A triangle array whose grade was edited, to a value that is not
+    # finite or to one that is, is not the enumeration.
+    for name, value in (("s", math.inf), ("t", math.nan), ("s", 0.375)):
         tris = enumerate_triangles(k3)
         tris[name] = value
-        with pytest.raises(ValueError, match=rf"coordinate {name} = .* not finite"):
+        with pytest.raises(ValueError, match=_NOT_ENUMERATED):
             export_text(k3, tris)
 
 
 def test_export_rejects_missing_facet(k3):
     # The triangle of k3 against the graph without its edge (1, 2).
     g = graph_from_edges(3, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0))])
-    with pytest.raises(ValueError, match=r"missing edge \(1, 2\)"):
+    with pytest.raises(ValueError, match=_NOT_ENUMERATED):
         export_text(g, enumerate_triangles(k3))
 
 
-_NOT_ENUMERATED = "must have u < v < w and strictly increase in"
+_NOT_ENUMERATED = re.escape("triangles must be enumerate_triangles(graph), a GradedTriangle array")
 
 
 def test_triangle_vertex_order_enforced():
@@ -273,7 +286,7 @@ def test_export_byte_stable(gap6):
     with pytest.raises(ValueError, match=_NOT_ENUMERATED):
         export_text(gap6, tris[::-1])
     for other in (as_tuples(tris), [], tris[["u", "v", "w"]], tris.reshape(1, -1)):
-        with pytest.raises(ValueError, match="must be a GradedTriangle array"):
+        with pytest.raises(ValueError, match=_NOT_ENUMERATED):
             export_text(gap6, other)
 
 
@@ -298,10 +311,24 @@ def test_refused_export_leaves_the_path_untouched(tmp_path, k3):
     out.write_bytes(b"kept\n")
     overflow = graph_from_edges(3, [(0, 1, (1e308, 0.0)), (1, 2, (-1e308, 0.0))])
     no_12 = graph_from_edges(3, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0))])
-    refused = [
-        (overflow, enumerate_triangles(overflow), "not finite"),
-        (no_12, enumerate_triangles(k3), "missing edge"),
-        (k3, enumerate_triangles(k3)[["u", "v", "w"]], "must be a GradedTriangle array"),
+    # K4 and the isolated vertex 4: (1, 2, 4) is a triple, not a triangle.
+    k4 = graph_from_edges(5, [(u, v, (u, v)) for u in range(4) for v in range(u + 1, 4)])
+    tris = enumerate_triangles(k4)
+    regraded = tris.copy()
+    regraded["s"][1] += 1.0
+    stray = as_array([(1, 2, 4, (3.0, 4.0))])
+    refused = [(overflow, enumerate_triangles(overflow), "not finite")] + [
+        (graph, triangles, _NOT_ENUMERATED)
+        for graph, triangles in [
+            (no_12, enumerate_triangles(k3)),  # a missing facet
+            (k3, enumerate_triangles(k3)[["u", "v", "w"]]),  # not a GradedTriangle array
+            (k4, tris[::-1]),  # reordered
+            (k4, np.insert(tris, 1, tris[1])),  # repeated
+            (k4, np.concatenate((tris[:3], stray))),  # a stray triple
+            (k4, regraded),
+            (k4, tris[:-1]),  # a subset
+            (k4, np.concatenate((tris, stray))),  # a superset
+        ]
     ]
     for graph, triangles, message in refused:
         for sink in (out, str(out)):
@@ -329,41 +356,32 @@ def test_export_bytes_do_not_depend_on_the_slice_size(monkeypatch, gap6, lines):
     for other in (np.insert(tris, lines, tris[lines - 1]), swapped):
         with pytest.raises(ValueError, match=_NOT_ENUMERATED):
             export_text(gap6, other)
-    # The first missing facet is still the first in order across slices.
+    # A triple that is not a triangle, in a later slice, is refused too.
     pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4)]
     g = graph_from_edges(5, [(u, v, (0.0, 0.0)) for u, v in pairs])
     written = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4)]
-    with pytest.raises(ValueError) as raised:
+    with pytest.raises(ValueError, match=_NOT_ENUMERATED):
         export_text(g, as_array([(*uvw, (0.0, 0.0)) for uvw in written]))
-    assert str(raised.value) == "triangle (0, 2, 3) references missing edge (2, 3)"
 
 
 # -- the array stage against the clique oracle and the tuple exporter ------------
 
 
 def _tuple_export(graph, triangles) -> str:
-    """Reference: sorted() tuples, facets by dict lookup, one line each.  It
-    refuses the first triangle with a missing facet, then, s before t, the
-    least coordinate (nan last) of any triangle or edge that is not finite
-    after the shift."""
+    """Reference for the graph's own triangles: sorted() tuples, facets by
+    dict lookup, one line each.  It refuses, s before t, the least
+    coordinate of any triangle or edge that is not finite after the shift."""
     edges = graph.edge_list()
     shift_s = min((e.grade[0] for e in edges), default=0.0)
     shift_t = min((e.grade[1] for e in edges), default=0.0)
     edge_index = {(e.u, e.v): i for i, e in enumerate(edges)}
     triangles = sorted(triangles)
-    facets = []
-    for u, v, w, _ in triangles:
-        try:
-            facets.append(f"{edge_index[u, v]} {edge_index[u, w]} {edge_index[v, w]}")
-        except KeyError as missing:
-            pair = missing.args[0]
-            raise ValueError(f"triangle {(u, v, w)} references missing edge {pair}") from None
+    facets = [f"{edge_index[u, v]} {edge_index[u, w]} {edge_index[v, w]}" for u, v, w, _ in triangles]
     grades = [grade for *_, grade in triangles] + [e.grade for e in edges]
     for axis, name, shift in ((0, "s", shift_s), (1, "t", shift_t)):
         bad = [g[axis] for g in grades if not math.isfinite(g[axis] - shift)]
         if bad:
-            c = min(bad, key=lambda c: (math.isnan(c), c))
-            raise ValueError(f"grade coordinate {name} = {c!r} minus the shift {shift!r} is not finite")
+            raise ValueError(f"grade coordinate {name} = {min(bad)!r} minus the shift {shift!r} is not finite")
     lines = ["scc2020", "2", f"{len(triangles)} {len(edges)} {graph.n}"]
     for (_, _, _, (s, t)), faces in zip(triangles, facets):
         lines.append(f"{_fmt(s - shift_s)} {_fmt(t - shift_t)} ; {faces}")
@@ -398,7 +416,8 @@ def test_triangle_stage_matches_tuple_reference(g, data):
     assert export_text(g, tris) == _tuple_export(g, reference)
     # Hand-written arrays: the triangles, some at other grades, and a few
     # arbitrary triples u < v < w (mostly with a missing facet), one grade
-    # per triple, in (u, v, w) order.
+    # per triple, in (u, v, w) order.  Only the enumeration itself is
+    # written; any other array is refused.
     regraded = data.draw(st.sets(st.sampled_from(reference), max_size=6)) if reference else set()
     ids = st.integers(-1, g.n)
     strays = data.draw(st.lists(st.tuples(ids, ids, ids), max_size=2))
@@ -407,14 +426,11 @@ def test_triangle_stage_matches_tuple_reference(g, data):
         if len(key) == 3:
             written[key] = data.draw(_TIE_GRADES)
     written = [(*key, grade) for key, grade in sorted(written.items())]
-    try:
-        expected = _tuple_export(g, written)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
-            export_text(g, as_array(written))
-        assert str(raised.value) == str(exc)
+    if written == reference:
+        assert export_text(g, as_array(written)) == _tuple_export(g, reference)
     else:
-        assert export_text(g, as_array(written)) == expected
+        with pytest.raises(ValueError, match=_NOT_ENUMERATED):
+            export_text(g, as_array(written))
     # In any other order, or with a triangle repeated, they are rejected.
     shuffled = data.draw(st.permutations(written))
     rejected = [written + written[:1]] if written else []
@@ -431,7 +447,8 @@ _EXTREME_FLOATS = st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5, -2.0, 1e308, -1e308]
     + [1.7976931348623157e308, -1.7976931348623157e308]
 )
-# A hand-edited triangle coordinate off the edge table: not finite, or on no edge.
+# A hand-edited triangle coordinate off the edge table: not finite, or on no
+# edge.  Such an array is not the enumeration, and is refused.
 _OFF_TABLE = st.sampled_from([math.inf, -math.inf, math.nan, 0.375, -7.25])
 
 
@@ -448,7 +465,7 @@ def _extreme_graphs(draw):
 def test_export_matches_the_tuple_reference_in_small_groups(g, data):
     # The wedge walk in groups of at most 3 wedges and the export in slices
     # of 2 lines write what the reference writes, or refuse with its message;
-    # so do hand-edited arrays whose grades are off the edge table.
+    # hand-edited arrays whose grades are off the edge table are refused.
     reference = clique_triangles(g)
     written = {(u, v, w): grade for u, v, w, grade in reference}
     for key in data.draw(st.sets(st.sampled_from(sorted(written)), max_size=3)) if written else ():
@@ -461,25 +478,27 @@ def test_export_matches_the_tuple_reference_in_small_groups(g, data):
         patch.setattr(expand, "_CHUNK_LINES", 2)
         tris = enumerate_triangles(g)
         assert as_tuples(tris) == reference and count_triangles(g) == len(tris)
-        for array, tuples in ((tris, reference), (as_array(written), written)):
-            try:
-                expected = _tuple_export(g, tuples)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as raised:
-                    export_text(g, array)
-                assert str(raised.value) == str(exc)
-            else:
-                assert export_text(g, array) == expected
+        try:
+            expected = _tuple_export(g, reference)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                export_text(g, tris)
+            assert str(raised.value) == str(exc)
+        else:
+            assert export_text(g, tris) == expected
+        if written != reference:
+            with pytest.raises(ValueError, match=_NOT_ENUMERATED):
+                export_text(g, as_array(written))
 
 
-def test_export_first_missing_facet_in_sorted_order():
+def test_export_refuses_triples_on_a_triangle_free_graph():
+    # The graph has no triangle, so its one array is the empty one.
     g = graph_from_edges(4, [(0, 1, (0.0, 0.0)), (0, 2, (0.0, 0.0)), (1, 3, (0.0, 0.0))])
     written = [(0, 1, 2, (0.0, 0.0)), (0, 1, 3, (1.0, 0.0)), (1, 2, 3, (0.0, 0.0))]
-    with pytest.raises(ValueError) as raised:
-        export_text(g, as_array(written))
-    assert str(raised.value) == "triangle (0, 1, 2) references missing edge (1, 2)"
-    with pytest.raises(ValueError, match=_NOT_ENUMERATED):
-        export_text(g, as_array(written[::-1]))
+    for triples in (written, written[::-1], written[:1]):
+        with pytest.raises(ValueError, match=_NOT_ENUMERATED):
+            export_text(g, as_array(triples))
+    assert export_text(g, as_array([])) == _tuple_export(g, [])
 
 
 # -- round-trip ------------------------------------------------------------------
