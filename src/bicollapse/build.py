@@ -7,16 +7,19 @@ Euclidean distance.  Densities default to an unnormalized Gaussian kernel sum
 whose bandwidth is the nearest-rank 20th percentile of the distinct pairwise
 distances; any strictly monotone rescaling of densities yields the same graph
 up to axis relabeling, so the normalization constant is omitted.
-Distances are computed with numpy in scipy's summation order, so they are
-bit-identical to scipy.spatial.distance.pdist.  Every stage walks the
-strict upper triangle, or the KDE the matrix's rows, in blocks of whole
-rows of at most _BLOCK cells (_blocks), so no stage holds an index pair or
-a temporary as long as the triangle: each element sees the same operations
-in the same order as one numpy expression over the whole, and each KDE row
-is summed over one contiguous length-n row.  The points paths read the
-condensed distances, which become the graph's distance column as they
-are, and build no n x n matrix.  load_points and
-load_lower_distance_matrix read a path or a text stream through
+The build has one distance form, the condensed distances: the strict upper
+triangle, row by row.  The points paths compute them in scipy's summation
+order, bit-identical to scipy.spatial.distance.pdist; the matrix functions
+take them off a 2-D square matrix through _condensed, which refuses any
+other shape and reads neither the diagonal nor the lower triangle.  The
+KDE, _condensed_kde, and the graph, whose distance column they become as
+they are, read nothing else.  Every stage walks the strict upper triangle,
+or the KDE the rows of the symmetric matrix gathered from it, in blocks of
+whole rows of at most _BLOCK cells (core._blocks), so no stage holds an
+index pair or a temporary as long as the triangle: each element sees the
+same operations in the same order as one numpy expression over the whole,
+and each KDE row is summed over one contiguous length-n row.  load_points
+and load_lower_distance_matrix read a path or a text stream through
 core._text_lines and convert one row at a time through core._numbers.
 """
 
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
-from .core import BifilteredGraph, _graph_from_new_arrays, _numbers, _text_lines
+from .core import BifilteredGraph, _blocks, _graph_from_new_arrays, _numbers, _text_lines
 
 DATASET_KINDS = ("sphere", "uniform", "circle", "torus", "swiss-roll")
 
@@ -40,41 +43,23 @@ DATASET_KINDS = ("sphere", "uniform", "circle", "torus", "swiss-roll")
 _BLOCK = 1 << 16
 
 
-def _blocks(reach: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Row ranges [lo, hi) of at most _BLOCK cells, or one longer row, that
-    cover every row; reach[r] is the cells of the rows before row r."""
-    lo, rows = 0, len(reach) - 1
-    while lo < rows:
-        hi = max(int(np.searchsorted(reach, reach[lo] + _BLOCK, "right")) - 1, lo + 1)
-        yield lo, hi
-        lo = hi
-
-
 def _upper_blocks(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The pairs (i, j), i < j < n, in condensed order, as (start, i, j):
     whole rows of at most _BLOCK pairs, start being the first pair's
     condensed position."""
     r = np.arange(n)
     reach = r * (2 * n - r - 1) // 2  # condensed position of row r's first pair
-    for lo, hi in _blocks(reach):
+    for lo, hi in _blocks(reach, _BLOCK):
         i = np.repeat(r[lo:hi], np.diff(reach[lo : hi + 1]))
         yield int(reach[lo]), i, np.arange(reach[lo], reach[hi]) - reach[i] + i + 1
 
 
-def _kde(n: int, h: float, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Gaussian kernel sums of the n x n distance matrix whose rows lo..hi-1
-    rows(lo, hi) gives, taken in blocks of whole rows: each row is summed
-    over its contiguous length-n row, as the one-shot matrix sum does."""
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    out = np.empty(n)
-    for lo, hi in _blocks(np.arange(n + 1) * n):
-        out[lo:hi] = np.exp(-(rows(lo, hi) ** 2) / (2.0 * h * h)).sum(axis=1)
-    return out
-
-
-def _condensed(dist: np.ndarray) -> np.ndarray:
-    """The strict upper triangle of a square matrix, row by row."""
+def _condensed(dist) -> np.ndarray:
+    """The strict upper triangle of a 2-D square matrix, row by row: all
+    that the build reads of a distance matrix."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise ValueError(f"distance matrix shape {dist.shape} is not square")
     n = len(dist)
     out = np.empty(n * (n - 1) // 2)
     for start, i, j in _upper_blocks(n):
@@ -128,35 +113,40 @@ def kde_bandwidth(distances: np.ndarray) -> float:
 def kde_density_from_matrix(dist: np.ndarray, h: float) -> np.ndarray:
     """Unnormalized Gaussian kernel sums from a square distance matrix.
 
-    Row sums include the self term exp(0) = 1, so values are >= 1.
+    Only the strict upper triangle is read: entry (i, j), i < j, is the
+    distance between points i and j, and the diagonal counts as zero.  A
+    matrix that is not 2-D and square is refused.  Row sums include the
+    self term exp(0) = 1, so values are >= 1.
     """
-    dist = np.asarray(dist, dtype=float)
-    return _kde(len(dist), h, lambda lo, hi: dist[lo:hi])
+    return _condensed_kde(_condensed(dist), len(dist), h)
 
 
 def kde_density(points: np.ndarray, h: float) -> np.ndarray:
     """Per-point unnormalized Gaussian KDE values, read from the condensed
     distances: no n x n matrix is built."""
     points = np.asarray(points, dtype=float)
-    if len(points) == 1:
-        if h <= 0:
-            raise ValueError("bandwidth must be positive")
-        return np.ones(1)
-    return _condensed_kde(pairwise_distances(points), len(points), h)
+    condensed = pairwise_distances(points) if len(points) != 1 else np.empty(0)
+    return _condensed_kde(condensed, len(points), h)
 
 
 def _condensed_kde(condensed: np.ndarray, n: int, h: float) -> np.ndarray:
-    """kde_density_from_matrix(square_form(condensed), h), bit for bit,
-    with the matrix's rows gathered from condensed one block at a time."""
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        r, c = np.arange(lo, hi)[:, None], np.arange(n)
+    """The kernel sums of n points from their condensed distances, the one
+    KDE.  Blocks of whole rows of the symmetric matrix with zero diagonal
+    are gathered from condensed, and each row is summed over its contiguous
+    length-n row, so the sums equal one sum over that whole matrix, bit
+    for bit."""
+    if h <= 0:
+        raise ValueError("bandwidth must be positive")
+    if n < 2:
+        return np.ones(n)  # no pair: the self term alone
+    out, c = np.empty(n), np.arange(n)
+    for lo, hi in _blocks(np.arange(n + 1) * n, _BLOCK):
+        r = np.arange(lo, hi)[:, None]
         a, b = np.minimum(r, c), np.maximum(r, c)
-        out = condensed[a * (2 * n - a - 1) // 2 + b - a - 1]  # a == b reads a stand-in
-        out[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        return out
-
-    return _kde(n, h, rows)
+        rows = condensed[a * (2 * n - a - 1) // 2 + b - a - 1]  # a == b reads a stand-in
+        rows[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        out[lo:hi] = np.exp(-(rows**2) / (2.0 * h * h)).sum(axis=1)
+    return out
 
 
 # -- density-Rips construction --------------------------------------------------
@@ -176,13 +166,15 @@ def _density_rips(condensed: np.ndarray, densities: np.ndarray) -> BifilteredGra
 def density_rips_from_distances(
     dist: np.ndarray, densities: np.ndarray
 ) -> BifilteredGraph:
-    """Complete graph graded by (-min endpoint density, distance)."""
-    dist = np.asarray(dist, dtype=float)
-    densities = np.asarray(densities, dtype=float)
+    """Complete graph graded by (-min endpoint density, distance).  Only the
+    strict upper triangle of the square matrix dist is read: entry (i, j),
+    i < j, is the distance of edge (i, j).  A matrix that is not 2-D and
+    square is refused."""
+    condensed, densities = _condensed(dist), np.asarray(densities, dtype=float)
     n = len(densities)
-    if dist.shape != (n, n):
-        raise ValueError(f"distance matrix shape {dist.shape} does not match {n} densities")
-    return _density_rips(_condensed(dist), densities)
+    if len(dist) != n:
+        raise ValueError(f"distance matrix shape {np.shape(dist)} does not match {n} densities")
+    return _density_rips(condensed, densities)
 
 
 def density_rips_graph(points: np.ndarray, densities: np.ndarray) -> BifilteredGraph:

@@ -33,7 +33,6 @@ from .build import (
     _density_rips,
     generate_dataset,
     kde_bandwidth,
-    kde_density_from_matrix,
     load_lower_distance_matrix,
     load_points,
     pairwise_distances,
@@ -143,15 +142,13 @@ def _ms_since(start: float) -> str:
     return f"{1000.0 * (time.perf_counter() - start):.1f}"
 
 
-def _graph_from_distances(dist: np.ndarray) -> BifilteredGraph:
-    condensed = _condensed(dist)
-    return _density_rips(condensed, kde_density_from_matrix(dist, kde_bandwidth(condensed)))
+def _graph_from_condensed(condensed: np.ndarray, n: int) -> BifilteredGraph:
+    # The bandwidth, the densities and the graph read the condensed distances.
+    return _density_rips(condensed, _condensed_kde(condensed, n, kde_bandwidth(condensed)))
 
 
 def _graph_from_points(points: np.ndarray) -> BifilteredGraph:
-    # The density and the graph read the condensed distances: no n x n matrix.
-    condensed = pairwise_distances(points)
-    return _density_rips(condensed, _condensed_kde(condensed, len(points), kde_bandwidth(condensed)))
+    return _graph_from_condensed(pairwise_distances(points), len(points))
 
 
 def _input_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:
@@ -163,7 +160,8 @@ def _input_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:
             graph, source = _graph_from_points(load_points(args.points)), f"points:{args.points}"
         elif args.distances:
             dist = load_lower_distance_matrix(args.distances)
-            graph, source = _graph_from_distances(dist), f"distances:{args.distances}"
+            graph = _graph_from_condensed(_condensed(dist), len(dist))
+            source = f"distances:{args.distances}"
         else:
             points = generate_dataset(args.dataset, args.n, seed=args.seed)
             graph, source = _graph_from_points(points), f"{args.dataset}:n={args.n}"

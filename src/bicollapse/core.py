@@ -84,8 +84,7 @@ class BifilteredGraph:
         below = np.argsort(v, kind="stable")
         up, down = (np.searchsorted(x, np.arange(self.n + 1)) for x in (u, v[below]))
         reach, rows = up + down, []  # reach[r]: the half-edges of rows before r
-        while (lo := len(rows)) < self.n:
-            hi = max(int(np.searchsorted(reach, reach[lo] + _ROW_SLICE, "right")) - 1, lo + 1)
+        for lo, hi in _blocks(reach, _ROW_SLICE):
             lower, upper = below[down[lo] : down[hi]], np.arange(up[lo], up[hi])
             order = np.argsort(np.concatenate((v[lower], u[upper])), kind="stable")
             other = np.concatenate((u[lower], v[upper]))[order].tolist()
@@ -136,6 +135,18 @@ class BifilteredGraph:
         return f"BifilteredGraph(n={self.n}, m={self.edge_count()})"
 
 
+def _blocks(reach: np.ndarray, budget: int, most: int | None = None) -> Iterator[tuple[int, int]]:
+    """Row ranges [lo, hi) that cover every row in turn: each holds at most
+    budget cells, or is one longer row, and, if most is given, at most most
+    rows; reach[r] is the cells of the rows before row r."""
+    lo, rows = 0, len(reach) - 1
+    while lo < rows:
+        hi = max(int(np.searchsorted(reach, reach[lo] + budget, "right")) - 1, lo + 1)
+        hi = hi if most is None else min(hi, lo + most)
+        yield lo, hi
+        lo = hi
+
+
 def _as_edges(u: np.ndarray, v: np.ndarray, s: np.ndarray, t: np.ndarray) -> Iterator[Edge]:
     """The columns' edges in turn as Edges with Python int and float fields,
     each built when it is reached; tuple.__new__ skips Edge.__new__'s frame."""
@@ -172,8 +183,7 @@ def _graph_from_new_arrays(n: int, u, v, s, t) -> BifilteredGraph:
     g = BifilteredGraph(n)
     u, v = np.asarray(u), np.asarray(v)
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    m = len(u)
-    if m == 0:
+    if len(u) == 0:
         return g
     if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
         raise ValueError(f"vertex ids must be integers, got {u.dtype} and {v.dtype}")
@@ -187,10 +197,9 @@ def _graph_from_new_arrays(n: int, u, v, s, t) -> BifilteredGraph:
     outside = (lo < 0) | (hi >= n)
     bad = outside | ~(np.isfinite(s) & np.isfinite(t))
     if not ascending:
-        # Out-of-range pairs get distinct negative keys, so they never collide.
-        key = np.where(outside, -1 - np.arange(m), lo * n + hi)
-        order = np.argsort(key, kind="stable")
-        bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # the later of two equal pairs
+        order = np.lexsort((hi, lo))  # stable, so of two equal pairs the later sorts later
+        lo, hi = lo[order], hi[order]
+        bad[order[1:][(lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])]] = True
         bad |= u == v
     if bad.any():
         i = int(np.argmax(bad))
@@ -203,7 +212,7 @@ def _graph_from_new_arrays(n: int, u, v, s, t) -> BifilteredGraph:
             raise ValueError(f"edge ({a}, {b}) has non-finite grade {(float(s[i]), float(t[i]))}")
         raise ValueError(f"duplicate edge pair ({min(a, b)}, {max(a, b)})")
     if not ascending:
-        u, v, s, t = lo[order], hi[order], s[order], t[order]
+        u, v, s, t = lo, hi, s[order], t[order]
     g._arrays = _frozen(u, v, s, t)
     return g
 

@@ -28,7 +28,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .core import BifilteredGraph, Grade, _numbers, _text_lines
+from .core import BifilteredGraph, Grade, _blocks, _numbers, _text_lines
 
 FORMAT_TAG = "scc2020"
 
@@ -67,10 +67,7 @@ def _closed_wedges(n: int, a: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]
     rows = min(max(1, (1 << 18) // max(n, 1)), n)
     mark = np.zeros(rows * n, dtype=np.min_scalar_type(len(a)))  # holds the largest mark, len(a)
     index_type = np.min_scalar_type(len(a) - 1)
-    lo = 0
-    while lo < n:
-        hi = int(np.searchsorted(reach, reach[lo] + _WEDGES, side="right")) - 1
-        hi = min(max(hi, lo + 1), lo + rows)
+    for lo, hi in _blocks(reach, _WEDGES, rows):
         p, q = bounds[lo], bounds[hi]
         row = (a[p:q] - lo) * n
         cell = row + b[p:q]
@@ -83,7 +80,6 @@ def _closed_wedges(n: int, a: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]
         closed = np.flatnonzero(uw)
         uv = np.repeat(np.arange(p, q), k)
         yield np.array((uv[closed], uw[closed] - 1, vw[closed]), dtype=index_type)
-        lo = hi
 
 
 def _fill(out: np.ndarray, facets: np.ndarray, edges: tuple[np.ndarray, ...]) -> np.ndarray:

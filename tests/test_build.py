@@ -201,6 +201,37 @@ def test_density_rips_length_mismatch():
         density_rips_from_distances(np.zeros((3, 3)), np.ones(2))
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (6,), (2, 2, 2)])
+def test_matrix_functions_refuse_a_matrix_that_is_not_square(shape):
+    dist = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(f"distance matrix shape {shape} is not square")):
+        kde_density_from_matrix(dist, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"distance matrix shape {shape} is not square")):
+        density_rips_from_distances(dist, np.ones(3))
+
+
+def test_matrix_functions_read_only_the_strict_upper_triangle():
+    # Densities and edges come from the same entries: those above the
+    # diagonal.  The lower triangle and the diagonal are never read.
+    rng = np.random.default_rng(11)
+    dist = rng.uniform(0.1, 2.0, (7, 7))
+    upper = np.triu(dist, 1)
+    mirrored = upper + upper.T
+    density = kde_density_from_matrix(dist, 0.5)
+    assert _bits(density) == _bits(np.exp(-(mirrored**2) / (2.0 * 0.5 * 0.5)).sum(axis=1))
+    g = density_rips_from_distances(dist, density)
+    assert _bits(g.edge_arrays()[3]) == _bits(dist[np.triu_indices(7, 1)])
+    assert g == density_rips_from_distances(mirrored, density)
+
+
+def test_matrix_functions_on_one_and_no_point():
+    assert kde_density_from_matrix(np.zeros((1, 1)), 0.5).tolist() == [1.0]
+    assert kde_density_from_matrix(np.zeros((0, 0)), 0.5).tolist() == []
+    one = density_rips_from_distances(np.zeros((1, 1)), [1.0])
+    none = density_rips_from_distances(np.zeros((0, 0)), [])
+    assert (one.n, one.edge_count(), none.n, none.edge_count()) == (1, 0, 0, 0)
+
+
 # -- blocks and memory -------------------------------------------------------------
 
 

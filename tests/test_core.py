@@ -322,6 +322,32 @@ def test_a_vertex_count_too_large_for_an_array_is_refused(n):
         read_edge_list([f"{n} 1", "0 1 0 0"])
 
 
+def test_pairs_of_a_huge_vertex_count_compare_and_sort_as_pairs():
+    # With n = 2**40 and a = 2**24, a key a * n + hi wraps past 2**64 to hi:
+    # it took (a, a + 1) for (0, a + 1), and sorted (0, a + 5) after
+    # (a, a + 1).  Nothing of size n is allocated.
+    n, a = 1 << 40, 1 << 24
+    for w in (a + 1, a + 5):
+        g = graph_from_arrays(n, [a, 0], [a + 1, w], [0.0, 1.0], [0.0, 1.0])
+        assert g.edge_list() == [Edge(0, w, (1.0, 1.0)), Edge(a, a + 1, (0.0, 0.0))]
+    with pytest.raises(ValueError, match=f"^duplicate edge pair \\({a}, {a + 1}\\)$"):
+        graph_from_arrays(n, [a, 0, a + 1], [a + 1, a + 1, a], np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("budget, most", [(1, None), (4, None), (4, 2), (100, None), (100, 3)])
+def test_blocks_cover_each_row_once_in_greedy_ranges(budget, most):
+    cells = [0, 3, 0, 7, 1, 1, 0, 2, 5]
+    reach = np.concatenate(([0], np.cumsum(cells)))
+    blocks = list(core._blocks(reach, budget, most))
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == len(cells)
+    for lo, hi in blocks:
+        assert hi - lo == 1 or reach[hi] - reach[lo] <= budget
+        assert most is None or hi - lo <= most
+        # Each range takes rows while they fit: the next would overflow a bound.
+        assert hi == len(cells) or reach[hi + 1] - reach[lo] > budget or hi - lo == most
+
+
 def test_read_edge_list_keeps_contiguous_columns():
     # Views of the parsed table would stride 32 bytes and keep it alive.
     g = read_edge_list(["4 3", "0 1 0 0", "1 2 0.5 1", "2 3 1 0.5"])
