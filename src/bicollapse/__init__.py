@@ -7,11 +7,10 @@ from .build import (
     generate_dataset,
     kde_bandwidth,
     kde_density,
-    kde_density_from_matrix,
+    kde_density_from_distances,
     load_lower_distance_matrix,
     load_points,
     pairwise_distances,
-    square_form,
 )
 from .collapse import (
     GRADE_MODES,
@@ -50,13 +49,12 @@ __all__ = [
     "is_strongly_dominated",
     "kde_bandwidth",
     "kde_density",
-    "kde_density_from_matrix",
+    "kde_density_from_distances",
     "load_lower_distance_matrix",
     "load_points",
     "pairwise_distances",
     "parse_scc2020",
     "read_edge_list",
-    "square_form",
     "verify_collapse",
     "write_edge_list",
     "__version__",

@@ -7,14 +7,14 @@ Euclidean distance.  Densities default to an unnormalized Gaussian kernel sum
 whose bandwidth is the nearest-rank 20th percentile of the distinct pairwise
 distances; any strictly monotone rescaling of densities yields the same graph
 up to axis relabeling, so the normalization constant is omitted.
-The build has one distance form, the condensed distances: the strict upper
-triangle, row by row.  The points paths compute them in scipy's summation
-order, bit-identical to scipy.spatial.distance.pdist; the matrix functions
-take them off a 2-D square matrix through _condensed, which refuses any
-other shape and reads neither the diagonal nor the lower triangle.  The
-KDE, _condensed_kde, and the graph, whose distance column they become as
-they are, read nothing else.  Every stage walks the strict upper triangle,
-or the KDE the rows of the symmetric matrix gathered from it, in blocks of
+Distances have one form, the condensed distances: the strict upper triangle
+of the distance matrix, row by row, n(n-1)/2 values for n points.  Every
+function here that takes or returns distances takes or returns that vector.
+pairwise_distances computes it in scipy's summation order, bit-identical to
+scipy.spatial.distance.pdist; load_lower_distance_matrix scatters a file's
+values into it.  The KDE reads nothing else, and the graph takes it as its
+distance column as it is.  Every stage walks the strict upper triangle, or
+the KDE the rows of the symmetric matrix gathered from it, in blocks of
 whole rows of at most _BLOCK cells (core._blocks), so no stage holds an
 index pair or a temporary as long as the triangle: each element sees the
 same operations in the same order as one numpy expression over the whole,
@@ -54,19 +54,6 @@ def _upper_blocks(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         yield int(reach[lo]), i, np.arange(reach[lo], reach[hi]) - reach[i] + i + 1
 
 
-def _condensed(dist) -> np.ndarray:
-    """The strict upper triangle of a 2-D square matrix, row by row: all
-    that the build reads of a distance matrix."""
-    dist = np.asarray(dist, dtype=float)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ValueError(f"distance matrix shape {dist.shape} is not square")
-    n = len(dist)
-    out = np.empty(n * (n - 1) // 2)
-    for start, i, j in _upper_blocks(n):
-        out[start : start + len(i)] = dist[i, j]
-    return out
-
-
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Condensed Euclidean distances over unordered pairs, in (i < j) order.
 
@@ -88,19 +75,6 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def square_form(condensed: np.ndarray) -> np.ndarray:
-    """Symmetric square matrix, zero diagonal, from condensed distances
-    (the inverse of reading the strict upper triangle row by row)."""
-    condensed = np.asarray(condensed, dtype=float)
-    n = int(round((1 + math.sqrt(1 + 8 * len(condensed))) / 2))
-    if n * (n - 1) // 2 != len(condensed):
-        raise ValueError(f"{len(condensed)} distances are not n(n-1)/2 for any n")
-    out = np.zeros((n, n))
-    for start, i, j in _upper_blocks(n):
-        out[i, j] = out[j, i] = condensed[start : start + len(i)]
-    return out
-
-
 def kde_bandwidth(distances: np.ndarray) -> float:
     """Nearest-rank 20th percentile of the distinct positive distance values."""
     distinct = np.unique(np.asarray(distances, dtype=float))
@@ -110,31 +84,21 @@ def kde_bandwidth(distances: np.ndarray) -> float:
     return float(distinct[math.ceil(0.2 * distinct.size) - 1])
 
 
-def kde_density_from_matrix(dist: np.ndarray, h: float) -> np.ndarray:
-    """Unnormalized Gaussian kernel sums from a square distance matrix.
+def kde_density_from_distances(condensed: np.ndarray, h: float) -> np.ndarray:
+    """Unnormalized Gaussian kernel sums of n points from their condensed
+    distances, of which there must be n(n-1)/2 in a 1-D array; an empty
+    array is one point.  Row sums include the self term exp(0) = 1, so values
+    are >= 1.
 
-    Only the strict upper triangle is read: entry (i, j), i < j, is the
-    distance between points i and j, and the diagonal counts as zero.  A
-    matrix that is not 2-D and square is refused.  Row sums include the
-    self term exp(0) = 1, so values are >= 1.
+    Blocks of whole rows of the symmetric matrix with zero diagonal are
+    gathered from condensed, and each row is summed over its contiguous
+    length-n row, so the sums equal one sum over that whole matrix, bit for
+    bit.
     """
-    return _condensed_kde(_condensed(dist), len(dist), h)
-
-
-def kde_density(points: np.ndarray, h: float) -> np.ndarray:
-    """Per-point unnormalized Gaussian KDE values, read from the condensed
-    distances: no n x n matrix is built."""
-    points = np.asarray(points, dtype=float)
-    condensed = pairwise_distances(points) if len(points) != 1 else np.empty(0)
-    return _condensed_kde(condensed, len(points), h)
-
-
-def _condensed_kde(condensed: np.ndarray, n: int, h: float) -> np.ndarray:
-    """The kernel sums of n points from their condensed distances, the one
-    KDE.  Blocks of whole rows of the symmetric matrix with zero diagonal
-    are gathered from condensed, and each row is summed over its contiguous
-    length-n row, so the sums equal one sum over that whole matrix, bit
-    for bit."""
+    condensed = np.asarray(condensed, dtype=float)
+    n = (1 + math.isqrt(1 + 8 * condensed.size)) // 2
+    if condensed.shape != (n * (n - 1) // 2,):
+        raise ValueError(f"distances of shape {condensed.shape} are not n(n-1)/2 for any n")
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     if n < 2:
@@ -149,32 +113,38 @@ def _condensed_kde(condensed: np.ndarray, n: int, h: float) -> np.ndarray:
     return out
 
 
+def kde_density(points: np.ndarray, h: float) -> np.ndarray:
+    """Per-point unnormalized Gaussian KDE values, read from the condensed
+    distances: no n x n matrix is built."""
+    points = np.asarray(points, dtype=float)
+    condensed = pairwise_distances(points) if len(points) != 1 else np.empty(0)
+    return kde_density_from_distances(condensed, h)
+
+
 # -- density-Rips construction --------------------------------------------------
 
 
-def _density_rips(condensed: np.ndarray, densities: np.ndarray) -> BifilteredGraph:
-    """The complete graph graded by (-min endpoint density, distance) whose
-    t column is the condensed distances themselves, in (u, v) order."""
-    n, m, neg = len(densities), len(condensed), -densities
+def density_rips_from_distances(
+    condensed: np.ndarray, densities: np.ndarray
+) -> BifilteredGraph:
+    """Complete graph graded by (-min endpoint density, distance) from the
+    condensed distances of len(densities) points; any other length, or an
+    array that is not 1-D, is refused.  The condensed distances become the
+    graph's distance column: a float64 array that owns its memory is kept,
+    not copied, and made read-only, so pass a copy of one you will write."""
+    densities = np.asarray(densities, dtype=float)
+    n, t = len(densities), np.asarray(condensed, dtype=float)
+    m = n * (n - 1) // 2
+    if t.shape != (m,):
+        raise ValueError(f"distances of shape {t.shape} do not match {n} densities")
+    if not t.flags.owndata:
+        t = t.copy()
+    neg = -densities
     u, v, s = np.empty(m, np.int64), np.empty(m, np.int64), np.empty(m)
     for start, i, j in _upper_blocks(n):
         block = slice(start, start + len(i))
         u[block], v[block], s[block] = i, j, np.maximum(neg[i], neg[j])
-    return _graph_from_new_arrays(n, u, v, s, condensed)
-
-
-def density_rips_from_distances(
-    dist: np.ndarray, densities: np.ndarray
-) -> BifilteredGraph:
-    """Complete graph graded by (-min endpoint density, distance).  Only the
-    strict upper triangle of the square matrix dist is read: entry (i, j),
-    i < j, is the distance of edge (i, j).  A matrix that is not 2-D and
-    square is refused."""
-    condensed, densities = _condensed(dist), np.asarray(densities, dtype=float)
-    n = len(densities)
-    if len(dist) != n:
-        raise ValueError(f"distance matrix shape {np.shape(dist)} does not match {n} densities")
-    return _density_rips(condensed, densities)
+    return _graph_from_new_arrays(n, u, v, s, t)
 
 
 def density_rips_graph(points: np.ndarray, densities: np.ndarray) -> BifilteredGraph:
@@ -184,7 +154,7 @@ def density_rips_graph(points: np.ndarray, densities: np.ndarray) -> BifilteredG
     densities = np.asarray(densities, dtype=float)
     if len(points) != len(densities):
         raise ValueError("densities length does not match point count")
-    return _density_rips(pairwise_distances(points), densities)
+    return density_rips_from_distances(pairwise_distances(points), densities)
 
 
 # -- synthetic datasets ----------------------------------------------------------
@@ -252,10 +222,13 @@ def load_points(source: str | Path | IO[str]) -> np.ndarray:
 
 
 def load_lower_distance_matrix(source: str | Path | IO[str]) -> np.ndarray:
-    """Square distance matrix from a strictly-lower-triangular text file.
+    """Condensed distances from a strictly-lower-triangular text file.
 
     Line i carries the i finite, non-negative distances to earlier points;
     a leading empty row (zero entries for the first point) may be omitted.
+    Line j holds the pairs (i, j), i < j: column j of the strict upper
+    triangle, so each value is scattered to its condensed position and no
+    matrix is built.
     """
     rows = [_numbers(ln, "f", "distance line holds {}: {!r}", ln.replace(",", " "))
             for ln in _text_lines(source)]
@@ -266,11 +239,14 @@ def load_lower_distance_matrix(source: str | Path | IO[str]) -> np.ndarray:
     for i, row in enumerate(rows):
         if len(row) != i:
             raise ValueError(f"row {i} has {len(row)} entries, expected {i}")
-    values = np.concatenate(rows)
-    lower = np.tril_indices(len(rows), -1)  # the (row, column) of each value, in file order
+    values = np.concatenate(rows)  # pair (i, j), i < j, at j(j-1)/2 + i
     bad = np.flatnonzero(~np.isfinite(values) | (values < 0))
     if bad.size:
-        raise ValueError(f"invalid distance {float(values[bad[0]])} at row {lower[0][bad[0]]}")
-    dist = np.zeros((len(rows), len(rows)))
-    dist[lower] = dist[lower[::-1]] = values
-    return dist
+        p = int(bad[0])
+        row = (1 + math.isqrt(1 + 8 * p)) // 2  # the j of p = j(j-1)/2 + i, i < j
+        raise ValueError(f"invalid distance {float(values[p])} at row {row}")
+    n = len(rows)
+    out = np.empty(n * (n - 1) // 2)
+    for start, i, j in _upper_blocks(n):
+        out[start : start + len(i)] = values[j * (j - 1) // 2 + i]
+    return out

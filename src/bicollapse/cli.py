@@ -28,11 +28,10 @@ import numpy as np
 from . import __version__
 from .build import (
     DATASET_KINDS,
-    _condensed,
-    _condensed_kde,
-    _density_rips,
+    density_rips_from_distances,
     generate_dataset,
     kde_bandwidth,
+    kde_density_from_distances,
     load_lower_distance_matrix,
     load_points,
     pairwise_distances,
@@ -142,13 +141,14 @@ def _ms_since(start: float) -> str:
     return f"{1000.0 * (time.perf_counter() - start):.1f}"
 
 
-def _graph_from_condensed(condensed: np.ndarray, n: int) -> BifilteredGraph:
+def _graph_from_distances(condensed: np.ndarray) -> BifilteredGraph:
     # The bandwidth, the densities and the graph read the condensed distances.
-    return _density_rips(condensed, _condensed_kde(condensed, n, kde_bandwidth(condensed)))
+    densities = kde_density_from_distances(condensed, kde_bandwidth(condensed))
+    return density_rips_from_distances(condensed, densities)
 
 
 def _graph_from_points(points: np.ndarray) -> BifilteredGraph:
-    return _graph_from_condensed(pairwise_distances(points), len(points))
+    return _graph_from_distances(pairwise_distances(points))
 
 
 def _input_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:
@@ -159,8 +159,7 @@ def _input_graph(args: argparse.Namespace) -> tuple[BifilteredGraph, str]:
         elif args.points:
             graph, source = _graph_from_points(load_points(args.points)), f"points:{args.points}"
         elif args.distances:
-            dist = load_lower_distance_matrix(args.distances)
-            graph = _graph_from_condensed(_condensed(dist), len(dist))
+            graph = _graph_from_distances(load_lower_distance_matrix(args.distances))
             source = f"distances:{args.distances}"
         else:
             points = generate_dataset(args.dataset, args.n, seed=args.seed)
@@ -261,7 +260,9 @@ def cmd_bench_orders(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     graph, source = _input_graph(args)
     edges_before = graph.edge_count()
-    triangles_before = count_triangles(graph)
+    # A complete graph holds all C(n, 3) triangles: no wedge walk counts them.
+    complete = edges_before == math.comb(graph.n, 2)
+    triangles_before = math.comb(graph.n, 3) if complete else count_triangles(graph)
     start = time.perf_counter()
     collapsed = graph if args.no_collapse else _collapse(graph, args, args.order)[0]
     triangles_after = count_triangles(collapsed)

@@ -20,11 +20,10 @@ from bicollapse.build import (
     generate_dataset,
     kde_bandwidth,
     kde_density,
-    kde_density_from_matrix,
+    kde_density_from_distances,
     load_lower_distance_matrix,
     load_points,
     pairwise_distances,
-    square_form,
 )
 
 
@@ -61,14 +60,10 @@ def test_pairwise_bit_identical_to_scipy():
         assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
 
 
-def test_square_form_matches_scipy():
-    for pts in _reference_clouds():
-        condensed = pdist(pts)
-        ours, ref = square_form(condensed), squareform(condensed)
-        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
-    assert square_form(np.array([2.5])).tolist() == [[0.0, 2.5], [2.5, 0.0]]
-    with pytest.raises(ValueError, match="n\\(n-1\\)/2"):
-        square_form(np.zeros(4))
+def _lower_text(dist):
+    """The strictly lower triangle of a square matrix as a distance file,
+    repr floats, the leading empty row included."""
+    return "".join(" ".join(map(repr, row[:i])) + "\n" for i, row in enumerate(dist.tolist()))
 
 
 def test_library_imports_no_scipy():
@@ -123,9 +118,9 @@ def test_density_single_point():
 
 
 @pytest.mark.parametrize("h", [0.0, -1.0])
-def test_density_from_matrix_needs_a_positive_bandwidth(h):
+def test_density_from_distances_needs_a_positive_bandwidth(h):
     with pytest.raises(ValueError, match="^bandwidth must be positive$"):
-        kde_density_from_matrix(np.zeros((2, 2)), h)
+        kde_density_from_distances(np.zeros(1), h)
 
 
 def test_density_coincident_pair():
@@ -148,12 +143,10 @@ def test_density_permutation_equivariant():
     assert kde_density(pts[perm], 0.4) == pytest.approx(base[perm])
 
 
-def test_density_from_matrix_matches_points():
+def test_density_from_distances_matches_points():
     rng = np.random.default_rng(3)
     pts = rng.uniform(size=(8, 3))
-    direct = kde_density(pts, 0.5)
-    via_matrix = kde_density_from_matrix(squareform(pdist(pts)), 0.5)
-    assert via_matrix == pytest.approx(direct)
+    assert _bits(kde_density_from_distances(pdist(pts), 0.5)) == _bits(kde_density(pts, 0.5))
 
 
 # -- density-Rips graph -------------------------------------------------------------
@@ -198,38 +191,40 @@ def test_density_rips_length_mismatch():
     with pytest.raises(ValueError, match="match"):
         density_rips_graph(np.zeros((3, 2)), np.ones(2))
     with pytest.raises(ValueError, match="match"):
-        density_rips_from_distances(np.zeros((3, 3)), np.ones(2))
+        density_rips_from_distances(np.zeros(3), np.ones(2))
 
 
-@pytest.mark.parametrize("shape", [(3, 5), (6,), (2, 2, 2)])
-def test_matrix_functions_refuse_a_matrix_that_is_not_square(shape):
+@pytest.mark.parametrize("shape", [(2,), (4,), (3, 3), (3, 1)])
+def test_distance_functions_refuse_a_length_that_is_not_n_choose_2(shape):
+    # No n has 2 or 4 pairs; a square matrix, or a column, is not the vector,
+    # even with a pair count's worth of entries.
     dist = np.zeros(shape)
-    with pytest.raises(ValueError, match=re.escape(f"distance matrix shape {shape} is not square")):
-        kde_density_from_matrix(dist, 1.0)
-    with pytest.raises(ValueError, match=re.escape(f"distance matrix shape {shape} is not square")):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} are not n(n-1)/2 for any n")):
+        kde_density_from_distances(dist, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} do not match 3 densities")):
         density_rips_from_distances(dist, np.ones(3))
 
 
-def test_matrix_functions_read_only_the_strict_upper_triangle():
-    # Densities and edges come from the same entries: those above the
-    # diagonal.  The lower triangle and the diagonal are never read.
-    rng = np.random.default_rng(11)
-    dist = rng.uniform(0.1, 2.0, (7, 7))
-    upper = np.triu(dist, 1)
-    mirrored = upper + upper.T
-    density = kde_density_from_matrix(dist, 0.5)
-    assert _bits(density) == _bits(np.exp(-(mirrored**2) / (2.0 * 0.5 * 0.5)).sum(axis=1))
-    g = density_rips_from_distances(dist, density)
-    assert _bits(g.edge_arrays()[3]) == _bits(dist[np.triu_indices(7, 1)])
-    assert g == density_rips_from_distances(mirrored, density)
-
-
-def test_matrix_functions_on_one_and_no_point():
-    assert kde_density_from_matrix(np.zeros((1, 1)), 0.5).tolist() == [1.0]
-    assert kde_density_from_matrix(np.zeros((0, 0)), 0.5).tolist() == []
-    one = density_rips_from_distances(np.zeros((1, 1)), [1.0])
-    none = density_rips_from_distances(np.zeros((0, 0)), [])
+def test_distance_functions_on_one_and_no_point():
+    # No distances are one point to the KDE, and one or no point to the
+    # graph, as its densities say.
+    assert kde_density_from_distances(np.empty(0), 0.5).tolist() == [1.0]
+    one = density_rips_from_distances(np.empty(0), [1.0])
+    none = density_rips_from_distances([], [])
     assert (one.n, one.edge_count(), none.n, none.edge_count()) == (1, 0, 0, 0)
+
+
+def test_density_rips_from_distances_keeps_only_a_vector_it_may_own():
+    # An owning float64 vector becomes the distance column and read-only; a
+    # view is copied, so writing to its base leaves the graph as built.
+    condensed = pairwise_distances(generate_dataset("torus", 6, seed=2))
+    base = np.concatenate([condensed, [7.0]])
+    copied = density_rips_from_distances(base[:-1], np.ones(6))
+    base[0] = 9.0
+    assert _bits(copied.edge_arrays()[3]) == _bits(condensed)
+    kept = density_rips_from_distances(condensed, np.ones(6))
+    assert np.shares_memory(kept.edge_arrays()[3], condensed)
+    assert not condensed.flags.writeable
 
 
 # -- blocks and memory -------------------------------------------------------------
@@ -268,22 +263,28 @@ def test_blocks_give_the_one_shot_build_bit_for_bit(monkeypatch, block, n):
     condensed, dist, density, arrays = _one_shot(points, h)
     monkeypatch.setattr(build, "_BLOCK", block)
     assert _bits(pairwise_distances(points)) == _bits(condensed)
-    assert _bits(square_form(condensed)) == _bits(dist)
-    assert _bits(kde_density_from_matrix(dist, h)) == _bits(density)
+    loaded = load_lower_distance_matrix(io.StringIO(_lower_text(dist)))
+    assert _bits(loaded) == _bits(condensed)
+    assert _bits(kde_density_from_distances(condensed, h)) == _bits(density)
     assert _bits(kde_density(points, h)) == _bits(density)
-    for g in (density_rips_graph(points, density), density_rips_from_distances(dist, density)):
+    for g in (density_rips_graph(points, density), density_rips_from_distances(loaded, density)):
         assert [_bits(x) for x in g.edge_arrays()] == [_bits(x) for x in arrays]
 
 
-def _build_peak_per_edge(build_graph, n=600):
-    points = generate_dataset("torus", n, seed=1)
+def _torus600():
+    return generate_dataset("torus", 600, seed=1)
+
+
+def _build_peak_per_edge(build_graph, source):
+    """The tracemalloc peak of build_graph(source), per edge of the complete
+    600-vertex graph it must build; source is made before tracing starts."""
     tracemalloc.start()
     try:
-        graph = build_graph(points)
+        graph = build_graph(source)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert graph.edge_count() == n * (n - 1) // 2
+    assert (graph.n, graph.edge_count()) == (600, 600 * 599 // 2)
     return peak / graph.edge_count()
 
 
@@ -295,14 +296,24 @@ def test_library_build_peaks_near_what_it_keeps():
     def library(points):
         return density_rips_graph(points, kde_density(points, kde_bandwidth(pairwise_distances(points))))
 
-    assert _build_peak_per_edge(library) < 64
+    assert _build_peak_per_edge(library, _torus600()) < 64
 
 
 def test_cli_build_peaks_near_what_it_keeps():
     # The CLI's points path computes the condensed distances once and reads
     # the bandwidth, the densities and the graph from them: near 47 bytes per
     # edge at the peak.
-    assert _build_peak_per_edge(cli._graph_from_points) < 56
+    assert _build_peak_per_edge(cli._graph_from_points, _torus600()) < 56
+
+
+def test_cli_distances_build_peaks_like_the_points_build(tmp_path):
+    # The lower-matrix file's values are scattered straight into the
+    # condensed vector, with no n x n matrix on the way, and the build reads
+    # it as the points path reads its own: near 47 bytes per edge at the peak.
+    path = tmp_path / "torus600.dist"
+    path.write_text(_lower_text(squareform(pdist(_torus600()))))
+    args = cli.build_parser().parse_args(["collapse", "--distances", str(path)])
+    assert _build_peak_per_edge(lambda args: cli._input_graph(args)[0], args) < 56
 
 
 # -- generators ------------------------------------------------------------------
@@ -433,9 +444,11 @@ def test_text_loaders_refuse_an_underscore(load, text, message):
 
 def test_load_lower_distance_matrix():
     text = "1.0\n2.0, 3.0\n"
-    dist = load_lower_distance_matrix(io.StringIO(text))
-    expected = [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
-    assert dist.tolist() == expected
+    assert load_lower_distance_matrix(io.StringIO(text)).tolist() == [1.0, 2.0, 3.0]
+    # Line j holds the pairs (i, j), i < j; they go to their condensed
+    # positions, row i of the upper triangle.
+    text = "1\n2 3\n4 5 6\n"
+    assert load_lower_distance_matrix(io.StringIO(text)).tolist() == [1, 2, 4, 3, 5, 6]
 
 
 def test_load_lower_distance_matrix_empty():
@@ -470,8 +483,7 @@ def test_load_lower_distance_matrix_names_the_first_invalid_entry(text, message)
 def test_load_lower_distance_matrix_first_row_may_be_omitted_and_zeros_pass():
     omitted = load_lower_distance_matrix(io.StringIO("1.0\n0.0 3.0\n"))
     explicit = load_lower_distance_matrix(io.StringIO("\n1.0\n0.0 3.0\n"))
-    assert omitted.tolist() == explicit.tolist()
-    assert omitted.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 3.0], [0.0, 3.0, 0.0]]
+    assert omitted.tolist() == explicit.tolist() == [1.0, 0.0, 3.0]
 
 
 def test_load_lower_distance_matrix_rejects_a_ragged_row():
@@ -480,11 +492,12 @@ def test_load_lower_distance_matrix_rejects_a_ragged_row():
 
 
 def test_load_lower_distance_matrix_round_trips_bit_identically():
-    points = generate_dataset("torus", 50, seed=4)
-    dist = square_form(pairwise_distances(points))
-    text = "".join(" ".join(repr(float(x)) for x in row[:i]) + "\n" for i, row in enumerate(dist))
-    loaded = load_lower_distance_matrix(io.StringIO(text))
-    assert loaded.dtype == dist.dtype and loaded.tobytes() == dist.tobytes()
+    # The lower triangle of scipy's square matrix, written and read back,
+    # is pdist's condensed vector, bit for bit.
+    for pts in _reference_clouds():
+        condensed = pdist(pts)
+        loaded = load_lower_distance_matrix(io.StringIO(_lower_text(squareform(condensed))))
+        assert _bits(loaded) == _bits(condensed)
 
 
 def test_loaders_accept_paths(tmp_path):
@@ -493,4 +506,4 @@ def test_loaders_accept_paths(tmp_path):
     assert load_points(p).shape == (2, 2)
     d = tmp_path / "ldm.txt"
     d.write_text("1.0\n")
-    assert load_lower_distance_matrix(d).shape == (2, 2)
+    assert load_lower_distance_matrix(d).shape == (1,)

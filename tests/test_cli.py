@@ -8,10 +8,10 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from bicollapse import cli
-from bicollapse.build import load_points
+from bicollapse.build import generate_dataset, load_points
 from bicollapse.cli import main
 from bicollapse.core import graph_from_edges, read_edge_list, write_edge_list
-from bicollapse.expand import parse_scc2020
+from bicollapse.expand import count_triangles, parse_scc2020
 from bicollapse.oracle import VerifyReport, brute_force_filtration_dominated, random_grid_graph
 
 from conftest import make_gap6, make_k3
@@ -466,6 +466,29 @@ def test_expand_preprocessing_shrinks(capsys, tmp_path, gap6_file):
     assert int(r["triangles_after"]) < int(r["triangles_before"])
     sizes = parse_scc2020(out_path).sizes()
     assert sizes[0] == int(r["triangles_after"]) and sizes[1] == int(r["edges_after"])
+
+
+@pytest.mark.parametrize("complete", [True, False], ids=["complete", "not-complete"])
+def test_expand_reports_the_input_triangles_that_count_triangles_counts(
+    capsys, monkeypatch, tmp_path, gap6_file, complete
+):
+    # A complete input's count is C(n, 3), and no wedge walk runs over the
+    # input; any other input is counted by the walk.
+    if complete:
+        path = tmp_path / "torus.csv"
+        path.write_text("".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in
+                                generate_dataset("torus", 30, seed=1).tolist()))
+        flag, graph = "--points", cli._graph_from_points(load_points(path))
+    else:
+        flag, path, graph = "--edges", gap6_file, read_edge_list(gap6_file)
+    walked = []
+    monkeypatch.setattr(cli, "count_triangles", lambda g: walked.append(g) or count_triangles(g))
+    rc, out, _ = run(capsys, "expand", flag, str(path), "--output", str(tmp_path / "x.scc"))
+    assert rc == 0
+    r = dict(zip(*(ln.split(",") for ln in out.splitlines()[4:6])))
+    assert int(r["triangles_before"]) == count_triangles(graph)
+    assert int(r["edges_before"]) == graph.edge_count() > int(r["edges_after"])
+    assert any(g.edge_count() == graph.edge_count() for g in walked) is not complete
 
 
 # -- verify ------------------------------------------------------------------------
